@@ -135,7 +135,7 @@ learnedFeatures(Domain d, const sim::IntervalStats &s,
 LearnedTrainer::LearnedTrainer(LearnedModel *m,
                                const sim::SimConfig &sim,
                                const LearnedParams &p, Rng r)
-    : model(m), simCfg(sim), params(p), rng(r)
+    : model(m), simCfg(sim), params(p), rng(r), guard(IPC_GUARD)
 {
 }
 
@@ -146,17 +146,16 @@ LearnedTrainer::onInterval(const sim::IntervalStats &s,
     // 1. Credit assignment for the previous interval's action: if
     //    IPC held within the guard of the best recent interval, the
     //    applied fraction was safe — regress toward it; if IPC
-    //    collapsed, the domain needed full speed.
+    //    collapsed, the domain needed full speed.  The trainer only
+    //    labels: it never overrides, so it never relaxes the guard.
+    bool collapsed = guard.collapsed(s.ipc);
     if (!first) {
-        bestIpc = std::max(bestIpc * 0.998, s.ipc);
-        bool safe = s.ipc >= bestIpc * (1.0 - IPC_GUARD);
         for (Domain d : scaledDomains()) {
-            double label = safe ? prevAction[domainIndex(d)] : 1.0;
+            double label =
+                collapsed ? 1.0 : prevAction[domainIndex(d)];
             model->update(d, prevFeat[domainIndex(d)], label,
                           params.lr);
         }
-    } else {
-        bestIpc = s.ipc;
     }
 
     // 2. Pick this interval's per-domain actions: seeded exploration
@@ -184,7 +183,8 @@ LearnedTrainer::onInterval(const sim::IntervalStats &s,
 
 LearnedController::LearnedController(const LearnedModel &m,
                                      const sim::SimConfig &sim)
-    : model(m), simCfg(sim), fMin(sim.minMhz), fMax(sim.maxMhz)
+    : model(m), simCfg(sim), fMin(sim.minMhz), fMax(sim.maxMhz),
+      guard(IPC_GUARD)
 {
 }
 
@@ -194,16 +194,13 @@ LearnedController::onInterval(const sim::IntervalStats &s,
 {
     // IPC guard: a collapse forces every domain back to full speed
     // (the mpeg2/vpr situation the hybrid guard exists for).
-    bestIpc = std::max(bestIpc * 0.998, s.ipc);
-    if (!first && s.ipc < bestIpc * (1.0 - IPC_GUARD)) {
+    if (guard.collapsed(s.ipc)) {
         for (Domain d : scaledDomains())
             if (std::abs(ctl.targetFreq(d) - fMax) > TARGET_EPS_MHZ)
                 ctl.setTarget(d, fMax);
-        bestIpc *= 0.99;
-        first = false;
+        guard.relax();
         return;
     }
-    first = false;
 
     for (Domain d : scaledDomains()) {
         LearnedFeatures x = learnedFeatures(d, s, simCfg);

@@ -25,6 +25,7 @@
 #include <array>
 #include <cstdint>
 
+#include "control/ipc_guard.hh"
 #include "power/power.hh"
 #include "sim/config.hh"
 #include "sim/trace.hh"
@@ -141,17 +142,16 @@ class LearnedTrainer : public sim::IntervalHook
     Rng rng;
     std::array<LearnedFeatures, NUM_SCALED_DOMAINS> prevFeat{};
     std::array<double, NUM_SCALED_DOMAINS> prevAction{};
-    double bestIpc = 0.0;
+    IpcGuard guard;
     bool first = true;
 };
 
 /**
  * Production hook: predicts per-domain fractions from the frozen
- * model each interval, with the same style of IPC guard as `hybrid`
- * (a collapse forces full speed).  Frequency targets are only
- * written when they move, so an untrained model (predicting full
- * speed) never reconfigures and the run is bit-identical to the
- * baseline.
+ * model each interval, with the shared IPC guard (a collapse forces
+ * full speed).  Frequency targets are only written when they move,
+ * so an untrained model (predicting full speed) never reconfigures
+ * and the run is bit-identical to the baseline.
  */
 class LearnedController : public sim::IntervalHook
 {
@@ -167,8 +167,7 @@ class LearnedController : public sim::IntervalHook
     sim::SimConfig simCfg;
     Mhz fMin;
     Mhz fMax;
-    double bestIpc = 0.0;
-    bool first = true;
+    IpcGuard guard;
 };
 
 /**

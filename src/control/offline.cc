@@ -51,28 +51,6 @@ class IntervalCollector : public sim::TraceSink
     std::vector<sim::InstrTiming> segment;
 };
 
-core::ShakerConfig
-configureShaker(const OfflineConfig &cfg, const sim::SimConfig &scfg,
-                const power::PowerConfig &pcfg)
-{
-    core::ShakerConfig sc = cfg.shaker;
-    sc.domainPowerWeight = pcfg.domainWeight;
-    sc.nominalMhz = scfg.maxMhz;
-    sc.l1LatencyCycles = scfg.l1Latency;
-    sc.l2LatencyCycles = scfg.l2Latency;
-    sc.robSize = scfg.robSize;
-    sc.lsqSize = scfg.lsqSize;
-    sc.intIqSize = scfg.intIqSize;
-    sc.fpIqSize = scfg.fpIqSize;
-    sc.fetchWidth = scfg.fetchWidth;
-    sc.retireWidth = scfg.retireWidth;
-    sc.intIssueWidth = scfg.intIssueWidth;
-    sc.fpIssueWidth = scfg.fpIssueWidth;
-    sc.memIssueWidth = scfg.memIssueWidth;
-    sc.mispredictPenalty = scfg.mispredictPenalty;
-    return sc;
-}
-
 } // namespace
 
 std::vector<sim::SchedulePoint>
@@ -85,8 +63,9 @@ offlineAnalyze(const OfflineConfig &cfg,
     core::ThresholdConfig tcfg = cfg.threshold;
     tcfg.slowdownPct = cfg.slowdownPct;
 
-    IntervalCollector collector(configureShaker(cfg, scfg, pcfg), tcfg,
-                                cfg.intervalInstrs);
+    IntervalCollector collector(
+        core::shakerConfigFor(cfg.shaker, scfg, pcfg), tcfg,
+        cfg.intervalInstrs);
     // The shaker consumes every committed instruction's timing
     // record; sampled probes would leave holes in the dependence
     // DAG, so the analysis run is always exact.

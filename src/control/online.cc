@@ -7,7 +7,8 @@ namespace mcd::control
 
 AttackDecayController::AttackDecayController(const OnlineConfig &c,
                                              const sim::SimConfig &sc)
-    : cfg(c), fMin(sc.minMhz), fMax(sc.maxMhz)
+    : cfg(c), fMin(sc.minMhz), fMax(sc.maxMhz),
+      guard(c.ipcGuard * (1.0 + 0.5 * c.aggressiveness))
 {
 }
 
@@ -31,20 +32,15 @@ AttackDecayController::onInterval(const sim::IntervalStats &s,
         s.robOcc / cfg.robSize;
 
     double decay = cfg.decayStep * cfg.aggressiveness;
-    double guard = cfg.ipcGuard * (1.0 + 0.5 * cfg.aggressiveness);
 
     // Performance guard: if IPC collapsed relative to the best seen
-    // recently, return everything to full speed.  The reference
-    // decays very slowly so a gradual decline cannot drag it down
-    // with itself (that failure mode is a death spiral).
-    bestIpc = std::max(bestIpc * 0.998, s.ipc);
-    if (!first && s.ipc < bestIpc * (1.0 - guard)) {
+    // recently, return everything to full speed and relax the
+    // reference.
+    if (guard.collapsed(s.ipc)) {
         for (Domain d : scaledDomains())
             ctl.setTarget(d, fMax);
         ++nRecoveries;
-        // Repeated recoveries relax the reference a little so a
-        // permanent phase change cannot pin the chip at full speed.
-        bestIpc *= 0.99;
+        guard.relax();
         prevUtil = util;
         first = false;
         return;

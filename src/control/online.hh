@@ -6,10 +6,11 @@
  * At fixed instruction intervals, per-domain queue utilization is
  * examined: a significant change triggers an "attack" (a large
  * frequency step in the direction of the change); otherwise the
- * frequency "decays" slowly downward.  An IPC guard returns all
- * domains to speed when performance collapses.  The `aggressiveness`
- * knob scales the decay (and relaxes the guard), producing the
- * energy-versus-slowdown trade-off curve of Figures 10/11.
+ * frequency "decays" slowly downward.  An IPC guard
+ * (control::IpcGuard) returns all domains to speed when performance
+ * collapses.  The `aggressiveness` knob scales the decay (and relaxes
+ * the guard), producing the energy-versus-slowdown trade-off curve of
+ * Figures 10/11.
  */
 
 #ifndef MCD_CONTROL_ONLINE_HH
@@ -18,6 +19,7 @@
 #include <array>
 #include <cstdint>
 
+#include "control/ipc_guard.hh"
 #include "sim/config.hh"
 #include "sim/trace.hh"
 
@@ -109,8 +111,8 @@ class AttackDecayController : public sim::IntervalHook
     OnlineConfig cfg;
     Mhz fMin;
     Mhz fMax;
+    IpcGuard guard;
     std::array<double, NUM_SCALED_DOMAINS> prevUtil{};
-    double bestIpc = 0.0;
     bool first = true;
     std::uint64_t nAttacks = 0;
     std::uint64_t nRecoveries = 0;

@@ -18,8 +18,7 @@
  * src/control/CMakeLists.txt — no changes to exp/ or bench/.
  */
 
-#include <algorithm>
-
+#include "control/ipc_guard.hh"
 #include "control/policies/pipeline_outcome.hh"
 #include "control/policy.hh"
 #include "core/pipeline.hh"
@@ -32,46 +31,35 @@ namespace
 {
 
 /**
- * The recovery half of the attack/decay controller: track the best
- * recent interval IPC (slowly decaying reference) and return all
- * domains to maximum frequency when an interval falls more than
- * `guard` below it.  It never lowers a frequency — downward moves
- * remain the profile plan's business.
+ * The recovery half of the attack/decay controller: return all
+ * domains to maximum frequency when an interval's IPC collapses more
+ * than `guard` below the best recent interval (control::IpcGuard).
+ * It never lowers a frequency — downward moves remain the profile
+ * plan's business.
  */
 class IpcGuardHook final : public sim::IntervalHook
 {
   public:
-    IpcGuardHook(double guard, Mhz f_max)
-        : guard(guard), fMax(f_max)
-    {
-    }
+    IpcGuardHook(double drop, Mhz f_max) : guard(drop), fMax(f_max) {}
 
     void
     onInterval(const sim::IntervalStats &s,
                sim::DvfsControl &ctl) override
     {
-        // Same reference dynamics as the on-line controller: decay
-        // the best-seen IPC very slowly so a gradual phase change
-        // cannot drag the reference down with itself.
-        bestIpc = std::max(bestIpc * 0.998, s.ipc);
-        if (!first && s.ipc < bestIpc * (1.0 - guard)) {
-            // Count an override only when some domain actually
-            // moves; during a sustained collapse the chip is already
-            // at full speed and re-asserting it is a no-op.
-            bool moves = false;
-            for (Domain dom : scaledDomains()) {
-                if (ctl.targetFreq(dom) != fMax)
-                    moves = true;
-                ctl.setTarget(dom, fMax);
-            }
-            if (moves)
-                ++nOverrides;
-            // Repeated guard hits relax the reference a little so a
-            // permanent phase change cannot pin the chip at full
-            // speed forever.
-            bestIpc *= 0.99;
+        if (!guard.collapsed(s.ipc))
+            return;
+        // Count an override only when some domain actually moves;
+        // during a sustained collapse the chip is already at full
+        // speed and re-asserting it is a no-op.
+        bool moves = false;
+        for (Domain dom : scaledDomains()) {
+            if (ctl.targetFreq(dom) != fMax)
+                moves = true;
+            ctl.setTarget(dom, fMax);
         }
-        first = false;
+        if (moves)
+            ++nOverrides;
+        guard.relax();
     }
 
     std::uint64_t
@@ -81,10 +69,8 @@ class IpcGuardHook final : public sim::IntervalHook
     }
 
   private:
-    double guard;
+    IpcGuard guard;
     Mhz fMax;
-    double bestIpc = 0.0;
-    bool first = true;
     std::uint64_t nOverrides = 0;
 };
 

@@ -111,7 +111,7 @@ PolicySpec::set(const std::string &key, const std::string &value)
         // stale previous value.
         p.num = 0.0;
         p.mode = core::ContextMode::LF;
-        parseDouble(value, p.num);
+        util::parseDouble(value, p.num);
         parseContextMode(value, p.mode);
     };
     for (Param &p : params) {
@@ -130,7 +130,7 @@ PolicySpec::set(const std::string &key, const std::string &value)
 PolicySpec &
 PolicySpec::set(const std::string &key, double value)
 {
-    return set(key, fmtFixed(value, 3));
+    return set(key, util::fmtFixed(value, 3));
 }
 
 PolicySpec &
@@ -321,7 +321,7 @@ PolicyRegistry::canonicalize(PolicySpec &spec, std::string &err) const
         switch (pi.type) {
           case ParamType::Double: {
             double v = pi.defaultDouble;
-            if (given && !parseDouble(given->text, v)) {
+            if (given && !util::parseDouble(given->text, v)) {
                 err = "policy '" + spec.policy + "' parameter '" +
                       pi.name + "': '" + given->text +
                       "' is not a number";
@@ -350,8 +350,8 @@ PolicyRegistry::canonicalize(PolicySpec &spec, std::string &err) const
             // Canonical text is the 3-digit fixed form, and the
             // typed value is re-parsed from it so the cache key and
             // the computation can never disagree.
-            out.text = fmtFixed(v, 3);
-            parseDouble(out.text, out.num);
+            out.text = util::fmtFixed(v, 3);
+            util::parseDouble(out.text, out.num);
             break;
           }
           case ParamType::Mode: {
@@ -395,7 +395,7 @@ describePolicies()
                << "> (default "
                << (pi.type == ParamType::Mode
                        ? std::string(compactModeName(pi.defaultMode))
-                       : fmtFixed(pi.defaultDouble, 3))
+                       : util::fmtFixed(pi.defaultDouble, 3))
                << "): " << pi.help << '\n';
         }
     }

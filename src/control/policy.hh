@@ -357,13 +357,6 @@ struct PolicyRegistrar
  */
 std::string describePolicies();
 
-/** Locale-independent fixed-point decimal and strict double parse —
- *  the shared spec-text primitives live in util/text.hh (the
- *  workload spec grammar uses the same ones); re-exported here for
- *  the pre-existing control:: spelling. */
-using util::fmtFixed;
-using util::parseDouble;
-
 /** Parse a context mode from its compact ("LFCP"), printable
  *  ("L+F+C+P") or lower-case form.  Returns false on no match. */
 bool parseContextMode(const std::string &text, core::ContextMode &m);

@@ -21,21 +21,7 @@ ProfilePipeline::train(const workload::InputSet &train_input,
         profileProgram(program, train_input, cfg.mode, cfg.profile));
 
     // Phase 2: full-speed analysis simulation with event tracing.
-    ShakerConfig shaker_cfg = cfg.shaker;
-    shaker_cfg.domainPowerWeight = pcfg.domainWeight;
-    shaker_cfg.nominalMhz = scfg.maxMhz;
-    shaker_cfg.l1LatencyCycles = scfg.l1Latency;
-    shaker_cfg.l2LatencyCycles = scfg.l2Latency;
-    shaker_cfg.robSize = scfg.robSize;
-    shaker_cfg.lsqSize = scfg.lsqSize;
-    shaker_cfg.intIqSize = scfg.intIqSize;
-    shaker_cfg.fpIqSize = scfg.fpIqSize;
-    shaker_cfg.fetchWidth = scfg.fetchWidth;
-    shaker_cfg.retireWidth = scfg.retireWidth;
-    shaker_cfg.intIssueWidth = scfg.intIssueWidth;
-    shaker_cfg.fpIssueWidth = scfg.fpIssueWidth;
-    shaker_cfg.memIssueWidth = scfg.memIssueWidth;
-    shaker_cfg.mispredictPenalty = scfg.mispredictPenalty;
+    ShakerConfig shaker_cfg = shakerConfigFor(cfg.shaker, scfg, pcfg);
     NodeTracker tracker(*tree_);
     AnalysisCollector collector(shaker_cfg, cfg.limits);
     // The shaker needs the complete per-instruction event trace of

@@ -12,6 +12,28 @@ namespace mcd::core
 using sim::InstrTiming;
 using workload::InstrClass;
 
+ShakerConfig
+shakerConfigFor(const ShakerConfig &base, const sim::SimConfig &sim,
+                const power::PowerConfig &power)
+{
+    ShakerConfig c = base;
+    c.domainPowerWeight = power.domainWeight;
+    c.nominalMhz = sim.maxMhz;
+    c.l1LatencyCycles = sim.l1Latency;
+    c.l2LatencyCycles = sim.l2Latency;
+    c.robSize = sim.robSize;
+    c.lsqSize = sim.lsqSize;
+    c.intIqSize = sim.intIqSize;
+    c.fpIqSize = sim.fpIqSize;
+    c.fetchWidth = sim.fetchWidth;
+    c.retireWidth = sim.retireWidth;
+    c.intIssueWidth = sim.intIssueWidth;
+    c.fpIssueWidth = sim.fpIssueWidth;
+    c.memIssueWidth = sim.memIssueWidth;
+    c.mispredictPenalty = sim.mispredictPenalty;
+    return c;
+}
+
 namespace
 {
 

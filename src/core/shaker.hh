@@ -22,6 +22,8 @@
 #include <map>
 #include <vector>
 
+#include "power/power.hh"
+#include "sim/config.hh"
 #include "sim/trace.hh"
 #include "util/histogram.hh"
 #include "util/types.hh"
@@ -71,9 +73,20 @@ struct ShakerConfig
      * Initial per-domain event power factors (relative domain power,
      * Section 3.2).
      */
-    std::array<double, NUM_SCALED_DOMAINS> domainPowerWeight =
-        {0.30, 0.25, 0.15, 0.30};
+    std::array<double, NUM_SCALED_DOMAINS> domainPowerWeight{
+        {0.30, 0.25, 0.15, 0.30}};
 };
+
+/**
+ * @p base with every field the simulated machine determines taken
+ * from it: nominal frequency, cache latencies, structure sizes,
+ * widths and mispredict penalty from @p sim, per-domain power
+ * weights from @p power.  The one SimConfig→ShakerConfig derivation,
+ * shared by the profile pipeline and the off-line oracle.
+ */
+ShakerConfig shakerConfigFor(const ShakerConfig &base,
+                             const sim::SimConfig &sim,
+                             const power::PowerConfig &power);
 
 /** Accumulated per-node analysis output. */
 struct NodeHistograms

@@ -4,6 +4,7 @@
 #include <cstring>
 #include <deque>
 #include <fstream>
+#include <iterator>
 #include <thread>
 
 #include "chip/multi.hh"
@@ -54,8 +55,26 @@ namespace
  *  (History table: docs/ARCHITECTURE.md, layer 7.) */
 constexpr int CACHE_VERSION = 9;
 
+/** The numeric payload of a cache line (after the key), in line
+ *  order — the one field list both the writer and the parser walk. */
+constexpr double Outcome::*LINE_FIELDS[] = {
+    &Outcome::timePs,
+    &Outcome::energyNj,
+    &Outcome::reconfigs,
+    &Outcome::overheadCycles,
+    &Outcome::feCycles,
+    &Outcome::dynReconfigPoints,
+    &Outcome::dynInstrPoints,
+    &Outcome::staticReconfigPoints,
+    &Outcome::staticInstrPoints,
+    &Outcome::tableBytes,
+    &Outcome::globalFreq,
+    &Outcome::timeCiPs,
+    &Outcome::energyCiNj,
+};
+
 /** Numeric payload fields per cache line (after the key). */
-constexpr std::size_t NUM_LINE_FIELDS = 13;
+constexpr std::size_t NUM_LINE_FIELDS = std::size(LINE_FIELDS);
 
 std::string
 outcomeToLine(const std::string &key, const Outcome &o)
@@ -65,15 +84,9 @@ outcomeToLine(const std::string &key, const Outcome &o)
     // setlocale(), 17 significant digits so values round-trip
     // exactly.
     std::string line = key;
-    const double fields[NUM_LINE_FIELDS] = {
-        o.timePs, o.energyNj, o.reconfigs, o.overheadCycles,
-        o.feCycles, o.dynReconfigPoints, o.dynInstrPoints,
-        o.staticReconfigPoints, o.staticInstrPoints, o.tableBytes,
-        o.globalFreq, o.timeCiPs, o.energyCiNj,
-    };
-    for (double f : fields) {
+    for (double Outcome::*f : LINE_FIELDS) {
         line += ',';
-        line += util::fmtDouble17(f);
+        line += util::fmtDouble17(o.*f);
     }
     return line;
 }
@@ -92,18 +105,12 @@ bool
 lineToOutcome(const std::string &line, std::string &key, Outcome &o)
 {
     std::size_t end = line.size();
-    double *fields[NUM_LINE_FIELDS] = {
-        &o.timePs, &o.energyNj, &o.reconfigs, &o.overheadCycles,
-        &o.feCycles, &o.dynReconfigPoints, &o.dynInstrPoints,
-        &o.staticReconfigPoints, &o.staticInstrPoints, &o.tableBytes,
-        &o.globalFreq, &o.timeCiPs, &o.energyCiNj,
-    };
     for (std::size_t i = NUM_LINE_FIELDS; i-- > 0;) {
         std::size_t comma = line.rfind(',', end == 0 ? 0 : end - 1);
         if (comma == std::string::npos)
             return false;
-        if (!control::parseDouble(
-                line.substr(comma + 1, end - comma - 1), *fields[i]))
+        if (!util::parseDouble(line.substr(comma + 1, end - comma - 1),
+                               o.*LINE_FIELDS[i]))
             return false;
         end = comma;
     }
@@ -349,36 +356,8 @@ SweepCell::of(std::string bench, const std::string &spec_text)
     control::PolicySpec spec;
     std::string err;
     if (!control::parseSpec(spec_text, spec, err))
-        fatal("%s", err.c_str());
+        throw workload::SpecError(err);
     return of(std::move(bench), std::move(spec));
-}
-
-SweepCell
-SweepCell::baseline(std::string bench)
-{
-    return of(std::move(bench), control::PolicySpec::of("baseline"));
-}
-
-SweepCell
-SweepCell::profile(std::string bench, core::ContextMode mode, double d)
-{
-    return of(std::move(bench), control::PolicySpec::of("profile")
-                                    .set("mode", mode)
-                                    .set("d", d));
-}
-
-SweepCell
-SweepCell::offline(std::string bench, double d)
-{
-    return of(std::move(bench),
-              control::PolicySpec::of("offline").set("d", d));
-}
-
-SweepCell
-SweepCell::online(std::string bench, double aggressiveness)
-{
-    return of(std::move(bench), control::PolicySpec::of("online")
-                                    .set("aggr", aggressiveness));
 }
 
 Runner::Runner(const ExpConfig &c)
@@ -432,15 +411,10 @@ Runner::resolve(const std::string &bench,
     canon = spec;
     std::string err;
     if (!reg.canonicalize(canon, err))
-        fatal("%s", err.c_str());
+        throw workload::SpecError(err);
     policy = reg.find(canon.policy);
     // The bench field of the key is the *canonical* workload spec:
     // `gen:seed=7,phases=4` and `gen:phases=4,seed=7` are one cell.
-    // A bad spec throws workload::SpecError here — before anything
-    // is simulated or memoized — and stays catchable, unlike policy
-    // errors (the policy side of a cell is always built from
-    // validated CLI/figure specs; workloads can arrive from cache
-    // keys and user files).
     canonBench = canonicalBenchCached(bench);
     return keyPrefix() + '|' + canon.str() + '|' + canonBench +
            '|' + policy->contextKey(ctx);
@@ -605,7 +579,7 @@ Runner::memoize(const std::string &key,
 Metrics
 Runner::vsBaseline(const std::string &bench, const Outcome &o)
 {
-    Outcome base = baseline(bench);
+    Outcome base = run(bench, control::PolicySpec::of("baseline"));
     return computeMetrics(o.timePs, o.energyNj, base.timePs,
                           base.energyNj);
 }
@@ -677,9 +651,6 @@ Runner::resolveChip(const ChipCell &cell, control::PolicySpec &canon,
         control::PolicyRegistry::instance();
     canon = cell.tilePolicy;
     std::string err;
-    // Chip cells can arrive over the wire (SWEEP tiles=...), so a
-    // bad tile policy must stay catchable — throw instead of the
-    // single-core resolve()'s fatal().
     if (!reg.canonicalize(canon, err))
         throw workload::SpecError(err);
     policy = reg.find(canon.policy);
@@ -806,41 +777,6 @@ Runner::runChip(const ChipCell &cell, std::vector<bool> *row_hits)
             row_hits->push_back(!computed);
     }
     return out;
-}
-
-Outcome
-Runner::baseline(const std::string &bench)
-{
-    return run(bench, control::PolicySpec::of("baseline"));
-}
-
-Outcome
-Runner::profile(const std::string &bench, core::ContextMode mode,
-                double d)
-{
-    return run(bench, control::PolicySpec::of("profile")
-                          .set("mode", mode)
-                          .set("d", d));
-}
-
-Outcome
-Runner::offline(const std::string &bench, double d)
-{
-    return run(bench, control::PolicySpec::of("offline").set("d", d));
-}
-
-Outcome
-Runner::online(const std::string &bench, double aggressiveness)
-{
-    return run(bench, control::PolicySpec::of("online")
-                          .set("aggr", aggressiveness));
-}
-
-Outcome
-Runner::global(const std::string &bench)
-{
-    return run(bench,
-               control::PolicySpec::of("global").set("d", cfg.d));
 }
 
 } // namespace mcd::exp

@@ -73,17 +73,6 @@ struct ExpConfig
     std::uint64_t analysisWindow = 150'000;
     /** Profiling cap for phase 1 (functional run). */
     std::uint64_t profileMaxInstrs = 4'000'000;
-    /**
-     * Slowdown threshold d (percent) read ONLY by the deprecated
-     * `Runner::global(bench)` shim.  Specs with an unset d default
-     * through the parameter schema
-     * (`control::DEFAULT_SLOWDOWN_PCT`, 5.0), never through this
-     * field — spell d out in the spec when it must differ.
-     */
-    // mcd-lint: allow(fingerprint-complete): reaches an outcome only
-    // through the canonical spec text (`d=...`), which is already in
-    // the key.
-    double d = control::DEFAULT_SLOWDOWN_PCT;
     /** Off-line oracle reconfiguration interval. */
     // mcd-lint: allow(fingerprint-complete): keyed via the offline
     // policy's contextKey() fragment (`i10000`); hashing it would
@@ -133,8 +122,9 @@ using Outcome = control::Outcome;
 
 /**
  * One independently-runnable {benchmark, policy spec} cell of a
- * sweep.  Build cells with `of()`; the named factories are thin
- * shims from the pre-registry enum days.
+ * sweep.  (Chip runs use ChipCell below: a chip cell produces one
+ * outcome per tile plus an uncore row, so it does not fit the
+ * one-cell-one-outcome sweep contract.)
  */
 struct SweepCell
 {
@@ -143,24 +133,11 @@ struct SweepCell
     control::PolicySpec spec;
 
     static SweepCell of(std::string bench, control::PolicySpec spec);
-    /** Parses @p spec_text; fatal on a malformed/unknown spec. */
+    /** Parses @p spec_text; throws workload::SpecError on malformed
+     *  text (unknown policies and parameters surface when the cell
+     *  runs). */
     static SweepCell of(std::string bench,
                         const std::string &spec_text);
-
-    // Deprecated shims for the old closed policy set; prefer of().
-    // (Chip runs use ChipCell below, not SweepCell: a chip cell
-    // produces one outcome per tile plus an uncore row, so it does
-    // not fit the one-cell-one-outcome sweep contract.)
-    // There is deliberately no global() shim: the enum-era global
-    // cell read the runner's `ExpConfig::d` at run time, which a
-    // spec built ahead of time cannot reproduce — build it
-    // explicitly as `PolicySpec::of("global").set("d", cfg.d)` so
-    // the threshold is visible at the call site.
-    static SweepCell baseline(std::string bench);
-    static SweepCell profile(std::string bench, core::ContextMode mode,
-                             double d);
-    static SweepCell offline(std::string bench, double d);
-    static SweepCell online(std::string bench, double aggressiveness);
 };
 
 /**
@@ -215,9 +192,10 @@ class Runner
 
     /**
      * Run @p spec on @p bench: canonicalize against the registry
-     * (fatal on an unknown policy/parameter), memoize under the
-     * canonical cache key, and compute metrics vs the MCD baseline
-     * where the policy asks for it.
+     * (throws workload::SpecError on an unknown policy/parameter or
+     * a bad workload spec, before anything is memoized), memoize
+     * under the canonical cache key, and compute metrics vs the MCD
+     * baseline where the policy asks for it.
      */
     Outcome run(const std::string &bench,
                 const control::PolicySpec &spec);
@@ -260,26 +238,6 @@ class Runner
      */
     std::vector<std::string> chipCacheKeys(const ChipCell &cell) const;
 
-    // ------------------------------------------------------------ //
-    // Deprecated entry points for the old closed policy set.  Thin  //
-    // shims over run(bench, spec); kept so pre-registry call sites  //
-    // compile, and pinned bit-identical by tests/test_policy.cc.    //
-    // ------------------------------------------------------------ //
-
-    /** @deprecated Use run(bench, PolicySpec::of("baseline")). */
-    Outcome baseline(const std::string &bench);
-    /** @deprecated Use run() with a "profile:mode=...,d=..." spec. */
-    Outcome profile(const std::string &bench, core::ContextMode mode,
-                    double d);
-    /** @deprecated Use run() with an "offline:d=..." spec. */
-    Outcome offline(const std::string &bench, double d);
-    /** @deprecated Use run() with an "online:aggr=..." spec. */
-    Outcome online(const std::string &bench, double aggressiveness);
-    /** @deprecated Use run() with a "global" spec (the old entry
-     *  matched the off-line run at `ExpConfig::d`, so the shim
-     *  passes that as the spec's d). */
-    Outcome global(const std::string &bench);
-
     const ExpConfig &config() const { return cfg; }
 
     /** Entries accepted from the CSV cache file at construction. */
@@ -310,8 +268,7 @@ class Runner
      * field is canonicalized through the WorkloadRegistry, so
      * parameter order/formatting of a `gen:...` or `prog:...` spec
      * never splits a cell.  Exposed so tests can pin key stability;
-     * fatal on a non-canonicalizable policy spec, throws
-     * workload::SpecError on a bad workload spec.
+     * throws workload::SpecError on a bad policy or workload spec.
      */
     std::string cacheKey(const std::string &bench,
                          const control::PolicySpec &spec) const;
@@ -351,9 +308,9 @@ class Runner
      */
     std::shared_ptr<const sim::CheckpointSet>
     checkpointSetFor(const std::string &canon_bench);
-    /** Canonicalize @p spec (fatal on error) and @p bench (throws
-     *  workload::SpecError), resolve the policy and build the
-     *  memo/CSV key — the single definition of the key layout,
+    /** Canonicalize @p spec and @p bench (throws
+     *  workload::SpecError on either), resolve the policy and build
+     *  the memo/CSV key — the single definition of the key layout,
      *  shared by run() and cacheKey(). */
     std::string resolve(const std::string &bench,
                         const control::PolicySpec &spec,

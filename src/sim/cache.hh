@@ -54,9 +54,6 @@ class Cache
     std::uint32_t numSets() const { return sets; }
 
   private:
-    /** Checkpoint serialization reads/writes the raw arrays. */
-    friend class CheckpointIo;
-
     struct Line
     {
         std::uint64_t tag = ~0ULL;

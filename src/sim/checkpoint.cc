@@ -1,6 +1,6 @@
 #include "sim/checkpoint.hh"
 
-#include <cstring>
+#include <algorithm>
 
 namespace mcd::sim
 {
@@ -160,319 +160,6 @@ CheckpointSet::matches(const SamplingConfig &sp,
            sampling_.sampleInstrs == sp.sampleInstrs &&
            sampling_.warmupInstrs == sp.warmupInstrs &&
            window_ == window;
-}
-
-// --- binary serialization ----------------------------------------------
-
-/**
- * Raw little-endian-of-host binary reader/writer over std::string.
- * Befriended by Cache and BranchPredictor for their private arrays.
- * The format is an in-process/persisted-artifact format, not a wire
- * protocol: no locale, no text formatting, fixed-width fields.
- */
-class CheckpointIo
-{
-  public:
-    // writer
-    static void
-    putU64(std::string &o, std::uint64_t v)
-    {
-        char b[8];
-        std::memcpy(b, &v, 8);
-        o.append(b, 8);
-    }
-    static void
-    putU16(std::string &o, std::uint16_t v)
-    {
-        char b[2];
-        std::memcpy(b, &v, 2);
-        o.append(b, 2);
-    }
-    static void putU8(std::string &o, std::uint8_t v)
-    {
-        o.push_back(static_cast<char>(v));
-    }
-    static void
-    putF64(std::string &o, double v)
-    {
-        char b[8];
-        std::memcpy(b, &v, 8);
-        o.append(b, 8);
-    }
-
-    // reader (cursor + bounds flag)
-    struct In
-    {
-        const std::string &s;
-        std::size_t pos = 0;
-        bool ok = true;
-
-        bool
-        take(void *dst, std::size_t n)
-        {
-            if (!ok || pos + n > s.size()) {
-                ok = false;
-                return false;
-            }
-            std::memcpy(dst, s.data() + pos, n);
-            pos += n;
-            return true;
-        }
-        std::uint64_t
-        u64()
-        {
-            std::uint64_t v = 0;
-            take(&v, 8);
-            return v;
-        }
-        std::uint16_t
-        u16()
-        {
-            std::uint16_t v = 0;
-            take(&v, 2);
-            return v;
-        }
-        std::uint8_t
-        u8()
-        {
-            std::uint8_t v = 0;
-            take(&v, 1);
-            return v;
-        }
-        double
-        f64()
-        {
-            double v = 0.0;
-            take(&v, 8);
-            return v;
-        }
-    };
-
-    static void
-    put(std::string &o, const Cache &c)
-    {
-        putU64(o, c.useCounter);
-        putU64(o, c.nHits);
-        putU64(o, c.nMisses);
-        putU64(o, c.lines.size());
-        for (const Cache::Line &l : c.lines) {
-            putU64(o, l.tag);
-            putU64(o, l.lastUse);
-            putU8(o, l.valid ? 1 : 0);
-        }
-    }
-
-    static bool
-    get(In &in, Cache &c)
-    {
-        c.useCounter = in.u64();
-        c.nHits = in.u64();
-        c.nMisses = in.u64();
-        std::uint64_t n = in.u64();
-        if (!in.ok || n != c.lines.size())
-            return false;
-        for (Cache::Line &l : c.lines) {
-            l.tag = in.u64();
-            l.lastUse = in.u64();
-            l.valid = in.u8() != 0;
-        }
-        return in.ok;
-    }
-
-    static void
-    put(std::string &o, const BranchPredictor &b)
-    {
-        putU64(o, b.useCounter);
-        putU64(o, b.nLookups);
-        putU64(o, b.bimodal.size());
-        for (std::uint8_t v : b.bimodal)
-            putU8(o, v);
-        putU64(o, b.history.size());
-        for (std::uint16_t v : b.history)
-            putU16(o, v);
-        putU64(o, b.pht.size());
-        for (std::uint8_t v : b.pht)
-            putU8(o, v);
-        putU64(o, b.meta.size());
-        for (std::uint8_t v : b.meta)
-            putU8(o, v);
-        putU64(o, b.btb.size());
-        for (const BranchPredictor::BtbEntry &e : b.btb) {
-            putU64(o, e.tag);
-            putU64(o, e.target);
-            putU64(o, e.lastUse);
-            putU8(o, e.valid ? 1 : 0);
-        }
-    }
-
-    static bool
-    get(In &in, BranchPredictor &b)
-    {
-        b.useCounter = in.u64();
-        b.nLookups = in.u64();
-        if (in.u64() != b.bimodal.size())
-            return false;
-        for (std::uint8_t &v : b.bimodal)
-            v = in.u8();
-        if (in.u64() != b.history.size())
-            return false;
-        for (std::uint16_t &v : b.history)
-            v = in.u16();
-        if (in.u64() != b.pht.size())
-            return false;
-        for (std::uint8_t &v : b.pht)
-            v = in.u8();
-        if (in.u64() != b.meta.size())
-            return false;
-        for (std::uint8_t &v : b.meta)
-            v = in.u8();
-        if (in.u64() != b.btb.size())
-            return false;
-        for (BranchPredictor::BtbEntry &e : b.btb) {
-            e.tag = in.u64();
-            e.target = in.u64();
-            e.lastUse = in.u64();
-            e.valid = in.u8() != 0;
-        }
-        return in.ok;
-    }
-
-    static void
-    put(std::string &o, const FuncDeltas &d)
-    {
-        putU64(o, d.instrs);
-        putU64(o, d.branches);
-        putU64(o, d.mispredicts);
-        putU64(o, d.icacheMisses);
-        putU64(o, d.l1dAccesses);
-        putU64(o, d.l1dMisses);
-        putU64(o, d.l2Misses);
-        putU64(o, d.dramAccesses);
-    }
-
-    static void
-    get(In &in, FuncDeltas &d)
-    {
-        d.instrs = in.u64();
-        d.branches = in.u64();
-        d.mispredicts = in.u64();
-        d.icacheMisses = in.u64();
-        d.l1dAccesses = in.u64();
-        d.l1dMisses = in.u64();
-        d.l2Misses = in.u64();
-        d.dramAccesses = in.u64();
-    }
-};
-
-namespace
-{
-constexpr char CKPT_MAGIC[8] = {'M', 'C', 'D', 'C',
-                                'K', 'P', 'T', '1'};
-} // namespace
-
-void
-CheckpointSet::serialize(std::string &out) const
-{
-    using Io = CheckpointIo;
-    out.append(CKPT_MAGIC, sizeof(CKPT_MAGIC));
-    Io::putU8(out, static_cast<std::uint8_t>(sampling_.mode));
-    Io::putU64(out, sampling_.intervalInstrs);
-    Io::putU64(out, sampling_.sampleInstrs);
-    Io::putU64(out, sampling_.warmupInstrs);
-    Io::putF64(out, sampling_.ciBiasPct);
-    Io::putU64(out, window_);
-    Io::putU64(out, points_.size());
-    for (const Point &p : points_) {
-        Io::putU64(out, p.startIndex);
-        Io::putU64(out, p.probeLen);
-        Io::putU64(out, p.skipLen);
-        Io::put(out, p.skipDeltas);
-        Io::putU64(out, p.skipMarkers.size());
-        for (const SpanEvent &e : p.skipMarkers) {
-            Io::putU64(out, e.index);
-            Io::putU8(out, static_cast<std::uint8_t>(e.marker.kind));
-            Io::putU16(out, e.marker.func);
-            Io::putU16(out, e.marker.loop);
-            Io::putU16(out, e.marker.site);
-        }
-        // Stream state is its instruction index (rebuilt by replay);
-        // array state is verbatim.
-        Io::putU64(out, p.state.index());
-        Io::putU8(out, p.state.streamEnded ? 1 : 0);
-        Io::putU64(out, p.state.lastLine);
-        Io::put(out, p.state.l1i);
-        Io::put(out, p.state.l1d);
-        Io::put(out, p.state.l2);
-        Io::put(out, p.state.bpred);
-    }
-}
-
-std::shared_ptr<const CheckpointSet>
-CheckpointSet::deserialize(
-    const std::string &bytes,
-    std::shared_ptr<const workload::Program> keepalive,
-    const workload::InputSet &input, const SimConfig &cfg)
-{
-    using Io = CheckpointIo;
-    Io::In in{bytes};
-    char magic[8];
-    if (!in.take(magic, 8) ||
-        std::memcmp(magic, CKPT_MAGIC, 8) != 0)
-        return nullptr;
-
-    auto set = std::shared_ptr<CheckpointSet>(new CheckpointSet);
-    set->keepalive_ = keepalive;
-    set->sampling_.mode = static_cast<SamplingMode>(in.u8());
-    set->sampling_.intervalInstrs = in.u64();
-    set->sampling_.sampleInstrs = in.u64();
-    set->sampling_.warmupInstrs = in.u64();
-    set->sampling_.ciBiasPct = in.f64();
-    set->window_ = in.u64();
-    std::uint64_t n_points = in.u64();
-    if (!in.ok || n_points > set->window_ + 1)
-        return nullptr;
-
-    // One forward walker rebuilds every point's stream position in a
-    // single O(window) pass (points are in increasing index order).
-    FuncState walker(cfg, *keepalive, input);
-    for (std::uint64_t i = 0; i < n_points; ++i) {
-        Point p{0, 0, 0, {}, {}, walker};
-        p.startIndex = in.u64();
-        p.probeLen = in.u64();
-        p.skipLen = in.u64();
-        Io::get(in, p.skipDeltas);
-        std::uint64_t n_mk = in.u64();
-        if (!in.ok || n_mk > bytes.size())
-            return nullptr;
-        p.skipMarkers.resize(n_mk);
-        for (SpanEvent &e : p.skipMarkers) {
-            e.index = in.u64();
-            e.marker.kind =
-                static_cast<workload::MarkerKind>(in.u8());
-            e.marker.func = in.u16();
-            e.marker.loop = in.u16();
-            e.marker.site = in.u16();
-        }
-        std::uint64_t stream_index = in.u64();
-        bool stream_ended = in.u8() != 0;
-        std::uint64_t last_line = in.u64();
-        if (!in.ok || stream_index < walker.index())
-            return nullptr;
-        walker.advance(stream_index - walker.index(),
-                       FuncState::MarkerFn{});
-        if (walker.index() != stream_index)
-            return nullptr;
-        p.state = walker;
-        p.state.lastLine = last_line;
-        p.state.streamEnded = stream_ended;
-        if (!Io::get(in, p.state.l1i) || !Io::get(in, p.state.l1d) ||
-            !Io::get(in, p.state.l2) || !Io::get(in, p.state.bpred))
-            return nullptr;
-        set->points_.push_back(std::move(p));
-    }
-    if (!in.ok)
-        return nullptr;
-    return set;
 }
 
 } // namespace mcd::sim

@@ -1,7 +1,7 @@
 /**
  * @file
- * Functional microarchitectural state and serializable checkpoints
- * for sampled simulation (sim/sampling.hh).
+ * Functional microarchitectural state and shared checkpoints for
+ * sampled simulation (sim/sampling.hh).
  *
  * `FuncState` is the authoritative between-probe trajectory of a
  * sampled run: the stream position plus the long-lived
@@ -16,10 +16,6 @@
  * walk of a benchmark (probe-start states + recorded skip-span
  * markers and counter deltas) is shared by every policy cell of a
  * sweep, so per-cell cost drops to the detailed probes alone.
- *
- * Checkpoint sets serialize to a compact binary blob (stream state
- * as the instruction index, rebuilt by deterministic replay;
- * cache/predictor arrays verbatim) — see serialize()/deserialize().
  */
 
 #ifndef MCD_SIM_CHECKPOINT_HH
@@ -28,7 +24,6 @@
 #include <cstdint>
 #include <functional>
 #include <memory>
-#include <string>
 #include <vector>
 
 #include "sim/branch.hh"
@@ -160,26 +155,8 @@ class CheckpointSet
     bool matches(const SamplingConfig &sp, std::uint64_t window) const;
 
     const std::vector<Point> &points() const { return points_; }
-    std::uint64_t window() const { return window_; }
-    const SamplingConfig &sampling() const { return sampling_; }
-
-    /** Append the binary form to @p out. */
-    void serialize(std::string &out) const;
-
-    /**
-     * Rebuild from serialize() output: array state is restored
-     * verbatim, stream state by deterministic replay of a fresh
-     * stream to each recorded index.  Returns nullptr (never throws)
-     * on truncated or mismatched input — the caller rebuilds.
-     */
-    static std::shared_ptr<const CheckpointSet>
-    deserialize(const std::string &bytes,
-                std::shared_ptr<const workload::Program> keepalive,
-                const workload::InputSet &input, const SimConfig &cfg);
 
   private:
-    friend class CheckpointIo;
-
     CheckpointSet() = default;
 
     std::shared_ptr<const workload::Program> keepalive_;

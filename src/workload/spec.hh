@@ -6,10 +6,11 @@
  * benchmark name is accepted — registry lookup, `--workload` CLI
  * selection, sweep cells and memo-cache keys.
  *
- * Unlike policy specs, workload specs flow through code that must be
- * able to *recover* from a bad spec (a sweep cell naming an unloaded
- * authored program, a stale cache key), so errors here are a
- * catchable `SpecError`, not `fatal()`.
+ * Workload specs flow through code that must be able to *recover*
+ * from a bad spec (a sweep cell naming an unloaded authored program,
+ * a stale cache key), so errors here are a catchable `SpecError`,
+ * not `fatal()` — the same type `exp::Runner` throws for a bad
+ * policy spec.
  */
 
 #ifndef MCD_WORKLOAD_SPEC_HH

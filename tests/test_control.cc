@@ -6,7 +6,10 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
+
 #include "control/globaldvs.hh"
+#include "control/ipc_guard.hh"
 #include "control/offline.hh"
 #include "control/online.hh"
 #include "sim/processor.hh"
@@ -124,6 +127,69 @@ TEST(AttackDecay, TargetsStayInLegalRange)
             ASSERT_LE(dvfs.targets[static_cast<size_t>(d)], 1000.0);
         }
     }
+}
+
+// IpcGuard: the collapse rule online, hybrid and learned share.
+
+TEST(IpcGuard, NeverFiresOnTheFirstInterval)
+{
+    // A negative drop makes every interval after the first a
+    // "collapse" (IPC below 1.5x the reference), so only the
+    // first-interval exemption keeps the first call quiet.
+    IpcGuard g(-0.5);
+    EXPECT_FALSE(g.collapsed(1.0));
+    EXPECT_TRUE(g.collapsed(1.0));
+}
+
+TEST(IpcGuard, FiresStrictlyBelowTheDropBoundary)
+{
+    const double drop = 0.10;
+    // Reference 1.0, decayed once by the second interval.
+    const double edge = 1.0 * 0.998 * (1.0 - drop);
+    IpcGuard at(drop);
+    at.collapsed(1.0);
+    EXPECT_FALSE(at.collapsed(edge));
+    IpcGuard below(drop);
+    below.collapsed(1.0);
+    EXPECT_TRUE(below.collapsed(std::nextafter(edge, 0.0)));
+}
+
+TEST(IpcGuard, ReferenceDecaysByPointNineNineEightPerInterval)
+{
+    // Feed exactly the boundary every interval: it moves down with
+    // the reference, x0.998 per interval, and never fires.
+    const double drop = 0.10;
+    IpcGuard g(drop);
+    g.collapsed(1.0);
+    double ref = 1.0;
+    for (int i = 0; i < 50; ++i) {
+        ref *= 0.998;
+        EXPECT_FALSE(g.collapsed(ref * (1.0 - drop))) << i;
+    }
+    ref *= 0.998;
+    EXPECT_TRUE(g.collapsed(std::nextafter(ref * (1.0 - drop), 0.0)));
+}
+
+TEST(IpcGuard, RelaxLowersTheReferenceOnePercent)
+{
+    const double drop = 0.10;
+    IpcGuard relaxed(drop);
+    relaxed.collapsed(1.0);
+    ASSERT_TRUE(relaxed.collapsed(0.5));
+    relaxed.relax();
+    // Reference: 1.0, decayed, relaxed, decayed again.
+    double ref = 1.0 * 0.998 * 0.99 * 0.998;
+    EXPECT_FALSE(relaxed.collapsed(ref * (1.0 - drop)));
+    ref *= 0.998;
+    EXPECT_TRUE(
+        relaxed.collapsed(std::nextafter(ref * (1.0 - drop), 0.0)));
+
+    // Without relax() the reference stays higher, so the same
+    // boundary IPC is still a collapse.
+    IpcGuard kept(drop);
+    kept.collapsed(1.0);
+    ASSERT_TRUE(kept.collapsed(0.5));
+    EXPECT_TRUE(kept.collapsed(1.0 * 0.998 * 0.99 * 0.998 * (1.0 - drop)));
 }
 
 TEST(Offline, ProducesOnePointPerInterval)

@@ -58,7 +58,7 @@ TEST(Docs, PoliciesDocCoversTheRegistry)
                 (pi.type == mcd::control::ParamType::Mode
                      ? std::string(mcd::control::compactModeName(
                            pi.defaultMode))
-                     : mcd::control::fmtFixed(pi.defaultDouble, 3));
+                     : mcd::util::fmtFixed(pi.defaultDouble, 3));
             EXPECT_NE(doc.find(needle), std::string::npos)
                 << "docs/POLICIES.md: policy '" << p->name()
                 << "' parameter row '" << needle
@@ -86,7 +86,7 @@ TEST(Docs, WorkloadsDocCoversTheRegistry)
          mcd::workload::generatorParams()) {
         std::string def =
             pi.integer ? std::to_string((long long)pi.defaultNum)
-                       : mcd::control::fmtFixed(pi.defaultNum, 3);
+                       : mcd::util::fmtFixed(pi.defaultNum, 3);
         std::string needle = "`" + pi.name + "` | " + def;
         EXPECT_NE(doc.find(needle), std::string::npos)
             << "docs/WORKLOADS.md: generator knob row '" << needle
@@ -151,15 +151,15 @@ TEST(Docs, ChipDocCoversTopologyAndKnobs)
     for (const std::string &needle : {
              row("l2PortCycles", std::to_string(def.l2PortCycles)),
              row("uncoreMaxMhz",
-                 mcd::control::fmtFixed(def.uncoreMaxMhz, 3)),
+                 mcd::util::fmtFixed(def.uncoreMaxMhz, 3)),
              row("uncoreMinMhz",
-                 mcd::control::fmtFixed(def.uncoreMinMhz, 3)),
+                 mcd::util::fmtFixed(def.uncoreMinMhz, 3)),
              row("coordIntervalPs",
                  std::to_string(def.coordIntervalPs)),
              row("uncoreClockPj",
-                 mcd::control::fmtFixed(def.uncoreClockPj, 3)),
+                 mcd::util::fmtFixed(def.uncoreClockPj, 3)),
              row("uncoreLeakW",
-                 mcd::control::fmtFixed(def.uncoreLeakW, 3)),
+                 mcd::util::fmtFixed(def.uncoreLeakW, 3)),
          })
         EXPECT_NE(doc.find(needle), std::string::npos)
             << "docs/CHIP.md knob row '" << needle
@@ -229,7 +229,7 @@ TEST(Docs, SamplingDocTracksTheRealKnobsAndSchema)
              row("sampleInstrs", std::to_string(def.sampleInstrs)),
              row("warmupInstrs", std::to_string(def.warmupInstrs)),
              row("ciBiasPct",
-                 mcd::control::fmtFixed(def.ciBiasPct, 3)),
+                 mcd::util::fmtFixed(def.ciBiasPct, 3)),
          })
         EXPECT_NE(doc.find(needle), std::string::npos)
             << "docs/SAMPLING.md knob row '" << needle

@@ -175,7 +175,7 @@ TEST(ExpParallel, CacheHitShortCircuitsRecomputation)
     cfg.cacheFile = path;
     {
         Runner r(cfg);
-        r.baseline("gsm_decode");
+        r.run("gsm_decode", control::PolicySpec::of("baseline"));
     }
     std::vector<std::string> lines = readLines(path);
     ASSERT_EQ(lines.size(), 1u);
@@ -186,7 +186,10 @@ TEST(ExpParallel, CacheHitShortCircuitsRecomputation)
         << key << ",12345,1,0,0,0,0,0,0,0,0,0,0,0\n";
     Runner reload(cfg);
     EXPECT_EQ(reload.loadedFromCache(), 1u);
-    EXPECT_DOUBLE_EQ(reload.baseline("gsm_decode").timePs, 12345.0);
+    EXPECT_DOUBLE_EQ(
+        reload.run("gsm_decode", control::PolicySpec::of("baseline"))
+            .timePs,
+        12345.0);
     std::remove(path.c_str());
 }
 
@@ -214,7 +217,7 @@ TEST(ExpParallel, MismatchedConfigFingerprintMissesCache)
     a.cacheFile = b.cacheFile = path;
     {
         Runner r(a);
-        r.baseline("gsm_decode");
+        r.run("gsm_decode", control::PolicySpec::of("baseline"));
     }
     std::vector<std::string> lines = readLines(path);
     ASSERT_EQ(lines.size(), 1u);
@@ -223,7 +226,9 @@ TEST(ExpParallel, MismatchedConfigFingerprintMissesCache)
         << key << ",12345,1,0,0,0,0,0,0,0,0,0,0,0\n";
     Runner rb(b);
     EXPECT_EQ(rb.loadedFromCache(), 1u);  // line loads under a's key
-    Outcome ob = rb.baseline("gsm_decode");  // ...but b recomputes
+    // ...but b recomputes.
+    Outcome ob =
+        rb.run("gsm_decode", control::PolicySpec::of("baseline"));
     EXPECT_NE(ob.timePs, 12345.0);
     std::remove(path.c_str());
 }
@@ -236,7 +241,7 @@ TEST(ExpParallel, MalformedCacheLinesAreRejected)
     cfg.cacheFile = path;
     {
         Runner r(cfg);
-        r.baseline("gsm_decode");
+        r.run("gsm_decode", control::PolicySpec::of("baseline"));
     }
     std::vector<std::string> lines = readLines(path);
     ASSERT_EQ(lines.size(), 1u);
@@ -266,16 +271,17 @@ TEST(ExpParallel, UnwritableCachePathDegradesGracefully)
     ExpConfig cfg = smallConfig();
     cfg.cacheFile = "/nonexistent-mcd-dir/deep/cache.csv";
     Runner r(cfg);  // warns once, then runs without persistence
-    Outcome o = r.baseline("gsm_decode");
+    const control::PolicySpec bl = control::PolicySpec::of("baseline");
+    Outcome o = r.run("gsm_decode", bl);
     EXPECT_GT(o.timePs, 0.0);
     // The in-memory memo still works across a second request.
-    expectSameOutcome(o, r.baseline("gsm_decode"));
+    expectSameOutcome(o, r.run("gsm_decode", bl));
 }
 
 TEST(ExpParallel, SweepResultsMatchDirectPolicyCalls)
 {
-    // The batch API must be a pure reordering of the entry points
-    // the old serial bench loops used.
+    // The batch API must be a pure reordering of single-cell run()
+    // calls with programmatically built specs.
     ExpConfig cfg = smallConfig();
     Runner sweep(cfg);
     std::vector<SweepCell> cells = allPolicyCells();
@@ -284,12 +290,21 @@ TEST(ExpParallel, SweepResultsMatchDirectPolicyCalls)
     std::size_t i = 0;
     for (const char *bench : {"gsm_decode", "adpcm_decode"}) {
         SCOPED_TRACE(bench);
-        expectSameOutcome(out[i++], direct.baseline(bench));
+        expectSameOutcome(
+            out[i++], direct.run(bench, control::PolicySpec::of("baseline")));
         expectSameOutcome(
             out[i++],
-            direct.profile(bench, core::ContextMode::LF, 10.0));
-        expectSameOutcome(out[i++], direct.offline(bench, 10.0));
-        expectSameOutcome(out[i++], direct.online(bench, 1.0));
+            direct.run(bench, control::PolicySpec::of("profile")
+                                  .set("mode", core::ContextMode::LF)
+                                  .set("d", 10.0)));
+        expectSameOutcome(
+            out[i++],
+            direct.run(bench,
+                       control::PolicySpec::of("offline").set("d", 10.0)));
+        expectSameOutcome(
+            out[i++],
+            direct.run(bench,
+                       control::PolicySpec::of("online").set("aggr", 1.0)));
         expectSameOutcome(
             out[i++],
             direct.run(bench, control::PolicySpec::of("global")
@@ -349,7 +364,7 @@ TEST(ExpParallel, CachePreloadedCellCountsAsMemoHit)
     cfg.cacheFile = path;
     {
         Runner r(cfg);
-        r.baseline("gsm_decode");
+        r.run("gsm_decode", control::PolicySpec::of("baseline"));
     }
     Runner reload(cfg);
     ASSERT_EQ(reload.loadedFromCache(), 1u);
@@ -377,7 +392,7 @@ TEST(ExpParallel, ConcurrentReadersRaceWriterOverCorruptCache)
     cfg.cacheFile = path;
     {
         Runner r(cfg);
-        r.baseline("gsm_decode");
+        r.run("gsm_decode", control::PolicySpec::of("baseline"));
     }
     std::vector<std::string> lines = readLines(path);
     ASSERT_EQ(lines.size(), 1u);

@@ -3,10 +3,8 @@
  * Tests for the open policy API: registry registration/lookup,
  * PolicySpec parse/print round-trips and error messages,
  * canonical-spec cache-key stability, schema defaults (unset
- * parameters fall back to documented defaults, never zero), and a
- * cross-check that every ported policy's Outcome is bit-identical
- * between the deprecated entry points and the spec-based API at one
- * job.
+ * parameters fall back to documented defaults, never zero), and bad
+ * specs surfacing from the Runner as catchable errors.
  */
 
 #include <gtest/gtest.h>
@@ -17,6 +15,7 @@
 
 #include "control/policy.hh"
 #include "exp/experiment.hh"
+#include "workload/spec.hh"
 #include "workload/suite.hh"
 
 #include "cache_key_util.hh"
@@ -330,66 +329,29 @@ TEST(PolicyCacheKey, CommaBearingKeysRoundTripThroughTheFileCache)
 }
 
 // ---------------------------------------------------------------- //
-// Ported policies: spec API vs deprecated entry points             //
+// Bad specs at the Runner: one catchable error type                //
 // ---------------------------------------------------------------- //
 
-TEST(PolicyPort, SpecOutcomesBitIdenticalToDeprecatedEntryPoints)
+TEST(PolicyRunner, BadSpecsThrowAndTheRunnerKeepsServing)
 {
-    const char *bench = "gsm_decode";
-    ExpConfig cfg = smallConfig();
-    Runner oldApi(cfg);
-    Runner newApi(cfg);
-    expectSameOutcome(oldApi.baseline(bench),
-                      newApi.run(bench, PolicySpec::of("baseline")));
-    expectSameOutcome(
-        oldApi.profile(bench, core::ContextMode::LF, 10.0),
-        newApi.run(bench, PolicySpec::of("profile")
-                              .set("mode", core::ContextMode::LF)
-                              .set("d", 10.0)));
-    expectSameOutcome(
-        oldApi.offline(bench, 10.0),
-        newApi.run(bench, PolicySpec::of("offline").set("d", 10.0)));
-    expectSameOutcome(
-        oldApi.online(bench, 1.0),
-        newApi.run(bench, PolicySpec::of("online").set("aggr", 1.0)));
-    // The old global entry matched the off-line run at ExpConfig::d.
-    expectSameOutcome(
-        oldApi.global(bench),
-        newApi.run(bench,
-                   PolicySpec::of("global").set("d", cfg.d)));
-}
+    // A spec the registry or the parser rejects is a catchable
+    // workload::SpecError on every entry point, never a process
+    // exit, and it leaves the memo untouched.
+    Runner r(smallConfig());
+    EXPECT_THROW(r.run("gsm_decode", PolicySpec::of("nosuch")),
+                 workload::SpecError);
+    EXPECT_THROW(r.cacheKey("gsm_decode",
+                            PolicySpec::of("offline").set("x", 1.0)),
+                 workload::SpecError);
+    EXPECT_THROW(SweepCell::of("gsm_decode", "offline:d"),
+                 workload::SpecError);
+    EXPECT_EQ(r.memoHits(), 0u);
+    EXPECT_EQ(r.memoMisses(), 0u);
 
-TEST(PolicyPort, SweepCellShimsMatchSpecCells)
-{
-    ExpConfig cfg = smallConfig();
-    const char *bench = "adpcm_decode";
-    std::vector<SweepCell> shim = {
-        SweepCell::baseline(bench),
-        SweepCell::profile(bench, core::ContextMode::LF, 10.0),
-        SweepCell::offline(bench, 10.0),
-        SweepCell::online(bench, 1.0),
-        // No global shim exists (a spec built ahead of time cannot
-        // reproduce the enum cell's run-time ExpConfig::d read);
-        // the explicit spec form is the only way to build the cell.
-        SweepCell::of(bench, control::PolicySpec::of("global")
-                                 .set("d", 5.0)),
-    };
-    std::vector<SweepCell> spec = {
-        SweepCell::of(bench, "baseline"),
-        SweepCell::of(bench, "profile:mode=LF,d=10"),
-        SweepCell::of(bench, "offline:d=10"),
-        SweepCell::of(bench, "online:aggr=1"),
-        SweepCell::of(bench, "global:d=5"),
-    };
-    Runner a(cfg);
-    std::vector<Outcome> oa = a.runSweep(shim, 1);
-    Runner b(cfg);
-    std::vector<Outcome> ob = b.runSweep(spec, 1);
-    ASSERT_EQ(oa.size(), ob.size());
-    for (std::size_t i = 0; i < oa.size(); ++i) {
-        SCOPED_TRACE(i);
-        expectSameOutcome(oa[i], ob[i]);
-    }
+    Outcome o = r.run("gsm_decode", PolicySpec::of("baseline"));
+    EXPECT_GT(o.timePs, 0.0);
+    EXPECT_EQ(r.memoMisses(), 1u);
+    EXPECT_EQ(r.memoHits(), 0u);
 }
 
 // ---------------------------------------------------------------- //

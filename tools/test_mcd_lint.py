@@ -4,14 +4,20 @@
 Copies tests/lint_fixtures/clean/ (a miniature repo that passes every
 rule) into a temp directory, applies one named mutation per case —
 each re-introducing a violation class from this repo's history — and
-compares the lint's full stdout against the golden file in
+compares the lint's findings against the golden file in
 tests/lint_fixtures/expected/<case>.txt, plus the exit code.
+
+Findings are compared as sorted `file: [rule] message` lines: the
+line number is dropped and the fixture's CACHE_VERSION is masked
+(`<V>`, and `<V+1>` for the bumped value a case writes), so editing
+the fixture or bumping its version leaves the goldens alone.
 
 Run directly (python3 tools/test_mcd_lint.py) or via CTest as
 `LintFixtures`.  Pass --update-golden to regenerate the expected
 files after a deliberate message change.
 """
 
+import re
 import shutil
 import subprocess
 import sys
@@ -22,6 +28,18 @@ ROOT = Path(__file__).resolve().parent.parent
 LINT = ROOT / "tools" / "mcd_lint.py"
 CLEAN = ROOT / "tests" / "lint_fixtures" / "clean"
 EXPECTED = ROOT / "tests" / "lint_fixtures" / "expected"
+
+FINDING = re.compile(r"(?P<file>.*?):\d+: \[(?P<rule>[\w-]+)\] (?P<msg>.*)")
+
+
+def fixture_version():
+    text = (CLEAN / "src" / "exp" / "experiment.cc").read_text(
+        encoding="utf-8")
+    return int(re.search(r"constexpr int CACHE_VERSION = (\d+);",
+                         text).group(1))
+
+
+VERSION = fixture_version()
 
 # case name -> list of (relative file, old text, new text).  Every
 # `old` must occur in the fixture exactly as written; the driver
@@ -40,8 +58,8 @@ CASES = {
     # A version bump whose pin update was forgotten.
     "stale-version-pin": [
         ("src/exp/experiment.cc",
-         "constexpr int CACHE_VERSION = 5;",
-         "constexpr int CACHE_VERSION = 6;"),
+         "constexpr int CACHE_VERSION = %d;" % VERSION,
+         "constexpr int CACHE_VERSION = %d;" % (VERSION + 1)),
     ],
     # PR 9's bug class, sampling flavor: a sampling knob shapes
     # sampled outcomes but leaves the fingerprint, so cached exact
@@ -103,6 +121,24 @@ CASES = {
 }
 
 
+def normalize(stdout):
+    """The lint's findings as sorted `file: [rule] message` lines,
+    line numbers dropped and the fixture's CACHE_VERSION masked."""
+    lines = []
+    for raw in stdout.splitlines():
+        m = FINDING.fullmatch(raw)
+        if not m:
+            lines.append(raw)
+            continue
+        msg = m.group("msg")
+        if m.group("rule") == "cache-version-pin":
+            msg = re.sub(r"\b%d\b" % (VERSION + 1), "<V+1>", msg)
+            msg = re.sub(r"\b%d\b" % VERSION, "<V>", msg)
+        lines.append("%s: [%s] %s" % (m.group("file"), m.group("rule"),
+                                      msg))
+    return "".join(line + "\n" for line in sorted(lines))
+
+
 def run_case(name, mutations, update):
     with tempfile.TemporaryDirectory(prefix="mcd_lint_fix_") as tmp:
         tree = Path(tmp) / "tree"
@@ -120,9 +156,10 @@ def run_case(name, mutations, update):
             [sys.executable, str(LINT), "--root", str(tree),
              "--check-all"],
             capture_output=True, text=True)
+        got = normalize(proc.stdout)
         golden_path = EXPECTED / (name + ".txt")
         if update:
-            golden_path.write_text(proc.stdout, encoding="utf-8")
+            golden_path.write_text(got, encoding="utf-8")
             print("updated %s" % golden_path.relative_to(ROOT))
             return True
         ok = True
@@ -134,11 +171,11 @@ def run_case(name, mutations, update):
             ok = False
         golden = golden_path.read_text(encoding="utf-8") \
             if golden_path.is_file() else "<missing golden file>"
-        if proc.stdout != golden:
+        if got != golden:
             print("%s: findings differ from %s\n--- got ---\n%s"
                   "--- want ---\n%s"
-                  % (name, golden_path.relative_to(ROOT),
-                     proc.stdout, golden), file=sys.stderr)
+                  % (name, golden_path.relative_to(ROOT), got, golden),
+                  file=sys.stderr)
             ok = False
         if ok:
             print("%s: ok" % name)
