@@ -267,11 +267,10 @@ main(int argc, char **argv)
     }
 
     control::PolicySpec policy;
-    std::string perr;
-    if (!control::parseSpec(policyText, policy, perr) ||
-        !control::PolicyRegistry::instance().canonicalize(policy,
-                                                          perr)) {
-        std::fprintf(stderr, "%s: %s\n", argv[0], perr.c_str());
+    try {
+        policy = control::canonicalPolicySpec(policyText);
+    } catch (const workload::SpecError &e) {
+        std::fprintf(stderr, "%s: %s\n", argv[0], e.what());
         return 1;
     }
 

@@ -230,19 +230,15 @@ parseArgs(int argc, char **argv)
             if (cfg.jobs == 0)
                 cfg.jobs = 1;
         } else if (!std::strcmp(argv[i], "--policy")) {
-            const char *text = value(i, "--policy");
-            control::PolicySpec spec;
-            std::string err;
-            // Parse and registry-validate up front so a typo fails
-            // here, with the message, not mid-sweep.
-            if (!control::parseSpec(text, spec, err) ||
-                !control::PolicyRegistry::instance().canonicalize(
-                    spec, err)) {
-                std::fprintf(stderr, "%s: %s\n", argv[0],
-                             err.c_str());
+            // Canonicalize up front so a typo fails here, with the
+            // message, not mid-sweep.
+            try {
+                opt.policies.push_back(
+                    control::canonicalPolicySpec(value(i, "--policy")));
+            } catch (const workload::SpecError &e) {
+                std::fprintf(stderr, "%s: %s\n", argv[0], e.what());
                 std::exit(1);
             }
-            opt.policies.push_back(std::move(spec));
         } else if (!std::strcmp(argv[i], "--workload")) {
             // Resolve to the canonical spec up front so a typo or
             // bad file fails here, with the message, not mid-sweep.

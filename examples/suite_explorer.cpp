@@ -61,37 +61,23 @@ main(int argc, char **argv)
         return 1;
     }
 
-    const control::PolicyRegistry &reg =
-        control::PolicyRegistry::instance();
     std::vector<control::PolicySpec> specs;
-    if (argc > 2) {
-        for (int i = 2; i < argc; ++i) {
-            control::PolicySpec spec;
-            std::string err;
-            if (!control::parseSpec(argv[i], spec, err) ||
-                !reg.canonicalize(spec, err)) {
-                std::fprintf(stderr, "%s\n", err.c_str());
-                return 1;
-            }
-            specs.push_back(std::move(spec));
-        }
-    } else {
+    try {
+        for (int i = 2; i < argc; ++i)
+            specs.push_back(control::canonicalPolicySpec(argv[i]));
+    } catch (const workload::SpecError &e) {
+        std::fprintf(stderr, "%s\n", e.what());
+        return 1;
+    }
+    if (argc == 2) {
         // No specs given: every registered policy at its schema
         // defaults, except baseline — its metrics vs itself are all
         // zero, so the row carries no information.  Canonicalize so
         // the rows print the defaults they ran with.
-        for (const control::Policy *p : reg.list()) {
-            if (std::string(p->name()) == "baseline")
-                continue;
-            control::PolicySpec spec =
-                control::PolicySpec::of(p->name());
-            std::string err;
-            if (!reg.canonicalize(spec, err)) {
-                std::fprintf(stderr, "%s\n", err.c_str());
-                return 1;
-            }
-            specs.push_back(std::move(spec));
-        }
+        for (const control::Policy *p :
+             control::PolicyRegistry::instance().list())
+            if (std::string(p->name()) != "baseline")
+                specs.push_back(control::canonicalPolicySpec(p->name()));
     }
 
     exp::ExpConfig cfg;

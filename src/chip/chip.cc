@@ -17,20 +17,25 @@ parseCoordSpec(const std::string &text)
     if (text.empty())
         return c;
 
+    auto bad = [&](const std::string &why) {
+        return workload::SpecError(strprintf(
+            "bad coordinator spec '%s': %s", text.c_str(), why.c_str()));
+    };
+    // The name is checked between parse and canonicalization, so any
+    // other policy is refused as such, valid for it or not.
     control::PolicySpec spec;
     std::string err;
     if (!control::parseSpec(text, spec, err))
-        throw workload::SpecError(
-            strprintf("bad coordinator spec '%s': %s", text.c_str(),
-                      err.c_str()));
+        throw bad(err);
     if (spec.policy != "chip-coord")
         throw workload::SpecError(strprintf(
             "coordinator spec '%s' must name the chip-coord policy",
             text.c_str()));
-    if (!control::PolicyRegistry::instance().canonicalize(spec, err))
-        throw workload::SpecError(
-            strprintf("bad coordinator spec '%s': %s", text.c_str(),
-                      err.c_str()));
+    try {
+        spec = control::canonicalPolicySpec(std::move(spec));
+    } catch (const workload::SpecError &e) {
+        throw bad(e.what());
+    }
 
     c.enabled = true;
     c.hi = spec.num("hi");

@@ -44,15 +44,15 @@ class ChipCoordPolicy final : public control::Policy
     {
         using control::ParamInfo;
         return {
-            ParamInfo::dbl("hi", 0.25,
+            ParamInfo::num("hi", 0.25,
                            "occupancy above which the uncore speeds "
                            "up (queued ps per interval ps)",
                            0.0, 1000.0),
-            ParamInfo::dbl("lo", 0.05,
+            ParamInfo::num("lo", 0.05,
                            "occupancy below which the uncore slows "
                            "down",
                            0.0, 1000.0),
-            ParamInfo::dbl("step", 0.10,
+            ParamInfo::num("step", 0.10,
                            "frequency move per decision, as a "
                            "fraction of the uncore range",
                            0.0, 1.0),

@@ -41,7 +41,7 @@ class GlobalPolicy final : public Policy
     params() const override
     {
         return {
-            ParamInfo::dbl(
+            ParamInfo::num(
                 "d", DEFAULT_SLOWDOWN_PCT,
                 "slowdown threshold of the off-line run whose time "
                 "is matched",

@@ -94,19 +94,20 @@ class HybridPolicy final : public Policy
     params() const override
     {
         return {
-            ParamInfo::mode(
-                "mode", core::ContextMode::LF,
-                "calling-context definition (LFCP|LFP|FCP|FP|LF|F)"),
-            ParamInfo::dbl(
+            ParamInfo::text(
+                "mode", "LF",
+                "calling-context definition (LFCP|LFP|FCP|FP|LF|F)",
+                CONTEXT_MODE),
+            ParamInfo::num(
                 "d", DEFAULT_SLOWDOWN_PCT,
                 "slowdown threshold, percent of baseline run time",
                 0.0, 1000.0),
-            ParamInfo::dbl(
+            ParamInfo::num(
                 "guard", 0.10,
                 "IPC drop, as a fraction of the best recent "
                 "interval IPC, that triggers a full-speed override",
                 0.0, 1.0),
-            ParamInfo::dbl(
+            ParamInfo::num(
                 "interval", 2000.0,
                 "guard evaluation interval, committed instructions",
                 1.0, 1e12, /*integer=*/true),

@@ -63,20 +63,20 @@ class LearnedPolicy final : public Policy
     params() const override
     {
         return {
-            ParamInfo::dbl("seed", 1.0,
+            ParamInfo::num("seed", 1.0,
                            "exploration RNG seed (training is a pure "
                            "function of it)",
                            0.0, 1e12, true),
-            ParamInfo::dbl("lr", 0.08,
+            ParamInfo::num("lr", 0.08,
                            "SGD learning rate for the per-domain "
                            "regressors",
                            1e-6, 10.0),
-            ParamInfo::dbl("explore", 0.25,
+            ParamInfo::num("explore", 0.25,
                            "probability a training interval explores "
                            "a random frequency instead of exploiting "
                            "the model",
                            0.0, 1.0),
-            ParamInfo::dbl("interval", 2000.0,
+            ParamInfo::num("interval", 2000.0,
                            "control interval (instructions) for both "
                            "training and production",
                            1.0, 1e12, true),

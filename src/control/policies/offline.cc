@@ -35,7 +35,7 @@ class OfflinePolicy final : public Policy
     params() const override
     {
         return {
-            ParamInfo::dbl(
+            ParamInfo::num(
                 "d", DEFAULT_SLOWDOWN_PCT,
                 "slowdown threshold, percent of baseline run time",
                 0.0, 1000.0),

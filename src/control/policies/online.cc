@@ -46,7 +46,7 @@ class OnlinePolicy final : public Policy
     params() const override
     {
         return {
-            ParamInfo::dbl(
+            ParamInfo::num(
                 "aggr", 1.0,
                 "aggressiveness: scales decay, relaxes the IPC "
                 "guard (1.0 = the paper's operating point)",

@@ -36,10 +36,11 @@ class ProfilePolicy final : public Policy
     params() const override
     {
         return {
-            ParamInfo::mode(
-                "mode", core::ContextMode::LF,
-                "calling-context definition (LFCP|LFP|FCP|FP|LF|F)"),
-            ParamInfo::dbl(
+            ParamInfo::text(
+                "mode", "LF",
+                "calling-context definition (LFCP|LFP|FCP|FP|LF|F)",
+                CONTEXT_MODE),
+            ParamInfo::num(
                 "d", DEFAULT_SLOWDOWN_PCT,
                 "slowdown threshold, percent of baseline run time",
                 0.0, 1000.0),

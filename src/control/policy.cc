@@ -1,14 +1,6 @@
 #include "control/policy.hh"
 
-#include <algorithm>
 #include <cctype>
-#include <charconv>
-#include <cmath>
-#include <cstring>
-#include <locale>
-#include <map>
-#include <mutex>
-#include <sstream>
 
 #include "util/logging.hh"
 
@@ -57,81 +49,37 @@ parseContextMode(const std::string &text, core::ContextMode &m)
     return false;
 }
 
-// ---------------------------------------------------------------- //
-// ParamInfo                                                        //
-// ---------------------------------------------------------------- //
-
-ParamInfo
-ParamInfo::dbl(std::string name, double def, std::string help,
-               double min, double max, bool integer)
+namespace
 {
-    ParamInfo p;
-    p.name = std::move(name);
-    p.type = ParamType::Double;
-    p.defaultDouble = def;
-    p.help = std::move(help);
-    p.minDouble = min;
-    p.maxDouble = max;
-    p.integer = integer;
-    return p;
+
+bool
+canonicalMode(std::string &v)
+{
+    core::ContextMode m = core::ContextMode::LF;
+    if (!parseContextMode(v, m))
+        return false;
+    v = compactModeName(m);
+    return true;
 }
 
-ParamInfo
-ParamInfo::mode(std::string name, core::ContextMode def,
-                std::string help)
+/** The engine behind PolicyRegistry.  Leaked: policies registered
+ *  from static initializers must stay valid through program exit in
+ *  any TU order. */
+util::SpecRegistry &
+policies()
 {
-    ParamInfo p;
-    p.name = std::move(name);
-    p.type = ParamType::Mode;
-    p.defaultMode = def;
-    p.help = std::move(help);
-    return p;
+    static util::SpecRegistry *reg = new util::SpecRegistry("policy");
+    return *reg;
 }
+
+} // namespace
+
+const util::SpecTextType CONTEXT_MODE = {
+    "mode", "a context mode (LFCP|LFP|FCP|FP|LF|F)", canonicalMode};
 
 // ---------------------------------------------------------------- //
 // PolicySpec                                                       //
 // ---------------------------------------------------------------- //
-
-PolicySpec
-PolicySpec::of(std::string policy_name)
-{
-    PolicySpec s;
-    s.policy = std::move(policy_name);
-    return s;
-}
-
-PolicySpec &
-PolicySpec::set(const std::string &key, const std::string &value)
-{
-    auto assign = [&](Param &p) {
-        p.text = value;
-        // Keep the typed mirrors in sync (best effort before
-        // canonicalization pins them) so a set() on an already
-        // canonical spec cannot leave num()/mode() returning a
-        // stale previous value.
-        p.num = 0.0;
-        p.mode = core::ContextMode::LF;
-        util::parseDouble(value, p.num);
-        parseContextMode(value, p.mode);
-    };
-    for (Param &p : params) {
-        if (p.name == key) {
-            assign(p);
-            return *this;
-        }
-    }
-    Param p;
-    p.name = key;
-    assign(p);
-    params.push_back(std::move(p));
-    return *this;
-}
-
-PolicySpec &
-PolicySpec::set(const std::string &key, double value)
-{
-    return set(key, util::fmtFixed(value, 3));
-}
 
 PolicySpec &
 PolicySpec::set(const std::string &key, core::ContextMode mode)
@@ -139,58 +87,37 @@ PolicySpec::set(const std::string &key, core::ContextMode mode)
     return set(key, std::string(compactModeName(mode)));
 }
 
-std::string
-PolicySpec::str() const
-{
-    std::string s = policy;
-    for (std::size_t i = 0; i < params.size(); ++i) {
-        s += i == 0 ? ':' : ',';
-        s += params[i].name;
-        s += '=';
-        s += params[i].text;
-    }
-    return s;
-}
-
-const PolicySpec::Param *
-PolicySpec::find(const std::string &key) const
-{
-    for (const Param &p : params)
-        if (p.name == key)
-            return &p;
-    return nullptr;
-}
-
-double
-PolicySpec::num(const std::string &key) const
-{
-    const Param *p = find(key);
-    if (!p)
-        panic("spec '%s' has no parameter '%s' (not canonical?)",
-              str().c_str(), key.c_str());
-    return p->num;
-}
-
 core::ContextMode
 PolicySpec::mode(const std::string &key) const
 {
-    const Param *p = find(key);
-    if (!p)
-        panic("spec '%s' has no parameter '%s' (not canonical?)",
-              str().c_str(), key.c_str());
-    return p->mode;
+    core::ContextMode m = core::ContextMode::LF;
+    parseContextMode(params.at(key).text, m);
+    return m;
 }
 
 bool
 parseSpec(const std::string &text, PolicySpec &out, std::string &err)
 {
     out = PolicySpec();
-    std::vector<std::pair<std::string, std::string>> kvs;
-    if (!util::splitSpec(text, "policy spec", out.policy, kvs, err))
-        return false;
-    for (auto &kv : kvs)
-        out.set(kv.first, kv.second);
-    return true;
+    return util::splitSpec(text, "policy spec", out.policy, out.params,
+                           err);
+}
+
+PolicySpec
+canonicalPolicySpec(const std::string &text)
+{
+    PolicySpec spec;
+    std::string err;
+    if (!parseSpec(text, spec, err))
+        throw util::SpecError(err);
+    return canonicalPolicySpec(std::move(spec));
+}
+
+PolicySpec
+canonicalPolicySpec(PolicySpec spec)
+{
+    policies().canonicalize(spec.policy, spec.params);
+    return spec;
 }
 
 // ---------------------------------------------------------------- //
@@ -208,170 +135,41 @@ Policy::contextKey(const PolicyContext &ctx) const
 // PolicyRegistry                                                   //
 // ---------------------------------------------------------------- //
 
-struct PolicyRegistry::Impl
-{
-    mutable std::mutex m;
-    std::map<std::string, std::unique_ptr<const Policy>> policies;
-};
-
 PolicyRegistry &
 PolicyRegistry::instance()
 {
-    // Leaked singleton: policies registered from static initializers
-    // must stay valid through program exit in any TU order.
-    static PolicyRegistry *reg = new PolicyRegistry();
-    return *reg;
-}
-
-PolicyRegistry::Impl &
-PolicyRegistry::impl() const
-{
-    static Impl *i = new Impl();
-    return *i;
+    static PolicyRegistry reg;
+    return reg;
 }
 
 void
 PolicyRegistry::add(std::unique_ptr<const Policy> p)
 {
-    Impl &i = impl();
-    std::lock_guard<std::mutex> l(i.m);
-    std::string name = p->name();
-    if (!util::validSpecName(name))
-        panic("policy name '%s' is not [a-z0-9_-]+", name.c_str());
-    if (!i.policies.emplace(name, std::move(p)).second)
-        panic("duplicate policy registration '%s'", name.c_str());
+    policies().add(std::move(p));
 }
 
 const Policy *
 PolicyRegistry::find(const std::string &name) const
 {
-    Impl &i = impl();
-    std::lock_guard<std::mutex> l(i.m);
-    auto it = i.policies.find(name);
-    return it == i.policies.end() ? nullptr : it->second.get();
+    return static_cast<const Policy *>(policies().find(name));
 }
 
 std::vector<const Policy *>
 PolicyRegistry::list() const
 {
-    Impl &i = impl();
-    std::lock_guard<std::mutex> l(i.m);
-    std::vector<const Policy *> out;
-    out.reserve(i.policies.size());
-    for (const auto &kv : i.policies)
-        out.push_back(kv.second.get());
-    // The name-sorted order is a contract, not a side effect of the
-    // Impl container: `--list-policies` output, unknown-spec error
-    // listings and docs pins all diff against it (see
-    // tests/test_chip.cc, Registries.ListingsAreNameSorted).
-    std::sort(out.begin(), out.end(),
-              [](const Policy *a, const Policy *b) {
-                  return std::strcmp(a->name(), b->name()) < 0;
-              });
-    return out;
+    return policies().listAs<Policy>();
 }
 
 bool
 PolicyRegistry::canonicalize(PolicySpec &spec, std::string &err) const
 {
-    const Policy *p = find(spec.policy);
-    if (!p) {
-        err = "unknown policy '" + spec.policy + "'";
-        std::vector<const Policy *> known = list();
-        if (!known.empty()) {
-            err += " (known:";
-            for (const Policy *k : known) {
-                err += ' ';
-                err += k->name();
-            }
-            err += ')';
-        }
+    try {
+        policies().canonicalize(spec.policy, spec.params);
+        return true;
+    } catch (const util::SpecError &e) {
+        err = e.what();
         return false;
     }
-    std::vector<ParamInfo> schema = p->params();
-    for (const PolicySpec::Param &given : spec.params) {
-        bool known = std::any_of(
-            schema.begin(), schema.end(),
-            [&](const ParamInfo &pi) { return pi.name == given.name; });
-        if (!known) {
-            err = "policy '" + spec.policy +
-                  "' has no parameter '" + given.name + "'";
-            if (!schema.empty()) {
-                err += " (takes:";
-                for (const ParamInfo &pi : schema) {
-                    err += ' ';
-                    err += pi.name;
-                }
-                err += ')';
-            } else {
-                err += " (takes none)";
-            }
-            return false;
-        }
-    }
-    // Rebuild the parameter list in schema order, falling back to
-    // the documented schema default for anything unset, and caching
-    // the typed value next to its canonical text.
-    std::vector<PolicySpec::Param> canon;
-    canon.reserve(schema.size());
-    for (const ParamInfo &pi : schema) {
-        PolicySpec::Param out;
-        out.name = pi.name;
-        const PolicySpec::Param *given = spec.find(pi.name);
-        switch (pi.type) {
-          case ParamType::Double: {
-            double v = pi.defaultDouble;
-            if (given && !util::parseDouble(given->text, v)) {
-                err = "policy '" + spec.policy + "' parameter '" +
-                      pi.name + "': '" + given->text +
-                      "' is not a number";
-                return false;
-            }
-            // NaN fails both comparisons, so it is rejected too.
-            if (!(v >= pi.minDouble && v <= pi.maxDouble)) {
-                auto g = [](double x) {
-                    std::ostringstream os;
-                    os.imbue(std::locale::classic());
-                    os << x;
-                    return os.str();
-                };
-                err = "policy '" + spec.policy + "' parameter '" +
-                      pi.name + "': " + g(v) + " is out of range [" +
-                      g(pi.minDouble) + ", " + g(pi.maxDouble) + "]";
-                return false;
-            }
-            if (pi.integer && v != std::floor(v)) {
-                err = "policy '" + spec.policy + "' parameter '" +
-                      pi.name + "': '" +
-                      (given ? given->text : std::string()) +
-                      "' must be an integer";
-                return false;
-            }
-            // Canonical text is the 3-digit fixed form, and the
-            // typed value is re-parsed from it so the cache key and
-            // the computation can never disagree.
-            out.text = util::fmtFixed(v, 3);
-            util::parseDouble(out.text, out.num);
-            break;
-          }
-          case ParamType::Mode: {
-            core::ContextMode m = pi.defaultMode;
-            if (given && !parseContextMode(given->text, m)) {
-                err = "policy '" + spec.policy + "' parameter '" +
-                      pi.name + "': '" + given->text +
-                      "' is not a context mode "
-                      "(LFCP|LFP|FCP|FP|LF|F)";
-                return false;
-            }
-            out.mode = m;
-            out.text = compactModeName(m);
-            break;
-          }
-        }
-        canon.push_back(std::move(out));
-    }
-    spec.params = std::move(canon);
-    return true;
 }
 
 PolicyRegistrar::PolicyRegistrar(std::unique_ptr<const Policy> p)
@@ -382,24 +180,7 @@ PolicyRegistrar::PolicyRegistrar(std::unique_ptr<const Policy> p)
 std::string
 describePolicies()
 {
-    std::ostringstream os;
-    os.imbue(std::locale::classic());
-    for (const Policy *p : PolicyRegistry::instance().list()) {
-        os << "  " << p->name();
-        for (std::size_t n = std::strlen(p->name()); n < 10; ++n)
-            os << ' ';
-        os << ' ' << p->description() << '\n';
-        for (const ParamInfo &pi : p->params()) {
-            os << "      " << pi.name << "=<"
-               << (pi.type == ParamType::Mode ? "mode" : "number")
-               << "> (default "
-               << (pi.type == ParamType::Mode
-                       ? std::string(compactModeName(pi.defaultMode))
-                       : util::fmtFixed(pi.defaultDouble, 3))
-               << "): " << pi.help << '\n';
-        }
-    }
-    return os.str();
+    return policies().describe(10);
 }
 
 } // namespace mcd::control

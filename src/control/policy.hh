@@ -40,7 +40,7 @@
 #include "sim/config.hh"
 #include "sim/trace.hh"
 #include "util/stats.hh"
-#include "util/text.hh"
+#include "util/spec.hh"
 
 namespace mcd::sim
 {
@@ -80,43 +80,12 @@ struct Outcome
     double energyCiNj = 0.0;
 };
 
-/** Types a policy parameter can take. */
-enum class ParamType
-{
-    Double,  ///< locale-independent decimal, canonicalized to 3 digits
-    Mode,    ///< a core::ContextMode (canonical: LFCP, LFP, ..., F)
-};
+/** A policy schema entry (util/spec.hh). */
+using ParamInfo = util::SpecParamInfo;
 
-/**
- * One entry of a policy's parameter schema: name, type, documented
- * default (the value an unset spec parameter falls back to — never
- * an implicit zero), a one-line help string for `--list-policies`,
- * and an allowed [min, max] range for Double parameters, enforced at
- * canonicalization so an out-of-range value fails at the CLI, not
- * mid-sweep.
- */
-struct ParamInfo
-{
-    std::string name;
-    ParamType type = ParamType::Double;
-    double defaultDouble = 0.0;
-    core::ContextMode defaultMode = core::ContextMode::LF;
-    std::string help;
-    double minDouble = -1e300;
-    double maxDouble = 1e300;
-    /** Double parameters only: reject fractional values, so values
-     *  the computation would truncate to the same integer cannot
-     *  canonicalize to distinct cache keys. */
-    bool integer = false;
-
-    /** Named builders — schemas read better and cannot misorder the
-     *  positional fields. */
-    static ParamInfo dbl(std::string name, double def,
-                         std::string help, double min = -1e300,
-                         double max = 1e300, bool integer = false);
-    static ParamInfo mode(std::string name, core::ContextMode def,
-                          std::string help);
-};
+/** The value type of `mode` parameters: any parseContextMode()
+ *  spelling, canonically the compact name (LFCP, LFP, ..., F). */
+extern const util::SpecTextType CONTEXT_MODE;
 
 /** The paper's default slowdown threshold d (percent), shared by
  *  every policy schema that takes a `d` parameter. */
@@ -130,47 +99,57 @@ class Policy;
  * text with `parseSpec()`; print with `str()`.
  *
  * A spec becomes *canonical* once validated against its policy's
- * schema (see `PolicyRegistry::canonicalize()`): every schema
- * parameter present in schema order with a canonically formatted
- * value and the typed value cached.  parse -> print -> parse of a
- * canonical spec is the identity, and the canonical string is used
- * verbatim in cache keys.
+ * schema (see `canonicalPolicySpec()`): every schema parameter
+ * present in schema order with a canonically formatted value and the
+ * typed value cached.  parse -> print -> parse of a canonical spec is
+ * the identity, and the canonical string is used verbatim in cache
+ * keys.
  */
 struct PolicySpec
 {
-    /** One key=value parameter.  `num`/`mode` are the typed values,
-     *  valid once the spec is canonical. */
-    struct Param
-    {
-        std::string name;
-        std::string text;
-        double num = 0.0;
-        core::ContextMode mode = core::ContextMode::LF;
-    };
-
     std::string policy;
-    std::vector<Param> params;
+    util::SpecParams params;
 
     /** Start a spec for the named policy. */
-    static PolicySpec of(std::string policy_name);
+    static PolicySpec
+    of(std::string policy_name)
+    {
+        PolicySpec s;
+        s.policy = std::move(policy_name);
+        return s;
+    }
 
     /** Set a raw textual parameter (overwrites an existing key). */
-    PolicySpec &set(const std::string &key, const std::string &value);
+    PolicySpec &
+    set(const std::string &key, const std::string &value)
+    {
+        params.set(key, value);
+        return *this;
+    }
     /** Set a numeric parameter (canonical 3-digit fixed format). */
-    PolicySpec &set(const std::string &key, double value);
+    PolicySpec &
+    set(const std::string &key, double value)
+    {
+        params.set(key, value);
+        return *this;
+    }
     /** Set a context-mode parameter (canonical compact name). */
     PolicySpec &set(const std::string &key, core::ContextMode mode);
 
     /** The spec as text, `name:key=value,...` (params as stored). */
-    std::string str() const;
+    std::string str() const { return params.str(policy); }
 
-    /** Typed accessors; fatal if the key is absent or untyped (call
+    /** Typed accessors; throw SpecError if the key is absent (call
      *  only on canonical specs). */
-    double num(const std::string &key) const;
+    double num(const std::string &key) const { return params.at(key).num; }
     core::ContextMode mode(const std::string &key) const;
 
     /** Pointer to a parameter by name, or nullptr. */
-    const Param *find(const std::string &key) const;
+    const util::SpecParam *
+    find(const std::string &key) const
+    {
+        return params.find(key);
+    }
 };
 
 /**
@@ -180,6 +159,18 @@ struct PolicySpec
  */
 bool parseSpec(const std::string &text, PolicySpec &out,
                std::string &err);
+
+/**
+ * Parse and canonicalize @p text against the registry — the throwing
+ * policy-spec entry point, mirroring workload::canonicalWorkloadSpec.
+ * Returns the canonical spec or throws workload::SpecError (bad
+ * grammar, unknown policy or parameter, bad value).
+ */
+PolicySpec canonicalPolicySpec(const std::string &text);
+
+/** Canonicalize an already parsed @p spec; throws
+ *  workload::SpecError. */
+PolicySpec canonicalPolicySpec(PolicySpec spec);
 
 /**
  * What a policy run may use: the simulator/power configurations, the
@@ -227,25 +218,15 @@ checkpointsFor(const PolicyContext &ctx, const std::string &bench)
 }
 
 /**
- * Abstract reconfiguration policy.  Implementations are stateless
- * const singletons owned by the registry; all run state lives on the
- * stack of `run()`, which may be called concurrently from any number
- * of sweep threads.
+ * Abstract reconfiguration policy: a registry entry (name,
+ * description, parameter schema — see util::SpecKind) that can run.
+ * Implementations are stateless const singletons owned by the
+ * registry; all run state lives on the stack of `run()`, which may be
+ * called concurrently from any number of sweep threads.
  */
-class Policy
+class Policy : public util::SpecKind
 {
   public:
-    virtual ~Policy() = default;
-
-    /** Registry name, also the spec prefix (e.g. "profile"). */
-    virtual const char *name() const = 0;
-
-    /** One-line description for `--list-policies`. */
-    virtual const char *description() const = 0;
-
-    /** Parameter schema (defaults documented per entry). */
-    virtual std::vector<ParamInfo> params() const { return {}; }
-
     /**
      * Whether `Outcome::metrics` should be computed against the MCD
      * baseline after the raw run (everything but the baseline
@@ -300,9 +281,9 @@ class Policy
 };
 
 /**
- * Global name -> Policy table.  Policies register themselves at
- * static-initialization time via `MCD_REGISTER_POLICY`; lookups are
- * thread-safe.
+ * Global name -> Policy table over the spec engine (util/spec.hh).
+ * Policies register themselves at static-initialization time via
+ * `MCD_REGISTER_POLICY`; lookups are thread-safe.
  */
 class PolicyRegistry
 {
@@ -319,19 +300,13 @@ class PolicyRegistry
     std::vector<const Policy *> list() const;
 
     /**
-     * Validate @p spec against its policy's schema and rewrite it in
-     * canonical form: unknown policy/parameter names and malformed
-     * values fail (returns false, sets @p err); unset parameters
-     * take their schema defaults; parameters are ordered as in the
-     * schema with canonical value formatting and typed values
-     * cached.
+     * canonicalPolicySpec() with a bool+message result: on failure
+     * returns false, sets @p err and leaves @p spec untouched.
      */
     bool canonicalize(PolicySpec &spec, std::string &err) const;
 
   private:
     PolicyRegistry() = default;
-    struct Impl;
-    Impl &impl() const;
 };
 
 /** Registers a policy instance at static-initialization time. */

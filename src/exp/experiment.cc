@@ -353,11 +353,7 @@ SweepCell::of(std::string bench, control::PolicySpec spec)
 SweepCell
 SweepCell::of(std::string bench, const std::string &spec_text)
 {
-    control::PolicySpec spec;
-    std::string err;
-    if (!control::parseSpec(spec_text, spec, err))
-        throw workload::SpecError(err);
-    return of(std::move(bench), std::move(spec));
+    return of(std::move(bench), control::canonicalPolicySpec(spec_text));
 }
 
 Runner::Runner(const ExpConfig &c)
@@ -406,16 +402,11 @@ Runner::resolve(const std::string &bench,
                 std::string &canonBench,
                 const control::Policy *&policy) const
 {
-    const control::PolicyRegistry &reg =
-        control::PolicyRegistry::instance();
-    canon = spec;
-    std::string err;
-    if (!reg.canonicalize(canon, err))
-        throw workload::SpecError(err);
-    policy = reg.find(canon.policy);
+    canon = control::canonicalPolicySpec(spec);
+    policy = control::PolicyRegistry::instance().find(canon.policy);
     // The bench field of the key is the *canonical* workload spec:
     // `gen:seed=7,phases=4` and `gen:phases=4,seed=7` are one cell.
-    canonBench = canonicalBenchCached(bench);
+    canonBench = workload::canonicalWorkloadSpec(bench);
     return keyPrefix() + '|' + canon.str() + '|' + canonBench +
            '|' + policy->contextKey(ctx);
 }
@@ -459,9 +450,8 @@ Runner::loadCache()
         }
         std::promise<Outcome> p;
         p.set_value(o);
-        Shard &s = shardFor(key);
         // Last occurrence wins, as with the old std::map overwrite.
-        s.map[key] = p.get_future().share();
+        shardFor(key).map[key] = p.get_future().share();
         ++nLoaded;
     }
     if (nRejected > MAX_LINE_WARNINGS)
@@ -469,55 +459,63 @@ Runner::loadCache()
              cfg.cacheFile.c_str(), nRejected);
 }
 
-std::string
-Runner::canonicalBenchCached(const std::string &bench) const
+template <class V>
+V
+Runner::OnceMap<V>::get(const std::string &key,
+                        const std::function<V()> &compute,
+                        bool *computed)
 {
+    std::promise<V> prom;
+    std::shared_future<V> fut;
+    bool owner = false;
     {
-        std::lock_guard<std::mutex> l(canonBenchM);
-        auto it = canonBenchMemo.find(bench);
-        if (it != canonBenchMemo.end())
-            return it->second;
+        std::lock_guard<std::mutex> l(m);
+        auto it = map.find(key);
+        if (it != map.end()) {
+            fut = it->second;
+        } else {
+            fut = prom.get_future().share();
+            map.emplace(key, fut);
+            owner = true;
+        }
     }
-    // Canonicalize outside the lock (it can build the workload);
-    // concurrent first requests for one bench both compute, which is
-    // harmless — the results are identical.
-    std::string canon = workload::canonicalWorkloadSpec(bench);
-    std::lock_guard<std::mutex> l(canonBenchM);
-    canonBenchMemo.emplace(bench, canon);
-    return canon;
+    if (computed)
+        *computed = owner;
+    if (!owner)
+        return fut.get();
+    try {
+        V v = compute();
+        prom.set_value(v);
+        return v;
+    } catch (...) {
+        // Unblock concurrent waiters with the exception, but drop
+        // the entry so a later request recomputes instead of
+        // rethrowing a stale failure forever.
+        prom.set_exception(std::current_exception());
+        {
+            std::lock_guard<std::mutex> l(m);
+            map.erase(key);
+        }
+        throw;
+    }
 }
 
 std::shared_ptr<const sim::CheckpointSet>
 Runner::checkpointSetFor(const std::string &canon_bench)
 {
-    std::promise<std::shared_ptr<const sim::CheckpointSet>> prom;
-    std::shared_future<std::shared_ptr<const sim::CheckpointSet>> fut;
-    bool owner = false;
-    {
-        std::lock_guard<std::mutex> l(ckptM);
-        auto it = ckptMemo.find(canon_bench);
-        if (it != ckptMemo.end()) {
-            fut = it->second;
-        } else {
-            fut = prom.get_future().share();
-            ckptMemo.emplace(canon_bench, fut);
-            owner = true;
-        }
-    }
-    if (!owner)
-        return fut.get();
-    // The set's functional state points into the Program, so the set
-    // keeps the whole Benchmark alive through an aliasing pointer.
-    auto bm = std::make_shared<workload::Benchmark>(
-        workload::makeBenchmark(canon_bench));
-    std::shared_ptr<const workload::Program> prog(bm, &bm->program);
-    auto set = sim::CheckpointSet::build(prog, bm->ref, cfg.sim,
+    return checkpointSets.get(canon_bench, [&] {
+        // The set's functional state points into the Program, so the
+        // set keeps the whole Benchmark alive through an aliasing
+        // pointer.
+        auto bm = std::make_shared<workload::Benchmark>(
+            workload::makeBenchmark(canon_bench));
+        std::shared_ptr<const workload::Program> prog(bm, &bm->program);
+        return sim::CheckpointSet::build(prog, bm->ref, cfg.sim,
                                          cfg.productionWindow);
-    prom.set_value(set);
-    return set;
+    });
 }
 
-Runner::Shard &
+Runner::OnceMap<Outcome> &
 Runner::shardFor(const std::string &key)
 {
     // mcd-lint: allow(determinism): in-memory lock-shard selection
@@ -538,42 +536,21 @@ Runner::memoize(const std::string &key,
                 const std::function<Outcome()> &compute,
                 bool *computed)
 {
-    Shard &s = shardFor(key);
-    std::promise<Outcome> prom;
-    std::shared_future<Outcome> fut;
     bool owner = false;
-    {
-        std::lock_guard<std::mutex> l(s.m);
-        auto it = s.map.find(key);
-        if (it != s.map.end()) {
-            fut = it->second;
-        } else {
-            fut = prom.get_future().share();
-            s.map.emplace(key, fut);
-            owner = true;
-        }
-    }
+    Outcome o = shardFor(key).get(
+        key,
+        [&] {
+            nMisses.fetch_add(1, std::memory_order_relaxed);
+            Outcome fresh = compute();
+            store(key, fresh);
+            return fresh;
+        },
+        &owner);
+    if (!owner)
+        nHits.fetch_add(1, std::memory_order_relaxed);
     if (computed)
         *computed = owner;
-    (owner ? nMisses : nHits).fetch_add(1, std::memory_order_relaxed);
-    if (!owner)
-        return fut.get();
-    try {
-        Outcome o = compute();
-        prom.set_value(o);
-        store(key, o);
-        return o;
-    } catch (...) {
-        // Unblock concurrent waiters with the exception, but drop
-        // the entry so a later request recomputes instead of
-        // rethrowing a stale failure forever.
-        prom.set_exception(std::current_exception());
-        {
-            std::lock_guard<std::mutex> l(s.m);
-            s.map.erase(key);
-        }
-        throw;
-    }
+    return o;
 }
 
 Metrics
@@ -649,10 +626,7 @@ Runner::resolveChip(const ChipCell &cell, control::PolicySpec &canon,
 
     const control::PolicyRegistry &reg =
         control::PolicyRegistry::instance();
-    canon = cell.tilePolicy;
-    std::string err;
-    if (!reg.canonicalize(canon, err))
-        throw workload::SpecError(err);
+    canon = control::canonicalPolicySpec(cell.tilePolicy);
     policy = reg.find(canon.policy);
 
     std::unique_ptr<sim::IntervalHook> probe;
@@ -661,13 +635,11 @@ Runner::resolveChip(const ChipCell &cell, control::PolicySpec &canon,
                                     &probe_instrs)) {
         std::string capable;
         for (const control::Policy *p : reg.list()) {
-            control::PolicySpec s =
-                control::PolicySpec::of(p->name());
-            std::string e2;
             std::unique_ptr<sim::IntervalHook> h;
             std::uint64_t ni = 0;
-            if (reg.canonicalize(s, e2) &&
-                p->makeTileController(s, ctx, &h, &ni)) {
+            if (p->makeTileController(
+                    control::canonicalPolicySpec(p->name()), ctx, &h,
+                    &ni)) {
                 if (!capable.empty())
                     capable += ", ";
                 capable += p->name();

@@ -133,9 +133,8 @@ struct SweepCell
     control::PolicySpec spec;
 
     static SweepCell of(std::string bench, control::PolicySpec spec);
-    /** Parses @p spec_text; throws workload::SpecError on malformed
-     *  text (unknown policies and parameters surface when the cell
-     *  runs). */
+    /** Canonicalizes @p spec_text (control::canonicalPolicySpec);
+     *  throws workload::SpecError on a bad spec. */
     static SweepCell of(std::string bench,
                         const std::string &spec_text);
 };
@@ -276,35 +275,34 @@ class Runner
   private:
     class CacheWriter;
 
-    /** One lock-sharded slice of the memo map.  Values are shared
-     *  futures so concurrent requests for one key compute it once:
-     *  the inserting thread computes, the others block on the
-     *  future. */
-    struct Shard
+    /**
+     * The one compute-once protocol, shared by the outcome memo and
+     * the checkpoint sets: concurrent requests for one key compute it
+     * once — the inserting thread computes, the others block on its
+     * shared future.  A throwing computation reaches every waiter and
+     * drops the entry, so a later request recomputes.
+     */
+    template <class V>
+    struct OnceMap
     {
         std::mutex m;
-        std::unordered_map<std::string, std::shared_future<Outcome>>
-            map;
+        std::unordered_map<std::string, std::shared_future<V>> map;
+
+        /** The value for @p key, computed by @p compute unless
+         *  another request did or does; @p computed (optional) is set
+         *  to whether this call computed it. */
+        V get(const std::string &key, const std::function<V()> &compute,
+              bool *computed = nullptr);
     };
+    /** The outcome memo is lock-sharded over this many OnceMaps. */
     static constexpr std::size_t NUM_SHARDS = 16;
 
-    Shard &shardFor(const std::string &key);
-    /**
-     * Memoized workload-spec canonicalization (throws
-     * workload::SpecError on a bad spec).  A sweep re-resolves its
-     * cells' bench strings constantly — every run() and every
-     * dependency evaluation — and full canonicalization rebuilds the
-     * workload just to print its spec, so each distinct bench string
-     * is canonicalized once per Runner and served from this memo
-     * afterwards.
-     */
-    std::string canonicalBenchCached(const std::string &bench) const;
+    OnceMap<Outcome> &shardFor(const std::string &key);
     /**
      * Sampled mode: the shared per-benchmark checkpoint set
      * (sim/checkpoint.hh), built once per distinct canonical bench
      * at the production window and reused by every cell of the
-     * sweep.  Concurrency-safe with the same future-based
-     * compute-once protocol as the outcome memo.
+     * sweep.
      */
     std::shared_ptr<const sim::CheckpointSet>
     checkpointSetFor(const std::string &canon_bench);
@@ -336,15 +334,8 @@ class Runner
     ExpConfig cfg;
     control::PolicyContext ctx;
     std::uint64_t fingerprint;
-    std::array<Shard, NUM_SHARDS> shards;
-    mutable std::mutex canonBenchM;
-    mutable std::unordered_map<std::string, std::string>
-        canonBenchMemo;
-    std::mutex ckptM;
-    std::unordered_map<
-        std::string,
-        std::shared_future<std::shared_ptr<const sim::CheckpointSet>>>
-        ckptMemo;
+    std::array<OnceMap<Outcome>, NUM_SHARDS> shards;
+    OnceMap<std::shared_ptr<const sim::CheckpointSet>> checkpointSets;
     std::unique_ptr<CacheWriter> writer;
     std::size_t nLoaded = 0;
     std::size_t nRejected = 0;

@@ -16,27 +16,18 @@ namespace mcd::exp
 namespace
 {
 
-/** Canonicalize @p text as a policy spec; throws SpecError (the
- *  tournament's malformed-input contract) instead of the registry's
- *  bool+err so one catchable type covers every bad cell part. */
+/** control::canonicalPolicySpec with the message naming the
+ *  tournament role the bad spec was given for. */
 control::PolicySpec
-canonicalPolicy(const std::string &text, const char *role,
-                const control::Policy **policy_out = nullptr)
+canonicalPolicy(const std::string &text, const char *role)
 {
-    control::PolicySpec spec;
-    std::string err;
-    if (!control::parseSpec(text, spec, err))
+    try {
+        return control::canonicalPolicySpec(text);
+    } catch (const workload::SpecError &e) {
         throw workload::SpecError(strprintf(
             "tournament %s spec '%s': %s", role, text.c_str(),
-            err.c_str()));
-    if (!control::PolicyRegistry::instance().canonicalize(spec, err))
-        throw workload::SpecError(strprintf(
-            "tournament %s spec '%s': %s", role, text.c_str(),
-            err.c_str()));
-    if (policy_out)
-        *policy_out =
-            control::PolicyRegistry::instance().find(spec.policy);
-    return spec;
+            e.what()));
+    }
 }
 
 } // namespace
@@ -63,15 +54,15 @@ Tournament::Tournament(Runner &r, const TournamentConfig &cfg)
         }
     } else {
         for (const std::string &text : cfg.policies) {
-            const control::Policy *p = nullptr;
-            std::string canon =
-                canonicalPolicy(text, "policy", &p).str();
+            control::PolicySpec canon = canonicalPolicy(text, "policy");
+            const control::Policy *p =
+                control::PolicyRegistry::instance().find(canon.policy);
             if (!p->sweepable())
                 throw workload::SpecError(strprintf(
                     "tournament policy spec '%s': policy '%s' "
                     "cannot run single-core sweep cells",
                     text.c_str(), p->name()));
-            roster.push_back(canon);
+            roster.push_back(canon.str());
         }
     }
     // Ranking tie-break order; also collapses duplicate spellings of
@@ -101,14 +92,11 @@ std::vector<std::string>
 Tournament::cellKeys() const
 {
     std::vector<std::string> keys;
-    control::PolicySpec oracle;
-    std::string err;
-    parseSpec(oracleSpec, oracle, err);
+    control::PolicySpec oracle = control::canonicalPolicySpec(oracleSpec);
     for (const std::string &w : loads)
         keys.push_back(runner.cacheKey(w, oracle));
     for (const std::string &p : roster) {
-        control::PolicySpec spec;
-        parseSpec(p, spec, err);
+        control::PolicySpec spec = control::canonicalPolicySpec(p);
         for (const std::string &w : loads)
             keys.push_back(runner.cacheKey(w, spec));
     }

@@ -10,14 +10,14 @@
 #include "sim/sampling.hh"
 
 #include <cmath>
+#include <memory>
 #include <utility>
 #include <vector>
 
 #include "sim/checkpoint.hh"
 #include "sim/processor.hh"
+#include "util/spec.hh"
 #include "util/stats.hh"
-#include "util/text.hh"
-#include "workload/spec.hh"
 
 namespace mcd::sim
 {
@@ -25,24 +25,59 @@ namespace mcd::sim
 namespace
 {
 
-[[noreturn]] void
-badSpec(const std::string &text, const std::string &why)
+/** The `--sample` modes, `exact` and `sampled`, as spec-engine
+ *  kinds. */
+class SamplingKind final : public util::SpecKind
 {
-    throw workload::SpecError("bad sampling spec '" + text +
-                              "': " + why);
-}
+  public:
+    explicit SamplingKind(bool sampled) : sampled(sampled) {}
 
-std::uint64_t
-countValue(const std::string &text, const std::string &key,
-           const std::string &value)
+    const char *
+    name() const override
+    {
+        return sampled ? "sampled" : "exact";
+    }
+
+    const char *
+    description() const override
+    {
+        return sampled ? "detailed probes + functional warm-up"
+                       : "detailed simulation of every instruction";
+    }
+
+    std::vector<util::SpecParamInfo>
+    params() const override
+    {
+        if (!sampled)
+            return {};
+        using P = util::SpecParamInfo;
+        const SamplingConfig def;
+        return {
+            P::count("interval", static_cast<double>(def.intervalInstrs),
+                     "instructions per sampling interval", 1, 1e12),
+            P::count("sample", static_cast<double>(def.sampleInstrs),
+                     "detailed commits measured per interval", 1, 1e12),
+            P::count("warmup", static_cast<double>(def.warmupInstrs),
+                     "detailed commits discarded per probe", 1, 1e12),
+            P::num("ci", def.ciBiasPct,
+                   "CI floor, percent of the estimate", 0, 100),
+        };
+    }
+
+  private:
+    bool sampled;
+};
+
+const util::SpecRegistry &
+samplingModes()
 {
-    double d = 0.0;
-    if (!util::parseDouble(value, d) || d < 1.0 || d > 1e12 ||
-        d != std::floor(d))
-        badSpec(text, "parameter '" + key +
-                          "' must be an integer in [1, 1e12], got '" +
-                          value + "'");
-    return static_cast<std::uint64_t>(d);
+    static const util::SpecRegistry *modes = [] {
+        auto *r = new util::SpecRegistry("sampling mode");
+        r->add(std::make_unique<SamplingKind>(false));
+        r->add(std::make_unique<SamplingKind>(true));
+        return r;
+    }();
+    return *modes;
 }
 
 } // namespace
@@ -51,47 +86,29 @@ SamplingConfig
 parseSamplingSpec(const std::string &text)
 {
     std::string name;
+    util::SpecParams params;
     std::string err;
-    std::vector<std::pair<std::string, std::string>> kvs;
-    if (!util::splitSpec(text, "sampling spec", name, kvs, err))
-        throw workload::SpecError(err);
+    if (!util::splitSpec(text, "sampling spec", name, params, err))
+        throw util::SpecError(err);
+    samplingModes().canonicalize(name, params);
 
     SamplingConfig cfg;
-    if (name == "exact") {
-        if (!kvs.empty())
-            badSpec(text, "'exact' takes no parameters");
+    if (name == "exact")
         return cfg;
-    }
-    if (name != "sampled")
-        badSpec(text, "mode must be 'exact' or 'sampled'");
     cfg.mode = SamplingMode::Sampled;
-    for (const auto &[key, value] : kvs) {
-        if (key == "interval") {
-            cfg.intervalInstrs = countValue(text, key, value);
-        } else if (key == "sample") {
-            cfg.sampleInstrs = countValue(text, key, value);
-        } else if (key == "warmup") {
-            cfg.warmupInstrs = countValue(text, key, value);
-        } else if (key == "ci") {
-            double d = 0.0;
-            if (!util::parseDouble(value, d) || d < 0.0 || d > 100.0)
-                badSpec(text, "parameter 'ci' must be a percentage "
-                              "in [0, 100], got '" +
-                                  value + "'");
-            cfg.ciBiasPct = d;
-        } else {
-            badSpec(text, "unknown parameter '" + key +
-                              "' (known: interval, sample, warmup, "
-                              "ci)");
-        }
-    }
+    auto count = [&](const char *key) {
+        return static_cast<std::uint64_t>(params.at(key).num);
+    };
+    cfg.intervalInstrs = count("interval");
+    cfg.sampleInstrs = count("sample");
+    cfg.warmupInstrs = count("warmup");
+    cfg.ciBiasPct = params.at("ci").num;
     if (cfg.probeInstrs() >= cfg.intervalInstrs)
-        badSpec(text,
-                "warmup + sample must be smaller than interval "
-                "(probe " +
-                    std::to_string(cfg.probeInstrs()) +
-                    " >= interval " +
-                    std::to_string(cfg.intervalInstrs) + ")");
+        throw util::SpecError(
+            "bad sampling spec '" + text +
+            "': warmup + sample must be smaller than interval (probe " +
+            std::to_string(cfg.probeInstrs()) + " >= interval " +
+            std::to_string(cfg.intervalInstrs) + ")");
     return cfg;
 }
 
@@ -100,10 +117,13 @@ canonicalSamplingSpec(const SamplingConfig &cfg)
 {
     if (!cfg.sampled())
         return "exact";
-    return "sampled:interval=" + std::to_string(cfg.intervalInstrs) +
-           ",sample=" + std::to_string(cfg.sampleInstrs) +
-           ",warmup=" + std::to_string(cfg.warmupInstrs) +
-           ",ci=" + util::fmtFixed(cfg.ciBiasPct, 3);
+    util::SpecParams params;
+    params.set("interval", static_cast<double>(cfg.intervalInstrs));
+    params.set("sample", static_cast<double>(cfg.sampleInstrs));
+    params.set("warmup", static_cast<double>(cfg.warmupInstrs));
+    params.set("ci", cfg.ciBiasPct);
+    samplingModes().canonicalize("sampled", params);
+    return params.str("sampled");
 }
 
 // --- sampled run loop --------------------------------------------------

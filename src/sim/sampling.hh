@@ -101,8 +101,10 @@ sampleProbeOffset(std::uint64_t k, std::uint64_t max_off)
 /**
  * Parse a `--sample` spec: `exact`, `sampled`, or
  * `sampled:interval=N,sample=N,warmup=N,ci=PCT` (any subset of keys;
- * the rest keep their defaults).  Throws workload::SpecError on bad
- * grammar, unknown keys, or invariant-violating values.
+ * the rest keep their defaults) — the spec engine's grammar
+ * (util/spec.hh) with `exact` and `sampled` as its registered modes.
+ * Throws workload::SpecError on bad grammar, unknown keys, or
+ * invariant-violating values.
  */
 SamplingConfig parseSamplingSpec(const std::string &text);
 
@@ -111,6 +113,7 @@ SamplingConfig parseSamplingSpec(const std::string &text);
  * `sampled:interval=N,sample=N,warmup=N,ci=PCT` with every key
  * present in that order.  parse(canonical(cfg)) == cfg; the string
  * appears in `bench_throughput --json` rows and docs examples.
+ * Throws workload::SpecError for a knob outside the grammar's range.
  */
 std::string canonicalSamplingSpec(const SamplingConfig &cfg);
 

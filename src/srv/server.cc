@@ -351,29 +351,15 @@ SweepServer::handleSweep(Conn &conn, const Request &req)
     // strings become the row labels, making the dedup identity
     // visible to the client.
     std::vector<std::string> benches;
-    benches.reserve(req.workloads.size());
-    for (const auto &w : req.workloads) {
-        try {
-            benches.push_back(workload::canonicalWorkloadSpec(w));
-        } catch (const workload::SpecError &e) {
-            nBadRequests_.fetch_add(1, std::memory_order_relaxed);
-            return conn.writeLine(
-                errLine(req.id, err::BAD_SPEC, e.what()));
-        }
-    }
     std::vector<control::PolicySpec> specs;
-    specs.reserve(req.policies.size());
-    for (const auto &p : req.policies) {
-        control::PolicySpec ps;
-        std::string serr;
-        if (!control::parseSpec(p, ps, serr) ||
-            !control::PolicyRegistry::instance().canonicalize(
-                ps, serr)) {
-            nBadRequests_.fetch_add(1, std::memory_order_relaxed);
-            return conn.writeLine(
-                errLine(req.id, err::BAD_SPEC, serr));
-        }
-        specs.push_back(std::move(ps));
+    try {
+        for (const auto &w : req.workloads)
+            benches.push_back(workload::canonicalWorkloadSpec(w));
+        for (const auto &p : req.policies)
+            specs.push_back(control::canonicalPolicySpec(p));
+    } catch (const workload::SpecError &e) {
+        nBadRequests_.fetch_add(1, std::memory_order_relaxed);
+        return conn.writeLine(errLine(req.id, err::BAD_SPEC, e.what()));
     }
 
     const std::size_t ncells = benches.size() * specs.size();
@@ -543,19 +529,9 @@ SweepServer::handleChipSweep(Conn &conn, const Request &req)
             j.cell.workload = w;
             j.cell.tiles = static_cast<int>(req.tiles);
             j.cell.coord = req.coord;
-            control::PolicySpec ps;
-            std::string serr;
-            if (!control::parseSpec(p, ps, serr) ||
-                !control::PolicyRegistry::instance().canonicalize(
-                    ps, serr)) {
-                nBadRequests_.fetch_add(1,
-                                        std::memory_order_relaxed);
-                return conn.writeLine(
-                    errLine(req.id, err::BAD_SPEC, serr));
-            }
-            j.cell.tilePolicy = ps;
-            j.policy = ps.str();
             try {
+                j.cell.tilePolicy = control::canonicalPolicySpec(p);
+                j.policy = j.cell.tilePolicy.str();
                 std::vector<std::string> tile_specs =
                     chip::parseMultiSpec(w, j.cell.tiles);
                 j.multi = chip::multiSpecOf(tile_specs);

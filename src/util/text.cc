@@ -92,53 +92,4 @@ fnv1a64(const std::string &bytes)
     return h;
 }
 
-bool
-splitSpec(const std::string &text, const char *what,
-          std::string &name,
-          std::vector<std::pair<std::string, std::string>> &kvs,
-          std::string &err)
-{
-    name.clear();
-    kvs.clear();
-    std::size_t colon = text.find(':');
-    name = text.substr(0, colon);
-    if (!validSpecName(name)) {
-        err = "bad " + std::string(what) + " '" + text +
-              "': expected name[:key=value,...] with a " +
-              "[a-z0-9_-]+ name";
-        return false;
-    }
-    if (colon == std::string::npos)
-        return true;
-    std::string rest = text.substr(colon + 1);
-    std::size_t start = 0;
-    for (;;) {
-        std::size_t comma = rest.find(',', start);
-        std::string item = rest.substr(
-            start, comma == std::string::npos ? std::string::npos
-                                              : comma - start);
-        std::size_t eq = item.find('=');
-        if (eq == std::string::npos || eq == 0 ||
-            eq + 1 >= item.size()) {
-            err = "bad " + std::string(what) + " '" + text +
-                  "': parameter '" + item +
-                  "' is not of the form key=value";
-            return false;
-        }
-        std::string key = item.substr(0, eq);
-        for (const auto &kv : kvs) {
-            if (kv.first == key) {
-                err = "bad " + std::string(what) + " '" + text +
-                      "': parameter '" + key + "' given twice";
-                return false;
-            }
-        }
-        kvs.emplace_back(std::move(key), item.substr(eq + 1));
-        if (comma == std::string::npos)
-            break;
-        start = comma + 1;
-    }
-    return true;
-}
-
 } // namespace mcd::util

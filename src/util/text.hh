@@ -1,10 +1,10 @@
 /**
  * @file
- * Locale-independent text primitives shared by every spec grammar in
- * the tree (`control::PolicySpec`, `workload::WorkloadSpec`, the
- * workload authoring format): canonical fixed-point formatting,
- * strict double parsing, the `[a-z0-9_-]+` name rule, and the FNV-1a
- * hash used for content-addressed cache-key fragments.
+ * Locale-independent text primitives shared by the spec engine
+ * (util/spec.hh), the workload authoring format and the cache/wire
+ * paths: canonical fixed-point formatting, strict double parsing, the
+ * `[a-z0-9_-]+` name rule, and the FNV-1a hash used for
+ * content-addressed cache-key fragments.
  */
 
 #ifndef MCD_UTIL_TEXT_HH
@@ -12,8 +12,6 @@
 
 #include <cstdint>
 #include <string>
-#include <utility>
-#include <vector>
 
 namespace mcd::util
 {
@@ -47,21 +45,6 @@ bool validSpecValue(const std::string &s);
 
 /** 64-bit FNV-1a over a byte string. */
 std::uint64_t fnv1a64(const std::string &bytes);
-
-/**
- * Split `name[:key=value[,key=value...]]` into @p name and @p kvs —
- * the one definition of the spec grammar's surface syntax, shared
- * by `control::parseSpec` and `workload::parseWorkloadSpec`
- * (semantic validation stays with the registries).  On failure
- * returns false and sets @p err to a message prefixed
- * "bad <what> '<text>':", where @p what names the grammar
- * ("policy spec", "workload spec").  Rejects non-validSpecName()
- * names, malformed key=value items, and duplicate keys.
- */
-bool splitSpec(const std::string &text, const char *what,
-               std::string &name,
-               std::vector<std::pair<std::string, std::string>> &kvs,
-               std::string &err);
 
 } // namespace mcd::util
 

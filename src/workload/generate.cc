@@ -13,7 +13,7 @@ std::vector<SpecParamInfo>
 generatorParams()
 {
     return {
-        SpecParamInfo::integerNum(
+        SpecParamInfo::count(
             "phases", 4,
             "number of top-level phase functions", 1, 32),
         SpecParamInfo::num(
@@ -24,7 +24,7 @@ generatorParams()
             "fp", 0.3,
             "probability a phase is floating-point-dominated", 0.0,
             1.0),
-        SpecParamInfo::integerNum(
+        SpecParamInfo::count(
             "depth", 2, "maximum loop-nest depth inside a phase", 1,
             3),
         SpecParamInfo::num(
@@ -38,7 +38,7 @@ generatorParams()
         SpecParamInfo::num(
             "refscale", 1.4,
             "reference input scale relative to training", 1.0, 8.0),
-        SpecParamInfo::integerNum(
+        SpecParamInfo::count(
             "seed", 1,
             "generator seed: same canonical spec, bit-identical "
             "program", 0, 9007199254740992.0),

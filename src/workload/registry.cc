@@ -1,12 +1,7 @@
 #include "workload/registry.hh"
 
-#include <algorithm>
-#include <cmath>
-#include <cstring>
-#include <locale>
 #include <map>
 #include <mutex>
-#include <sstream>
 
 #include "util/logging.hh"
 #include "util/text.hh"
@@ -15,191 +10,45 @@
 namespace mcd::workload
 {
 
-struct WorkloadRegistry::Impl
+namespace
 {
-    mutable std::mutex m;
-    std::map<std::string, std::unique_ptr<const WorkloadFactory>>
-        factories;
-    /** Authored programs by (name, hash) — the `prog` factory's
-     *  backing table (see addProgram()). */
-    std::map<std::pair<std::string, std::string>, Benchmark> programs;
-};
 
-WorkloadRegistry &
-WorkloadRegistry::instance()
+/** The engine behind WorkloadRegistry.  Leaked: factories registered
+ *  from static initializers must stay valid through program exit in
+ *  any TU order. */
+util::SpecRegistry &
+workloads()
 {
-    // Leaked singleton: factories registered from static
-    // initializers must stay valid through program exit in any TU
-    // order.
-    static WorkloadRegistry *reg = new WorkloadRegistry();
+    static util::SpecRegistry *reg = new util::SpecRegistry("workload");
     return *reg;
 }
 
-WorkloadRegistry::Impl &
-WorkloadRegistry::impl() const
+/** Authored programs by (name, hash) — the `prog` factory's backing
+ *  table (see addProgram()). */
+struct Programs
 {
-    static Impl *i = new Impl();
-    return *i;
+    std::mutex m;
+    std::map<std::pair<std::string, std::string>, Benchmark> table;
+};
+
+Programs &
+programs()
+{
+    static Programs *p = new Programs();
+    return *p;
 }
 
-void
-WorkloadRegistry::add(std::unique_ptr<const WorkloadFactory> f)
+/** Parse and canonicalize @p text into @p spec; throws SpecError.
+ *  Returns the factory it names. */
+const WorkloadFactory &
+canonical(const std::string &text, WorkloadSpec &spec)
 {
-    Impl &i = impl();
-    std::lock_guard<std::mutex> l(i.m);
-    std::string name = f->name();
-    if (!util::validSpecName(name))
-        panic("workload name '%s' is not [a-z0-9_-]+", name.c_str());
-    if (!i.factories.emplace(name, std::move(f)).second)
-        panic("duplicate workload registration '%s'", name.c_str());
+    std::string err;
+    if (!parseWorkloadSpec(text, spec, err))
+        throw SpecError(err);
+    return static_cast<const WorkloadFactory &>(
+        workloads().canonicalize(spec.name, spec.params));
 }
-
-const WorkloadFactory *
-WorkloadRegistry::find(const std::string &name) const
-{
-    Impl &i = impl();
-    std::lock_guard<std::mutex> l(i.m);
-    auto it = i.factories.find(name);
-    return it == i.factories.end() ? nullptr : it->second.get();
-}
-
-std::vector<const WorkloadFactory *>
-WorkloadRegistry::list() const
-{
-    Impl &i = impl();
-    std::lock_guard<std::mutex> l(i.m);
-    std::vector<const WorkloadFactory *> out;
-    out.reserve(i.factories.size());
-    for (const auto &kv : i.factories)
-        out.push_back(kv.second.get());
-    // The name-sorted order is a contract, not a side effect of the
-    // Impl container: `--list-workloads` output, unknown-spec error
-    // listings and docs pins all diff against it (see
-    // tests/test_chip.cc, Registries.ListingsAreNameSorted).
-    std::sort(out.begin(), out.end(),
-              [](const WorkloadFactory *a, const WorkloadFactory *b) {
-                  return std::strcmp(a->name(), b->name()) < 0;
-              });
-    return out;
-}
-
-bool
-WorkloadRegistry::canonicalize(WorkloadSpec &spec,
-                               std::string &err) const
-{
-    const WorkloadFactory *f = find(spec.name);
-    if (!f) {
-        err = "unknown workload '" + spec.name + "'";
-        std::vector<const WorkloadFactory *> known = list();
-        if (!known.empty()) {
-            err += " (known:";
-            for (const WorkloadFactory *k : known) {
-                err += ' ';
-                err += k->name();
-            }
-            err += ')';
-        }
-        return false;
-    }
-    std::vector<SpecParamInfo> schema = f->params();
-    for (const WorkloadSpec::Param &given : spec.params) {
-        bool known = std::any_of(
-            schema.begin(), schema.end(),
-            [&](const SpecParamInfo &pi) {
-                return pi.name == given.name;
-            });
-        if (!known) {
-            err = "workload '" + spec.name +
-                  "' has no parameter '" + given.name + "'";
-            if (!schema.empty()) {
-                err += " (takes:";
-                for (const SpecParamInfo &pi : schema) {
-                    err += ' ';
-                    err += pi.name;
-                }
-                err += ')';
-            } else {
-                err += " (takes none)";
-            }
-            return false;
-        }
-    }
-    // Rebuild the parameter list in schema order, falling back to
-    // the documented schema default for anything unset, and caching
-    // the typed value next to its canonical text.
-    std::vector<WorkloadSpec::Param> canon;
-    canon.reserve(schema.size());
-    for (const SpecParamInfo &pi : schema) {
-        WorkloadSpec::Param out;
-        out.name = pi.name;
-        const WorkloadSpec::Param *given = spec.find(pi.name);
-        switch (pi.type) {
-          case SpecParamType::Num: {
-            double v = pi.defaultNum;
-            if (given && !util::parseDouble(given->text, v)) {
-                err = "workload '" + spec.name + "' parameter '" +
-                      pi.name + "': '" + given->text +
-                      "' is not a number";
-                return false;
-            }
-            // NaN fails both comparisons, so it is rejected too.
-            if (!(v >= pi.minNum && v <= pi.maxNum)) {
-                auto g = [](double x) {
-                    std::ostringstream os;
-                    os.imbue(std::locale::classic());
-                    os << x;
-                    return os.str();
-                };
-                err = "workload '" + spec.name + "' parameter '" +
-                      pi.name + "': " + g(v) +
-                      " is out of range [" + g(pi.minNum) + ", " +
-                      g(pi.maxNum) + "]";
-                return false;
-            }
-            if (pi.integer && v != std::floor(v)) {
-                err = "workload '" + spec.name + "' parameter '" +
-                      pi.name + "': '" +
-                      (given ? given->text : std::string()) +
-                      "' must be an integer";
-                return false;
-            }
-            // Canonical text is the 3-digit fixed form (plain
-            // integer form for integer parameters), and the typed
-            // value is re-parsed from it so the cache key and the
-            // computation can never disagree.
-            out.text = pi.integer
-                           ? strprintf("%lld", (long long)v)
-                           : util::fmtFixed(v, 3);
-            util::parseDouble(out.text, out.num);
-            break;
-          }
-          case SpecParamType::Str: {
-            std::string v = pi.defaultStr;
-            if (given)
-                v = given->text;
-            if (v.empty()) {
-                err = "workload '" + spec.name + "' parameter '" +
-                      pi.name + "' is required";
-                return false;
-            }
-            if (!util::validSpecValue(v)) {
-                err = "workload '" + spec.name + "' parameter '" +
-                      pi.name + "': '" + v +
-                      "' is not a [A-Za-z0-9_.-]+ value";
-                return false;
-            }
-            out.text = v;
-            break;
-          }
-        }
-        canon.push_back(std::move(out));
-    }
-    spec.params = std::move(canon);
-    return true;
-}
-
-namespace
-{
 
 /** 16-hex content hash of a program's canonical text. */
 std::string
@@ -210,15 +59,12 @@ programHash(const std::string &canonical_text)
                          canonical_text));
 }
 
-} // namespace
-
 /**
  * The handle factory behind authored programs: `prog:name=N,hash=H`
  * resolves against the registry's program table, which
  * `addProgram()` fills.  A handle whose program was never loaded in
  * this process is a catchable SpecError — the handle alone cannot
- * reconstruct the program.  (Named, not anonymous-namespaced, so the
- * registry can befriend it for table access.)
+ * reconstruct the program.
  */
 class ProgFactory final : public WorkloadFactory
 {
@@ -240,26 +86,25 @@ class ProgFactory final : public WorkloadFactory
     params() const override
     {
         return {
-            SpecParamInfo::str("name", "",
-                               "program name from the text's "
-                               "program: section"),
-            SpecParamInfo::str("hash", "",
-                               "16-hex fnv1a of the canonical "
-                               "program text"),
+            SpecParamInfo::text("name", "",
+                                "program name from the text's "
+                                "program: section"),
+            SpecParamInfo::text("hash", "",
+                                "16-hex fnv1a of the canonical "
+                                "program text"),
         };
     }
 
     Benchmark
     make(const WorkloadSpec &spec) const override
     {
-        WorkloadRegistry &reg = WorkloadRegistry::instance();
-        WorkloadRegistry::Impl &i = reg.impl();
+        Programs &p = programs();
         const Benchmark *found = nullptr;
         {
-            std::lock_guard<std::mutex> l(i.m);
-            auto it = i.programs.find(
-                {spec.text("name"), spec.text("hash")});
-            if (it != i.programs.end())
+            std::lock_guard<std::mutex> l(p.m);
+            auto it =
+                p.table.find({spec.text("name"), spec.text("hash")});
+            if (it != p.table.end())
                 found = &it->second;
         }
         if (!found)
@@ -271,12 +116,33 @@ class ProgFactory final : public WorkloadFactory
         // Copy outside the lock: std::map nodes are stable, table
         // entries are immutable and never erased, and the deep copy
         // of a large program must not serialize sweep threads on
-        // the registry mutex.
+        // the table mutex.
         return *found;
     }
 };
 
 MCD_REGISTER_WORKLOAD(ProgFactory);
+
+} // namespace
+
+WorkloadRegistry &
+WorkloadRegistry::instance()
+{
+    static WorkloadRegistry reg;
+    return reg;
+}
+
+void
+WorkloadRegistry::add(std::unique_ptr<const WorkloadFactory> f)
+{
+    workloads().add(std::move(f));
+}
+
+std::vector<const WorkloadFactory *>
+WorkloadRegistry::list() const
+{
+    return workloads().listAs<WorkloadFactory>();
+}
 
 std::string
 WorkloadRegistry::addProgram(const std::string &program_text)
@@ -286,10 +152,10 @@ WorkloadRegistry::addProgram(const std::string &program_text)
     std::string name = bm.program.name;
     std::string hash = programHash(canonical);
     {
-        Impl &i = impl();
-        std::lock_guard<std::mutex> l(i.m);
+        Programs &p = programs();
+        std::lock_guard<std::mutex> l(p.m);
         // Content-addressed: re-loading the same text is idempotent.
-        i.programs.emplace(std::make_pair(name, hash), bm);
+        p.table.emplace(std::make_pair(name, hash), bm);
     }
     return WorkloadSpec::of("prog")
         .set("name", name)
@@ -301,57 +167,21 @@ Benchmark
 makeWorkload(const std::string &spec_text)
 {
     WorkloadSpec spec;
-    std::string err;
-    if (!parseWorkloadSpec(spec_text, spec, err))
-        throw SpecError(err);
-    if (!WorkloadRegistry::instance().canonicalize(spec, err))
-        throw SpecError(err);
-    return WorkloadRegistry::instance().find(spec.name)->make(spec);
+    return canonical(spec_text, spec).make(spec);
 }
 
 std::string
 canonicalWorkloadSpec(const std::string &spec_text)
 {
     WorkloadSpec spec;
-    std::string err;
-    if (!parseWorkloadSpec(spec_text, spec, err))
-        throw SpecError(err);
-    if (!WorkloadRegistry::instance().canonicalize(spec, err))
-        throw SpecError(err);
+    canonical(spec_text, spec);
     return spec.str();
 }
 
 std::string
 describeWorkloads()
 {
-    std::ostringstream os;
-    os.imbue(std::locale::classic());
-    for (const WorkloadFactory *f :
-         WorkloadRegistry::instance().list()) {
-        os << "  " << f->name();
-        for (std::size_t n = std::strlen(f->name()); n < 14; ++n)
-            os << ' ';
-        os << ' ' << f->description() << '\n';
-        for (const SpecParamInfo &pi : f->params()) {
-            os << "      " << pi.name << "=<"
-               << (pi.type == SpecParamType::Str ? "string"
-                                                 : "number")
-               << ">";
-            if (pi.type == SpecParamType::Str && pi.defaultStr.empty())
-                os << " (required)";
-            else
-                os << " (default "
-                   << (pi.type == SpecParamType::Str
-                           ? pi.defaultStr
-                           : pi.integer
-                                 ? strprintf("%lld",
-                                             (long long)pi.defaultNum)
-                                 : util::fmtFixed(pi.defaultNum, 3))
-                   << ")";
-            os << ": " << pi.help << '\n';
-        }
-    }
-    return os.str();
+    return workloads().describe(14);
 }
 
 WorkloadRegistrar::WorkloadRegistrar(

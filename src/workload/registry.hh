@@ -4,7 +4,8 @@
  * 19 suite programs standing in for Table 2, the seeded procedural
  * generator, authored programs loaded from spec text — is produced
  * by a `workload::WorkloadFactory` registered with the
- * `WorkloadRegistry`, mirroring `control::PolicyRegistry`.
+ * `WorkloadRegistry` — like `control::PolicyRegistry`, a thin typed
+ * face over the spec engine (util/spec.hh).
  *
  * A workload is addressed by a `WorkloadSpec` string,
  *
@@ -42,27 +43,16 @@ namespace mcd::workload
 {
 
 /**
- * Abstract workload factory.  Implementations are stateless const
- * singletons owned by the registry; `make()` may be called
- * concurrently from any number of sweep threads and must be
- * deterministic in the canonical spec (same spec, bit-identical
- * Benchmark).
+ * Abstract workload factory: a registry entry (name, description,
+ * parameter schema — see util::SpecKind) that can build its
+ * benchmark.  Implementations are stateless const singletons owned by
+ * the registry; `make()` may be called concurrently from any number
+ * of sweep threads and must be deterministic in the canonical spec
+ * (same spec, bit-identical Benchmark).
  */
-class WorkloadFactory
+class WorkloadFactory : public util::SpecKind
 {
   public:
-    virtual ~WorkloadFactory() = default;
-
-    /** Registry name, also the spec prefix (e.g. "gen"). */
-    virtual const char *name() const = 0;
-
-    /** One-line description for `--list-workloads`. */
-    virtual const char *description() const = 0;
-
-    /** Parameter schema (defaults documented per entry).  Str
-     *  parameters with an empty default are required. */
-    virtual std::vector<SpecParamInfo> params() const { return {}; }
-
     /**
      * Construct the benchmark.  @p spec is canonical (every schema
      * parameter present and typed).  Throws SpecError for
@@ -84,22 +74,8 @@ class WorkloadRegistry
     /** Register @p f; fatal on a duplicate name. */
     void add(std::unique_ptr<const WorkloadFactory> f);
 
-    /** The factory named @p name, or nullptr. */
-    const WorkloadFactory *find(const std::string &name) const;
-
     /** Every registered factory, sorted by name. */
     std::vector<const WorkloadFactory *> list() const;
-
-    /**
-     * Validate @p spec against its factory's schema and rewrite it
-     * in canonical form: unknown workload/parameter names and
-     * malformed values fail (returns false, sets @p err; the
-     * unknown-name message lists every registered name); unset
-     * parameters take their schema defaults; parameters are ordered
-     * as in the schema with canonical value formatting and typed
-     * values cached.
-     */
-    bool canonicalize(WorkloadSpec &spec, std::string &err) const;
 
     /**
      * Load an authored program (the docs/WORKLOADS.md text format)
@@ -115,9 +91,6 @@ class WorkloadRegistry
 
   private:
     WorkloadRegistry() = default;
-    struct Impl;
-    Impl &impl() const;
-    friend class ProgFactory;
 };
 
 /** Registers a workload factory at static-initialization time. */

@@ -21,6 +21,7 @@
 #include "sim/sampling.hh"
 #include "srv/proto.hh"
 #include "srv/server.hh"
+#include "util/text.hh"
 #include "workload/generate.hh"
 #include "workload/registry.hh"
 
@@ -54,11 +55,7 @@ TEST(Docs, PoliciesDocCoversTheRegistry)
         // default, exactly as --list-policies prints it.
         for (const mcd::control::ParamInfo &pi : p->params()) {
             std::string needle =
-                "`" + pi.name + "` | " +
-                (pi.type == mcd::control::ParamType::Mode
-                     ? std::string(mcd::control::compactModeName(
-                           pi.defaultMode))
-                     : mcd::util::fmtFixed(pi.defaultDouble, 3));
+                "`" + pi.name + "` | " + pi.canonicalDefault();
             EXPECT_NE(doc.find(needle), std::string::npos)
                 << "docs/POLICIES.md: policy '" << p->name()
                 << "' parameter row '" << needle
@@ -84,10 +81,7 @@ TEST(Docs, WorkloadsDocCoversTheRegistry)
     // Every generator knob, with its canonical default.
     for (const mcd::workload::SpecParamInfo &pi :
          mcd::workload::generatorParams()) {
-        std::string def =
-            pi.integer ? std::to_string((long long)pi.defaultNum)
-                       : mcd::util::fmtFixed(pi.defaultNum, 3);
-        std::string needle = "`" + pi.name + "` | " + def;
+        std::string needle = "`" + pi.name + "` | " + pi.canonicalDefault();
         EXPECT_NE(doc.find(needle), std::string::npos)
             << "docs/WORKLOADS.md: generator knob row '" << needle
             << "' missing or stale";

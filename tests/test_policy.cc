@@ -21,8 +21,6 @@
 #include "cache_key_util.hh"
 
 using namespace mcd;
-using control::ParamInfo;
-using control::ParamType;
 using control::Policy;
 using control::PolicyRegistry;
 using control::PolicySpec;

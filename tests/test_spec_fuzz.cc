@@ -3,7 +3,8 @@
  * Property/fuzz tests for the spec parsers — the surfaces that now
  * accept bytes straight off a socket (the sweep server feeds
  * workload specs, policy specs and authored program text from the
- * wire into these exact entry points).
+ * wire into these exact entry points) or the command line
+ * (`--sample`).
  *
  * Two properties, checked over a corpus and thousands of
  * deterministic mutations of it (the same xorshift mutation engine
@@ -12,9 +13,9 @@
  *  1. Round-trip identity: parse -> print -> parse of a canonical
  *     spec is the identity, and canonicalization is idempotent.
  *  2. Totality: any mutated, truncated or random input either
- *     canonicalizes or fails *catchably* — `workload::SpecError`
- *     for workload specs and program text, a false return for
- *     policy specs.  Nothing crashes, nothing throws anything else.
+ *     canonicalizes or fails *catchably* with `workload::SpecError`
+ *     — policy, workload and sampling specs and program text alike.
+ *     Nothing crashes, nothing throws anything else.
  */
 
 #include <gtest/gtest.h>
@@ -25,6 +26,7 @@
 #include "control/policy.hh"
 #include "exp/experiment.hh"
 #include "exp/tournament.hh"
+#include "sim/sampling.hh"
 #include "srv/faults.hh"
 #include "workload/author.hh"
 #include "workload/registry.hh"
@@ -98,15 +100,28 @@ tryCanonicalWorkload(const std::string &text, std::string *canon)
 bool
 tryCanonicalPolicy(const std::string &text, std::string *canon)
 {
-    control::PolicySpec spec;
-    std::string err;
-    if (!control::parseSpec(text, spec, err))
+    try {
+        std::string c = control::canonicalPolicySpec(text).str();
+        if (canon)
+            *canon = c;
+        return true;
+    } catch (const SpecError &) {
         return false;
-    if (!control::PolicyRegistry::instance().canonicalize(spec, err))
+    }
+}
+
+bool
+tryCanonicalSampling(const std::string &text, std::string *canon)
+{
+    try {
+        std::string c =
+            sim::canonicalSamplingSpec(sim::parseSamplingSpec(text));
+        if (canon)
+            *canon = c;
+        return true;
+    } catch (const SpecError &) {
         return false;
-    if (canon)
-        *canon = spec.str();
-    return true;
+    }
 }
 
 bool
@@ -218,6 +233,29 @@ TEST(SpecFuzz, MutatedPolicySpecsNeverCrash)
     }
 }
 
+TEST(SpecFuzz, MutatedSamplingSpecsNeverCrashAndSurvivorsRoundTrip)
+{
+    int survivors = 0;
+    for (const char *text :
+         {"exact", "sampled",
+          "sampled:interval=900,sample=100,warmup=50,ci=2.5"}) {
+        for (std::uint32_t seed = 1; seed <= 300; ++seed) {
+            srv::Fault f = (seed % 2) ? srv::Fault::GarbleFrame
+                                      : srv::Fault::TruncateFrame;
+            std::string mutated = srv::mutateLine(text, f, seed);
+            SCOPED_TRACE("'" + mutated + "'");
+            std::string canon;
+            if (!tryCanonicalSampling(mutated, &canon))
+                continue;
+            ++survivors;
+            std::string again;
+            ASSERT_TRUE(tryCanonicalSampling(canon, &again)) << canon;
+            EXPECT_EQ(again, canon);
+        }
+    }
+    EXPECT_GT(survivors, 0);
+}
+
 TEST(SpecFuzz, RandomGarbageNeverCrashes)
 {
     std::uint32_t state = 0xc0ffee17u;
@@ -238,6 +276,7 @@ TEST(SpecFuzz, RandomGarbageNeverCrashes)
         SCOPED_TRACE(i);
         tryCanonicalWorkload(junk, nullptr);
         tryCanonicalPolicy(junk, nullptr);
+        tryCanonicalSampling(junk, nullptr);
     }
 }
 

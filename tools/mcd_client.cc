@@ -27,6 +27,7 @@
 #include "chip/multi.hh"
 #include "exp/experiment.hh"
 #include "srv/client.hh"
+#include "util/pool.hh"
 #include "workload/author.hh"
 #include "workload/registry.hh"
 
@@ -124,7 +125,6 @@ runLocal(const Options &opt)
         cfg.productionWindow = opt.window;
         cfg.analysisWindow = opt.window;
     }
-    cfg.jobs = opt.jobs;
     cfg.cacheFile.clear();  // match the server default: no CSV cache
 
     std::vector<std::string> benches;
@@ -148,62 +148,62 @@ runLocal(const Options &opt)
             return 1;
         }
     }
-    std::vector<control::PolicySpec> specs;
-    for (const auto &p : opt.policies) {
-        control::PolicySpec ps;
-        std::string err;
-        if (!control::parseSpec(p, ps, err) ||
-            !control::PolicyRegistry::instance().canonicalize(
-                ps, err)) {
-            std::fprintf(stderr, "error: bad-spec: %s\n",
-                         err.c_str());
-            return 1;
-        }
-        specs.push_back(std::move(ps));
-    }
-
     mcd::exp::Runner runner(cfg);
-    if (opt.tiles >= 0) {
-        // Chip sweep: each cell is one co-scheduled chip::Chip run
-        // streaming tiles+1 rows, labelled with the canonical
-        // multi: spec exactly as the server labels its ROW frames.
+    // One job per cell, workload-major like the server's ROW stream.
+    // Every cell is validated before any runs, as the server does;
+    // the cells then run on --jobs threads and print in cell order.
+    struct Cell
+    {
+        std::string bench;  ///< row label: canonical (multi) spec
+        control::PolicySpec spec;
+        mcd::exp::ChipCell chip;  ///< chip sweeps only
+        std::vector<std::string> rows;
+    };
+    std::vector<Cell> cells;
+    try {
+        std::vector<control::PolicySpec> specs;
+        for (const auto &p : opt.policies)
+            specs.push_back(control::canonicalPolicySpec(p));
         for (const auto &b : benches) {
             for (const auto &s : specs) {
-                mcd::exp::ChipCell cell;
-                cell.workload = b;
-                cell.tiles = static_cast<int>(opt.tiles);
-                cell.tilePolicy = s;
-                cell.coord = opt.coord;
-                try {
-                    std::vector<std::string> tile_specs =
-                        chip::parseMultiSpec(b, cell.tiles);
-                    std::string multi =
-                        chip::multiSpecOf(tile_specs);
-                    std::vector<mcd::exp::Outcome> rows =
-                        runner.runChip(cell);
-                    for (std::size_t k = 0; k < rows.size(); ++k)
-                        std::printf(
-                            "tile=%s %s\n",
-                            srv::tileLabel(k, tile_specs.size())
-                                .c_str(),
-                            srv::resultLine(multi, s.str(), rows[k])
-                                .c_str());
-                } catch (const workload::SpecError &e) {
-                    std::fprintf(stderr, "error: bad-spec: %s\n",
-                                 e.what());
-                    return 1;
+                Cell c{b, s, {}, {}};
+                if (opt.tiles >= 0) {
+                    // Labelled with the canonical multi: spec exactly
+                    // as the server labels its ROW frames.
+                    c.chip.workload = b;
+                    c.chip.tiles = static_cast<int>(opt.tiles);
+                    c.chip.tilePolicy = s;
+                    c.chip.coord = opt.coord;
+                    c.bench = chip::multiSpecOf(
+                        chip::parseMultiSpec(b, c.chip.tiles));
+                    runner.chipCacheKeys(c.chip);
                 }
+                cells.push_back(std::move(c));
             }
         }
-        return 0;
+    } catch (const workload::SpecError &e) {
+        std::fprintf(stderr, "error: bad-spec: %s\n", e.what());
+        return 1;
     }
-    for (const auto &b : benches) {
-        for (const auto &s : specs) {
-            mcd::exp::Outcome o = runner.run(b, s);
-            std::printf("%s\n",
-                        srv::resultLine(b, s.str(), o).c_str());
+
+    util::parallelFor(cells.size(), opt.jobs, [&](std::size_t i) {
+        Cell &c = cells[i];
+        std::string policy = c.spec.str();
+        if (opt.tiles < 0) {
+            c.rows.push_back(srv::resultLine(
+                c.bench, policy, runner.run(c.bench, c.spec)));
+            return;
         }
-    }
+        // A chip cell streams tiles+1 rows (tile=0..N-1, tile=u).
+        std::vector<mcd::exp::Outcome> rows = runner.runChip(c.chip);
+        for (std::size_t k = 0; k < rows.size(); ++k)
+            c.rows.push_back(
+                "tile=" + srv::tileLabel(k, rows.size() - 1) + ' ' +
+                srv::resultLine(c.bench, policy, rows[k]));
+    });
+    for (const Cell &c : cells)
+        for (const std::string &row : c.rows)
+            std::printf("%s\n", row.c_str());
     return 0;
 }
 
