@@ -25,14 +25,13 @@
  * it for a canonicalization round-trip check.
  */
 
-#include <cerrno>
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
 #include <sstream>
 #include <string>
 #include <vector>
 
+#include "args.hh"
 #include "chip/multi.hh"
 #include "control/policy.hh"
 #include "exp/experiment.hh"
@@ -72,44 +71,6 @@ printUsage(const char *argv0, std::FILE *to)
         "and exit\n"
         "  --help           print this message and exit\n",
         argv0);
-}
-
-unsigned long long
-numberArg(int argc, char **argv, int &i, const char *flag,
-          unsigned long long max)
-{
-    if (i + 1 >= argc) {
-        std::fprintf(stderr, "%s: %s needs a value\n\n", argv[0],
-                     flag);
-        printUsage(argv[0], stderr);
-        std::exit(1);
-    }
-    const char *text = argv[++i];
-    char *end = nullptr;
-    errno = 0;
-    unsigned long long v = std::strtoull(text, &end, 10);
-    if (!(text[0] >= '0' && text[0] <= '9') || end == text ||
-        *end != '\0' || errno == ERANGE || v > max) {
-        std::fprintf(stderr,
-                     "%s: %s wants a plain decimal number in "
-                     "[0, %llu], got '%s'\n\n",
-                     argv[0], flag, max, text);
-        printUsage(argv[0], stderr);
-        std::exit(1);
-    }
-    return v;
-}
-
-const char *
-valueArg(int argc, char **argv, int &i, const char *flag)
-{
-    if (i + 1 >= argc) {
-        std::fprintf(stderr, "%s: %s needs a value\n\n", argv[0],
-                     flag);
-        printUsage(argv[0], stderr);
-        std::exit(1);
-    }
-    return argv[++i];
 }
 
 /** One tile of the interference experiment. */
@@ -214,33 +175,31 @@ main(int argc, char **argv)
     cfg.cacheFile = env ? env : "";
     std::string jsonPath;
 
-    for (int i = 1; i < argc; ++i) {
-        if (!std::strcmp(argv[i], "--multi")) {
-            multi = valueArg(argc, argv, i, "--multi");
-        } else if (!std::strcmp(argv[i], "--scale")) {
-            scale = valueArg(argc, argv, i, "--scale");
-        } else if (!std::strcmp(argv[i], "--tiles-max")) {
-            tilesMax = static_cast<int>(
-                numberArg(argc, argv, i, "--tiles-max", 64));
-        } else if (!std::strcmp(argv[i], "--policy")) {
-            policyText = valueArg(argc, argv, i, "--policy");
-        } else if (!std::strcmp(argv[i], "--coord")) {
-            coordText = valueArg(argc, argv, i, "--coord");
-        } else if (!std::strcmp(argv[i], "--window")) {
-            cfg.productionWindow =
-                numberArg(argc, argv, i, "--window", 100'000'000ull);
+    cli::Args args(argc, argv, printUsage);
+    while (args.next()) {
+        if (args.is("--multi")) {
+            multi = args.value();
+        } else if (args.is("--scale")) {
+            scale = args.value();
+        } else if (args.is("--tiles-max")) {
+            tilesMax = static_cast<int>(args.number(64));
+        } else if (args.is("--policy")) {
+            policyText = args.value();
+        } else if (args.is("--coord")) {
+            coordText = args.value();
+        } else if (args.is("--window")) {
+            cfg.productionWindow = args.number(100'000'000ull);
             cfg.analysisWindow = cfg.productionWindow;
-        } else if (!std::strcmp(argv[i], "--jobs")) {
-            cfg.jobs = static_cast<unsigned>(
-                numberArg(argc, argv, i, "--jobs", 256));
+        } else if (args.is("--jobs")) {
+            cfg.jobs = static_cast<unsigned>(args.number(256));
             if (cfg.jobs == 0)
                 cfg.jobs = 1;
-        } else if (!std::strcmp(argv[i], "--cache")) {
-            cfg.cacheFile = valueArg(argc, argv, i, "--cache");
-        } else if (!std::strcmp(argv[i], "--json")) {
-            jsonPath = valueArg(argc, argv, i, "--json");
-        } else if (!std::strcmp(argv[i], "--canon")) {
-            const char *text = valueArg(argc, argv, i, "--canon");
+        } else if (args.is("--cache")) {
+            cfg.cacheFile = args.value();
+        } else if (args.is("--json")) {
+            jsonPath = args.value();
+        } else if (args.is("--canon")) {
+            const char *text = args.value();
             try {
                 std::printf("%s\n",
                             chip::canonicalMultiSpec(text).c_str());
@@ -249,15 +208,8 @@ main(int argc, char **argv)
                 return 1;
             }
             return 0;
-        } else if (!std::strcmp(argv[i], "--help")) {
-            printUsage(argv[0], stdout);
-            return 0;
         } else {
-            std::fprintf(stderr,
-                         "%s: unrecognized argument '%s'\n\n",
-                         argv[0], argv[i]);
-            printUsage(argv[0], stderr);
-            return 1;
+            args.other();
         }
     }
     if (tilesMax < 1) {

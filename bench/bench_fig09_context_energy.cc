@@ -6,53 +6,15 @@
 
 #include "common.hh"
 
-namespace
-{
-
-const mcd::core::ContextMode modes[] = {
-    mcd::core::ContextMode::LFCP, mcd::core::ContextMode::LFP,
-    mcd::core::ContextMode::FCP,  mcd::core::ContextMode::FP,
-    mcd::core::ContextMode::LF,   mcd::core::ContextMode::F,
-};
-
-} // namespace
-
 int
 main(int argc, char **argv)
 {
     using namespace mcd;
     using namespace mcd::bench;
     Options opt = parseArgs(argc, argv);
-    if (runPolicyOverride(opt))
-        return 0;
-    exp::Runner runner(opt.cfg);
-    // The paper highlights these eight; --workload overrides.
-    const std::vector<std::string> benches = workloadsOr(
-        opt, {"mpeg2_decode", "epic_encode", "mpeg2_encode",
-              "adpcm_decode", "adpcm_encode", "gsm_decode", "applu",
-              "art"});
-
-    TextTable t;
-    std::vector<std::string> head = {"benchmark"};
-    for (auto m : modes)
-        head.push_back(core::contextModeName(m));
-    t.header(head);
-    std::vector<exp::SweepCell> cells;
-    for (const auto &bench : benches)
-        for (auto m : modes)
-            cells.push_back(exp::SweepCell::of(bench, modeSpec(m)));
-    std::vector<exp::Outcome> out = runner.runSweep(cells);
-    std::size_t i = 0;
-    for (const auto &bench : benches) {
-        std::vector<std::string> row = {bench};
-        for (std::size_t j = 0; j < std::size(modes); ++j)
-            row.push_back(
-                TextTable::num(out[i++].metrics.energySavingsPct));
-        t.row(row);
-    }
-    std::printf("Figure 9: energy savings (%%) by context definition\n");
-    std::ostringstream os;
-    t.print(os);
-    std::fputs(os.str().c_str(), stdout);
+    if (!runPolicyOverride(opt))
+        printContextFigure(
+            opt, "Figure 9: energy savings (%) by context definition",
+            &Metrics::energySavingsPct);
     return 0;
 }

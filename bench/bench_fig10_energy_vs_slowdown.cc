@@ -3,7 +3,8 @@
  * Figure 10: suite-average energy savings as a function of achieved
  * slowdown, for the on-line, off-line and profile-driven (L+F)
  * algorithms.  Off-line and L+F sweep the slowdown threshold d; the
- * on-line algorithm sweeps its aggressiveness.
+ * on-line algorithm sweeps its aggressiveness
+ * (bench/common.hh, printSlowdownCurves()).
  */
 
 #include "common.hh"
@@ -14,56 +15,11 @@ main(int argc, char **argv)
     using namespace mcd;
     using namespace mcd::bench;
     Options opt = parseArgs(argc, argv);
-    if (runPolicyOverride(opt))
-        return 0;
-    exp::Runner runner(opt.cfg);
-
-    const double d_points[] = {2.0, 4.0, 6.0, 10.0, 14.0, 20.0};
-    const double aggr_points[] = {0.25, 0.5, 1.0, 2.0, 3.5, 6.0};
-
-    const auto &benches = workloads(opt);
-    std::vector<exp::SweepCell> cells;
-    for (double d : d_points)
-        for (const auto &bench : benches)
-            cells.push_back(exp::SweepCell::of(
-                bench, strprintf("offline:d=%g", d)));
-    for (double d : d_points)
-        for (const auto &bench : benches)
-            cells.push_back(exp::SweepCell::of(
-                bench, strprintf("profile:mode=LF,d=%g", d)));
-    for (double a : aggr_points)
-        for (const auto &bench : benches)
-            cells.push_back(exp::SweepCell::of(
-                bench, strprintf("online:aggr=%g", a)));
-    std::vector<exp::Outcome> out = runner.runSweep(cells);
-
-    TextTable t;
-    t.header({"series", "point", "avg slowdown %", "avg savings %"});
-    std::size_t i = 0;
-    auto series = [&](const char *name, const double *points,
-                      std::size_t n, const char *fmt) {
-        for (std::size_t p = 0; p < n; ++p) {
-            Summary slow, save;
-            for (std::size_t b = 0; b < benches.size(); ++b) {
-                const Metrics &m = out[i++].metrics;
-                slow.add(m.slowdownPct);
-                save.add(m.energySavingsPct);
-            }
-            t.row({name, strprintf(fmt, points[p]),
-                   TextTable::num(slow.mean()),
-                   TextTable::num(save.mean())});
-        }
-    };
-    series("off-line", d_points, std::size(d_points), "d=%.0f");
-    t.separator();
-    series("L+F", d_points, std::size(d_points), "d=%.0f");
-    t.separator();
-    series("on-line", aggr_points, std::size(aggr_points),
-           "aggr=%.2f");
-    std::printf("Figure 10: energy savings vs. achieved slowdown "
-                "(suite averages)\n");
-    std::ostringstream os;
-    t.print(os);
-    std::fputs(os.str().c_str(), stdout);
+    if (!runPolicyOverride(opt))
+        printSlowdownCurves(
+            opt,
+            "Figure 10: energy savings vs. achieved slowdown (suite "
+            "averages)",
+            "avg savings %", &Metrics::energySavingsPct);
     return 0;
 }

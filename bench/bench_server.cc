@@ -24,15 +24,14 @@
  */
 
 #include <atomic>
-#include <cerrno>
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
 #include <string>
 #include <thread>
 #include <vector>
 
+#include "args.hh"
 #include "srv/client.hh"
 #include "srv/server.hh"
 
@@ -57,32 +56,6 @@ printUsage(const char *argv0, std::FILE *to)
         "  --json FILE        write the probe table as JSON\n"
         "  --help             print this message and exit\n",
         argv0);
-}
-
-unsigned long long
-numberArg(int argc, char **argv, int &i, const char *flag,
-          unsigned long long max)
-{
-    if (i + 1 >= argc) {
-        std::fprintf(stderr, "%s: %s needs a value\n\n", argv[0],
-                     flag);
-        printUsage(argv[0], stderr);
-        std::exit(1);
-    }
-    const char *text = argv[++i];
-    char *end = nullptr;
-    errno = 0;
-    unsigned long long v = std::strtoull(text, &end, 10);
-    if (!(text[0] >= '0' && text[0] <= '9') || end == text ||
-        *end != '\0' || errno == ERANGE || v > max) {
-        std::fprintf(stderr,
-                     "%s: %s wants a plain decimal number in "
-                     "[0, %llu], got '%s'\n\n",
-                     argv[0], flag, max, text);
-        printUsage(argv[0], stderr);
-        std::exit(1);
-    }
-    return v;
 }
 
 /** One cell per op keeps requests small; the universe mixes
@@ -232,43 +205,24 @@ main(int argc, char **argv)
     std::size_t queueLimit = 64;
     std::string jsonPath;
 
-    for (int i = 1; i < argc; ++i) {
-        if (!std::strcmp(argv[i], "--probes")) {
-            probes = static_cast<unsigned>(
-                numberArg(argc, argv, i, "--probes", 1000));
-        } else if (!std::strcmp(argv[i], "--probe-ms")) {
-            probeMs = static_cast<int>(
-                numberArg(argc, argv, i, "--probe-ms", 600'000));
-        } else if (!std::strcmp(argv[i], "--clients-max")) {
-            clientsMax = static_cast<unsigned>(
-                numberArg(argc, argv, i, "--clients-max", 512));
-        } else if (!std::strcmp(argv[i], "--window")) {
-            window = numberArg(argc, argv, i, "--window",
-                               100'000'000ull);
-        } else if (!std::strcmp(argv[i], "--jobs")) {
-            jobs = static_cast<unsigned>(
-                numberArg(argc, argv, i, "--jobs", 256));
-        } else if (!std::strcmp(argv[i], "--queue-limit")) {
-            queueLimit = static_cast<std::size_t>(
-                numberArg(argc, argv, i, "--queue-limit", 1u << 20));
-        } else if (!std::strcmp(argv[i], "--json")) {
-            if (i + 1 >= argc) {
-                std::fprintf(stderr,
-                             "%s: --json needs a value\n\n",
-                             argv[0]);
-                printUsage(argv[0], stderr);
-                return 1;
-            }
-            jsonPath = argv[++i];
-        } else if (!std::strcmp(argv[i], "--help")) {
-            printUsage(argv[0], stdout);
-            return 0;
+    cli::Args args(argc, argv, printUsage);
+    while (args.next()) {
+        if (args.is("--probes")) {
+            probes = static_cast<unsigned>(args.number(1000));
+        } else if (args.is("--probe-ms")) {
+            probeMs = static_cast<int>(args.number(600'000));
+        } else if (args.is("--clients-max")) {
+            clientsMax = static_cast<unsigned>(args.number(512));
+        } else if (args.is("--window")) {
+            window = args.number(100'000'000ull);
+        } else if (args.is("--jobs")) {
+            jobs = static_cast<unsigned>(args.number(256));
+        } else if (args.is("--queue-limit")) {
+            queueLimit = static_cast<std::size_t>(args.number(1u << 20));
+        } else if (args.is("--json")) {
+            jsonPath = args.value();
         } else {
-            std::fprintf(stderr,
-                         "%s: unrecognized argument '%s'\n\n",
-                         argv[0], argv[i]);
-            printUsage(argv[0], stderr);
-            return 1;
+            args.other();
         }
     }
     if (probes == 0 || probeMs == 0 || clientsMax == 0 ||

@@ -18,13 +18,12 @@
  * feedback controllers (docs/SAMPLING.md).
  */
 
-#include <cerrno>
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
 #include <string>
 #include <vector>
 
+#include "args.hh"
 #include "exp/tournament.hh"
 #include "sim/sampling.hh"
 #include "workload/spec.hh"
@@ -63,44 +62,6 @@ printUsage(const char *argv0, std::FILE *to)
         "  --json FILE      write the ranking as JSON\n"
         "  --help           print this message and exit\n",
         argv0);
-}
-
-unsigned long long
-numberArg(int argc, char **argv, int &i, const char *flag,
-          unsigned long long max)
-{
-    if (i + 1 >= argc) {
-        std::fprintf(stderr, "%s: %s needs a value\n\n", argv[0],
-                     flag);
-        printUsage(argv[0], stderr);
-        std::exit(1);
-    }
-    const char *text = argv[++i];
-    char *end = nullptr;
-    errno = 0;
-    unsigned long long v = std::strtoull(text, &end, 10);
-    if (!(text[0] >= '0' && text[0] <= '9') || end == text ||
-        *end != '\0' || errno == ERANGE || v > max) {
-        std::fprintf(stderr,
-                     "%s: %s wants a plain decimal number in "
-                     "[0, %llu], got '%s'\n\n",
-                     argv[0], flag, max, text);
-        printUsage(argv[0], stderr);
-        std::exit(1);
-    }
-    return v;
-}
-
-const char *
-valueArg(int argc, char **argv, int &i, const char *flag)
-{
-    if (i + 1 >= argc) {
-        std::fprintf(stderr, "%s: %s needs a value\n\n", argv[0],
-                     flag);
-        printUsage(argv[0], stderr);
-        std::exit(1);
-    }
-    return argv[++i];
 }
 
 void
@@ -154,48 +115,37 @@ main(int argc, char **argv)
     cfg.cacheFile = env ? env : "";
     std::string jsonPath;
 
-    for (int i = 1; i < argc; ++i) {
-        if (!std::strcmp(argv[i], "--oracle")) {
-            tc.oracle = valueArg(argc, argv, i, "--oracle");
-        } else if (!std::strcmp(argv[i], "--policy")) {
-            tc.policies.push_back(
-                valueArg(argc, argv, i, "--policy"));
-        } else if (!std::strcmp(argv[i], "--workload")) {
-            tc.workloads.push_back(
-                valueArg(argc, argv, i, "--workload"));
-        } else if (!std::strcmp(argv[i], "--window")) {
-            cfg.productionWindow =
-                numberArg(argc, argv, i, "--window", 100'000'000ull);
+    cli::Args args(argc, argv, printUsage);
+    while (args.next()) {
+        if (args.is("--oracle")) {
+            tc.oracle = args.value();
+        } else if (args.is("--policy")) {
+            tc.policies.push_back(args.value());
+        } else if (args.is("--workload")) {
+            tc.workloads.push_back(args.value());
+        } else if (args.is("--window")) {
+            cfg.productionWindow = args.number(100'000'000ull);
             cfg.analysisWindow = cfg.productionWindow;
-        } else if (!std::strcmp(argv[i], "--jobs")) {
-            cfg.jobs = static_cast<unsigned>(
-                numberArg(argc, argv, i, "--jobs", 256));
+        } else if (args.is("--jobs")) {
+            cfg.jobs = static_cast<unsigned>(args.number(256));
             if (cfg.jobs == 0)
                 cfg.jobs = 1;
-        } else if (!std::strcmp(argv[i], "--sample")) {
+        } else if (args.is("--sample")) {
             // Parsed like the figure benches; anything but exact is
             // then refused by the Tournament constructor below with
             // the docs/SAMPLING.md rationale.
             try {
-                cfg.sim.sampling = sim::parseSamplingSpec(
-                    valueArg(argc, argv, i, "--sample"));
+                cfg.sim.sampling = sim::parseSamplingSpec(args.value());
             } catch (const workload::SpecError &e) {
                 std::fprintf(stderr, "%s: %s\n", argv[0], e.what());
                 return 1;
             }
-        } else if (!std::strcmp(argv[i], "--cache")) {
-            cfg.cacheFile = valueArg(argc, argv, i, "--cache");
-        } else if (!std::strcmp(argv[i], "--json")) {
-            jsonPath = valueArg(argc, argv, i, "--json");
-        } else if (!std::strcmp(argv[i], "--help")) {
-            printUsage(argv[0], stdout);
-            return 0;
+        } else if (args.is("--cache")) {
+            cfg.cacheFile = args.value();
+        } else if (args.is("--json")) {
+            jsonPath = args.value();
         } else {
-            std::fprintf(stderr,
-                         "%s: unrecognized argument '%s'\n\n",
-                         argv[0], argv[i]);
-            printUsage(argv[0], stderr);
-            return 1;
+            args.other();
         }
     }
 

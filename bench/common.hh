@@ -45,15 +45,14 @@
 #ifndef MCD_BENCH_COMMON_HH
 #define MCD_BENCH_COMMON_HH
 
-#include <cerrno>
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
 #include <limits>
 #include <sstream>
 #include <string>
 #include <vector>
 
+#include "args.hh"
 #include "control/policy.hh"
 #include "exp/experiment.hh"
 #include "util/logging.hh"
@@ -182,100 +181,48 @@ parseArgs(int argc, char **argv)
     const char *env = std::getenv("MCD_BENCH_CACHE");
     cfg.cacheFile = env ? env : "mcd_bench_cache.csv";
 
-    auto value = [&](int &i, const char *flag) -> const char * {
-        if (i + 1 >= argc) {
-            std::fprintf(stderr, "%s: %s needs a value\n\n", argv[0],
-                         flag);
-            printUsage(argv[0], stderr);
-            std::exit(1);
-        }
-        return argv[++i];
-    };
-    // Values get the same strictness as flag names: a partial parse
-    // ("150,000", "x4"), a negative ("-1", which strtoull would
-    // sign-wrap to ULLONG_MAX without complaint) or an overflowing
-    // value is an error, not a silent truncation.
-    auto number = [&](int &i, const char *flag,
-                      unsigned long long max) -> unsigned long long {
-        const char *text = value(i, flag);
-        char *end = nullptr;
-        errno = 0;
-        unsigned long long v = std::strtoull(text, &end, 10);
-        if (!(text[0] >= '0' && text[0] <= '9') || end == text ||
-            *end != '\0' || errno == ERANGE || v > max) {
-            std::fprintf(stderr,
-                         "%s: %s wants a plain decimal number in "
-                         "[0, %llu], got '%s'\n\n",
-                         argv[0], flag, max, text);
-            printUsage(argv[0], stderr);
-            std::exit(1);
-        }
-        return v;
-    };
-
-    for (int i = 1; i < argc; ++i) {
-        if (!std::strcmp(argv[i], "--no-cache")) {
-            cfg.cacheFile.clear();
-        } else if (!std::strcmp(argv[i], "--cache")) {
-            cfg.cacheFile = value(i, "--cache");
-        } else if (!std::strcmp(argv[i], "--window")) {
-            cfg.productionWindow = number(
-                i, "--window",
-                std::numeric_limits<std::uint64_t>::max());
-            cfg.analysisWindow = cfg.productionWindow;
-        } else if (!std::strcmp(argv[i], "--jobs")) {
-            cfg.jobs = static_cast<unsigned>(number(
-                i, "--jobs",
-                std::numeric_limits<unsigned>::max()));
-            if (cfg.jobs == 0)
-                cfg.jobs = 1;
-        } else if (!std::strcmp(argv[i], "--policy")) {
-            // Canonicalize up front so a typo fails here, with the
-            // message, not mid-sweep.
-            try {
+    cli::Args args(argc, argv, printUsage);
+    // --policy, --workload and --sample canonicalize up front, so a
+    // typo or a bad file fails here, with the message, not
+    // mid-sweep.
+    try {
+        while (args.next()) {
+            if (args.is("--no-cache")) {
+                cfg.cacheFile.clear();
+            } else if (args.is("--cache")) {
+                cfg.cacheFile = args.value();
+            } else if (args.is("--window")) {
+                cfg.productionWindow = args.number(
+                    std::numeric_limits<std::uint64_t>::max());
+                cfg.analysisWindow = cfg.productionWindow;
+            } else if (args.is("--jobs")) {
+                cfg.jobs = static_cast<unsigned>(
+                    args.number(std::numeric_limits<unsigned>::max()));
+                if (cfg.jobs == 0)
+                    cfg.jobs = 1;
+            } else if (args.is("--policy")) {
                 opt.policies.push_back(
-                    control::canonicalPolicySpec(value(i, "--policy")));
-            } catch (const workload::SpecError &e) {
-                std::fprintf(stderr, "%s: %s\n", argv[0], e.what());
-                std::exit(1);
-            }
-        } else if (!std::strcmp(argv[i], "--workload")) {
-            // Resolve to the canonical spec up front so a typo or
-            // bad file fails here, with the message, not mid-sweep.
-            try {
+                    control::canonicalPolicySpec(args.value()));
+            } else if (args.is("--workload")) {
                 opt.workloads.push_back(
-                    resolveWorkloadArg(value(i, "--workload")));
-            } catch (const workload::SpecError &e) {
-                std::fprintf(stderr, "%s: %s\n", argv[0], e.what());
-                std::exit(1);
+                    resolveWorkloadArg(args.value()));
+            } else if (args.is("--no-fast-forward")) {
+                cfg.sim.fastForward = false;
+            } else if (args.is("--sample")) {
+                cfg.sim.sampling = sim::parseSamplingSpec(args.value());
+            } else if (args.is("--list-policies")) {
+                listPolicies();
+                std::exit(0);
+            } else if (args.is("--list-workloads")) {
+                listWorkloads();
+                std::exit(0);
+            } else {
+                args.other();
             }
-        } else if (!std::strcmp(argv[i], "--no-fast-forward")) {
-            cfg.sim.fastForward = false;
-        } else if (!std::strcmp(argv[i], "--sample")) {
-            // Validate up front so a typo fails here with the
-            // grammar message, not mid-sweep.
-            try {
-                cfg.sim.sampling =
-                    sim::parseSamplingSpec(value(i, "--sample"));
-            } catch (const workload::SpecError &e) {
-                std::fprintf(stderr, "%s: %s\n", argv[0], e.what());
-                std::exit(1);
-            }
-        } else if (!std::strcmp(argv[i], "--list-policies")) {
-            listPolicies();
-            std::exit(0);
-        } else if (!std::strcmp(argv[i], "--list-workloads")) {
-            listWorkloads();
-            std::exit(0);
-        } else if (!std::strcmp(argv[i], "--help")) {
-            printUsage(argv[0], stdout);
-            std::exit(0);
-        } else {
-            std::fprintf(stderr, "%s: unrecognized argument '%s'\n\n",
-                         argv[0], argv[i]);
-            printUsage(argv[0], stderr);
-            std::exit(1);
         }
+    } catch (const workload::SpecError &e) {
+        std::fprintf(stderr, "%s: %s\n", argv[0], e.what());
+        std::exit(1);
     }
     return opt;
 }
@@ -424,6 +371,111 @@ printHeadlineTable(const std::vector<HeadlineRow> &rows,
     t.row({"average", TextTable::num(s_off.mean()),
            TextTable::num(s_onl.mean()), TextTable::num(s_prof.mean())});
     std::printf("%s (%s, relative to the MCD baseline)\n", title, unit);
+    std::ostringstream os;
+    t.print(os);
+    std::fputs(os.str().c_str(), stdout);
+}
+
+/**
+ * Figures 8 and 9: one metric of the headline profile spec under
+ * each of the six context definitions (Section 4.2), on the
+ * benchmarks the paper highlights for showing variation — mpeg2
+ * decode's unseen reference paths, epic encode's per-call-site
+ * behaviour, loop effects in adpcm/gsm/applu/art — or the
+ * --workload set.
+ */
+inline void
+printContextFigure(const Options &opt, const char *title,
+                   double Metrics::*field)
+{
+    const core::ContextMode modes[] = {
+        core::ContextMode::LFCP, core::ContextMode::LFP,
+        core::ContextMode::FCP,  core::ContextMode::FP,
+        core::ContextMode::LF,   core::ContextMode::F,
+    };
+    const std::vector<std::string> benches = workloadsOr(
+        opt, {"mpeg2_decode", "epic_encode", "mpeg2_encode",
+              "adpcm_decode", "adpcm_encode", "gsm_decode", "applu",
+              "art"});
+    std::vector<exp::SweepCell> cells;
+    for (const auto &bench : benches)
+        for (auto m : modes)
+            cells.push_back(exp::SweepCell::of(bench, modeSpec(m)));
+    exp::Runner runner(opt.cfg);
+    std::vector<exp::Outcome> out = runner.runSweep(cells);
+
+    TextTable t;
+    std::vector<std::string> head = {"benchmark"};
+    for (auto m : modes)
+        head.push_back(core::contextModeName(m));
+    t.header(head);
+    std::size_t i = 0;
+    for (const auto &bench : benches) {
+        std::vector<std::string> row = {bench};
+        for (std::size_t j = 0; j < std::size(modes); ++j)
+            row.push_back(TextTable::num(out[i++].metrics.*field));
+        t.row(row);
+    }
+    std::printf("%s\n", title);
+    std::ostringstream os;
+    t.print(os);
+    std::fputs(os.str().c_str(), stdout);
+}
+
+/**
+ * Figures 10 and 11: the suite average of one metric (column
+ * @p label) against achieved slowdown, for the off-line and
+ * profile-driven (L+F) algorithms sweeping the slowdown threshold d
+ * and the on-line algorithm sweeping its aggressiveness.
+ */
+inline void
+printSlowdownCurves(const Options &opt, const char *title,
+                    const char *label, double Metrics::*field)
+{
+    const double d_points[] = {2.0, 4.0, 6.0, 10.0, 14.0, 20.0};
+    const double aggr_points[] = {0.25, 0.5, 1.0, 2.0, 3.5, 6.0};
+
+    const auto &benches = workloads(opt);
+    std::vector<exp::SweepCell> cells;
+    for (double d : d_points)
+        for (const auto &bench : benches)
+            cells.push_back(exp::SweepCell::of(
+                bench, strprintf("offline:d=%g", d)));
+    for (double d : d_points)
+        for (const auto &bench : benches)
+            cells.push_back(exp::SweepCell::of(
+                bench, strprintf("profile:mode=LF,d=%g", d)));
+    for (double a : aggr_points)
+        for (const auto &bench : benches)
+            cells.push_back(exp::SweepCell::of(
+                bench, strprintf("online:aggr=%g", a)));
+    exp::Runner runner(opt.cfg);
+    std::vector<exp::Outcome> out = runner.runSweep(cells);
+
+    TextTable t;
+    t.header({"series", "point", "avg slowdown %", label});
+    std::size_t i = 0;
+    auto series = [&](const char *name, const double *points,
+                      std::size_t n, const char *fmt) {
+        for (std::size_t p = 0; p < n; ++p) {
+            Summary slow, metric;
+            for (std::size_t b = 0; b < benches.size(); ++b) {
+                const Metrics &m = out[i++].metrics;
+                slow.add(m.slowdownPct);
+                metric.add(m.*field);
+            }
+            t.row({name, strprintf(fmt, points[p]),
+                   TextTable::num(slow.mean()),
+                   TextTable::num(metric.mean())});
+        }
+    };
+    series("off-line", d_points, std::size(d_points), "d=%.0f");
+    t.separator();
+    series("L+F", d_points, std::size(d_points), "d=%.0f");
+    t.separator();
+    series("on-line", aggr_points, std::size(aggr_points),
+           "aggr=%.2f");
+    std::printf("%s\n", title);
     std::ostringstream os;
     t.print(os);
     std::fputs(os.str().c_str(), stdout);

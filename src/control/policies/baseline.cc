@@ -42,13 +42,7 @@ class BaselinePolicy final : public Policy
         workload::Benchmark bm = workload::makeBenchmark(bench);
         sim::Processor proc(ctx.sim, ctx.power, bm.program, bm.ref);
         proc.setCheckpoints(checkpointsFor(ctx, bench));
-        sim::RunResult r = proc.run(ctx.productionWindow);
-        Outcome o;
-        o.timePs = static_cast<double>(r.timePs);
-        o.energyNj = r.chipEnergyNj;
-        o.timeCiPs = static_cast<double>(r.timeCiPs);
-        o.energyCiNj = r.energyCiNj;
-        return o;
+        return runOutcome(proc.run(ctx.productionWindow));
     }
 
     bool

@@ -72,12 +72,8 @@ class GlobalPolicy final : public Policy
             bm.program, bm.ref, ctx.sim, ctx.power,
             ctx.productionWindow, static_cast<Tick>(off.timePs),
             /*iters=*/6, checkpointsFor(ctx, bench));
-        Outcome res;
-        res.timePs = static_cast<double>(g.run.timePs);
-        res.energyNj = g.run.chipEnergyNj;
+        Outcome res = runOutcome(g.run);
         res.globalFreq = g.freq;
-        res.timeCiPs = static_cast<double>(g.run.timeCiPs);
-        res.energyCiNj = g.run.energyCiNj;
         return res;
     }
 };

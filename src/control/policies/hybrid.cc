@@ -19,10 +19,7 @@
  */
 
 #include "control/ipc_guard.hh"
-#include "control/policies/pipeline_outcome.hh"
-#include "control/policy.hh"
-#include "core/pipeline.hh"
-#include "util/logging.hh"
+#include "control/policies/pipeline_policy.hh"
 #include "workload/suite.hh"
 
 namespace mcd::control
@@ -74,7 +71,7 @@ class IpcGuardHook final : public sim::IntervalHook
     std::uint64_t nOverrides = 0;
 };
 
-class HybridPolicy final : public Policy
+class HybridPolicy final : public PipelinePolicy
 {
   public:
     const char *
@@ -93,33 +90,17 @@ class HybridPolicy final : public Policy
     std::vector<ParamInfo>
     params() const override
     {
-        return {
-            ParamInfo::text(
-                "mode", "LF",
-                "calling-context definition (LFCP|LFP|FCP|FP|LF|F)",
-                CONTEXT_MODE),
-            ParamInfo::num(
-                "d", DEFAULT_SLOWDOWN_PCT,
-                "slowdown threshold, percent of baseline run time",
-                0.0, 1000.0),
-            ParamInfo::num(
-                "guard", 0.10,
-                "IPC drop, as a fraction of the best recent "
-                "interval IPC, that triggers a full-speed override",
-                0.0, 1.0),
-            ParamInfo::num(
-                "interval", 2000.0,
-                "guard evaluation interval, committed instructions",
-                1.0, 1e12, /*integer=*/true),
-        };
-    }
-
-    std::string
-    contextKey(const PolicyContext &ctx) const override
-    {
-        return strprintf("w%llu|a%llu",
-                         (unsigned long long)ctx.productionWindow,
-                         (unsigned long long)ctx.analysisWindow);
+        std::vector<ParamInfo> ps = PipelinePolicy::params();
+        ps.push_back(ParamInfo::num(
+            "guard", 0.10,
+            "IPC drop, as a fraction of the best recent "
+            "interval IPC, that triggers a full-speed override",
+            0.0, 1.0));
+        ps.push_back(ParamInfo::num(
+            "interval", 2000.0,
+            "guard evaluation interval, committed instructions", 1.0,
+            1e12, /*integer=*/true));
+        return ps;
     }
 
     Outcome
@@ -127,12 +108,8 @@ class HybridPolicy final : public Policy
         const PolicyContext &ctx) const override
     {
         workload::Benchmark bm = workload::makeBenchmark(bench);
-        core::PipelineConfig pc;
-        pc.mode = spec.mode("mode");
-        pc.slowdownPct = spec.num("d");
-        pc.profile.maxInstrs = ctx.profileMaxInstrs;
-        pc.analysisWindow = ctx.analysisWindow;
-        core::ProfilePipeline pipe(bm.program, pc);
+        core::ProfilePipeline pipe(bm.program,
+                                   pipelineConfig(spec, ctx));
         pipe.train(bm.train, ctx.sim, ctx.power);
 
         IpcGuardHook guard(spec.num("guard"), ctx.sim.maxMhz);

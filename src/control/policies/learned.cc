@@ -103,12 +103,7 @@ class LearnedPolicy final : public Policy
         LearnedController ctl(model, ctx.sim);
         sim::Processor proc(ctx.sim, ctx.power, bm.program, bm.ref);
         proc.setIntervalHook(&ctl, lp.intervalInstrs);
-        sim::RunResult r = proc.run(ctx.productionWindow);
-
-        Outcome res;
-        res.timePs = static_cast<double>(r.timePs);
-        res.energyNj = r.chipEnergyNj;
-        res.reconfigs = static_cast<double>(r.reconfigs);
+        Outcome res = runOutcome(proc.run(ctx.productionWindow));
         res.tableBytes = static_cast<double>(sizeof(model.w));
         return res;
     }

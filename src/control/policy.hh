@@ -80,6 +80,23 @@ struct Outcome
     double energyCiNj = 0.0;
 };
 
+/**
+ * The Outcome fields every run reports: time, energy,
+ * reconfigurations and (sampled mode) the confidence half-widths.
+ * Policies and chip tile rows build their extras on top.
+ */
+inline Outcome
+runOutcome(const sim::RunResult &r)
+{
+    Outcome o;
+    o.timePs = static_cast<double>(r.timePs);
+    o.energyNj = r.chipEnergyNj;
+    o.reconfigs = static_cast<double>(r.reconfigs);
+    o.timeCiPs = static_cast<double>(r.timeCiPs);
+    o.energyCiNj = r.energyCiNj;
+    return o;
+}
+
 /** A policy schema entry (util/spec.hh). */
 using ParamInfo = util::SpecParamInfo;
 

@@ -356,9 +356,10 @@ SweepCell::of(std::string bench, const std::string &spec_text)
     return of(std::move(bench), control::canonicalPolicySpec(spec_text));
 }
 
-Runner::Runner(const ExpConfig &c)
-    : cfg(c), fingerprint(configFingerprint(c))
+control::PolicyContext
+policyContext(const ExpConfig &cfg)
 {
+    control::PolicyContext ctx;
     ctx.sim = cfg.sim;
     ctx.power = cfg.power;
     ctx.productionWindow = cfg.productionWindow;
@@ -366,6 +367,12 @@ Runner::Runner(const ExpConfig &c)
     ctx.profileMaxInstrs = cfg.profileMaxInstrs;
     ctx.offlineInterval = cfg.offlineInterval;
     ctx.learned = cfg.learned;
+    return ctx;
+}
+
+Runner::Runner(const ExpConfig &c)
+    : cfg(c), ctx(policyContext(c)), fingerprint(configFingerprint(c))
+{
     // Cross-policy dependencies (global -> offline, metrics ->
     // baseline) resolve through the runner's memo, so shared
     // sub-runs are computed once no matter which thread or policy
@@ -607,32 +614,28 @@ Runner::run(const std::string &bench,
     return o;
 }
 
-std::vector<std::string>
-Runner::resolveChip(const ChipCell &cell, control::PolicySpec &canon,
-                    std::vector<std::string> &tile_specs,
-                    chip::CoordConfig &coord,
-                    const control::Policy *&policy) const
+ChipPlan
+planChipCell(const ChipCell &cell, const control::PolicyContext &ctx)
 {
+    ChipPlan plan;
+    plan.tilePolicy = control::canonicalPolicySpec(cell.tilePolicy);
+    plan.tileSpecs = chip::parseMultiSpec(cell.workload, cell.tiles);
     // Chip cells always run exact: tiles advance in global time
     // order, and a per-tile functional skip would break the shared
     // L2-port/DRAM arbitration the chip model exists to capture.
-    if (cfg.sim.sampling.sampled())
+    if (ctx.sim.sampling.sampled())
         throw workload::SpecError(
             "chip cells do not support sampled simulation; run chip "
             "sweeps with --sample exact");
-
-    tile_specs = chip::parseMultiSpec(cell.workload, cell.tiles);
-    coord = chip::parseCoordSpec(cell.coord);
+    plan.coord = chip::parseCoordSpec(cell.coord);
 
     const control::PolicyRegistry &reg =
         control::PolicyRegistry::instance();
-    canon = control::canonicalPolicySpec(cell.tilePolicy);
-    policy = reg.find(canon.policy);
-
+    plan.policy = reg.find(plan.tilePolicy.policy);
     std::unique_ptr<sim::IntervalHook> probe;
     std::uint64_t probe_instrs = 0;
-    if (!policy->makeTileController(canon, ctx, &probe,
-                                    &probe_instrs)) {
+    if (!plan.policy->makeTileController(plan.tilePolicy, ctx, &probe,
+                                         &probe_instrs)) {
         std::string capable;
         for (const control::Policy *p : reg.list()) {
             std::unique_ptr<sim::IntervalHook> h;
@@ -648,14 +651,21 @@ Runner::resolveChip(const ChipCell &cell, control::PolicySpec &canon,
         throw workload::SpecError(strprintf(
             "policy '%s' cannot drive chip tiles per-tile; "
             "tile-capable policies: %s",
-            canon.policy.c_str(), capable.c_str()));
+            plan.tilePolicy.policy.c_str(), capable.c_str()));
     }
+    return plan;
+}
 
-    std::string multi = chip::multiSpecOf(tile_specs);
+std::vector<std::string>
+Runner::resolveChip(const ChipCell &cell, ChipPlan &plan) const
+{
+    plan = planChipCell(cell, ctx);
+    std::string multi = chip::multiSpecOf(plan.tileSpecs);
     std::string coord_part =
-        coord.enabled ? coord.canonSpec : "coord=off";
-    std::string context = policy->contextKey(ctx);
-    std::size_t n = tile_specs.size();
+        plan.coord.enabled ? plan.coord.canonSpec : "coord=off";
+    std::string canon = plan.tilePolicy.str();
+    std::string context = plan.policy->contextKey(ctx);
+    std::size_t n = plan.tileSpecs.size();
     std::vector<std::string> keys;
     for (std::size_t k = 0; k <= n; ++k) {
         std::string row = k < n ? strprintf("tile=%zu", k)
@@ -663,7 +673,7 @@ Runner::resolveChip(const ChipCell &cell, control::PolicySpec &canon,
         keys.push_back(strprintf(
             "%s|chip:tiles=%zu,%s|%s|%s|%s|%s",
             keyPrefix().c_str(), n, row.c_str(), coord_part.c_str(),
-            canon.str().c_str(), multi.c_str(), context.c_str()));
+            canon.c_str(), multi.c_str(), context.c_str()));
     }
     return keys;
 }
@@ -671,23 +681,16 @@ Runner::resolveChip(const ChipCell &cell, control::PolicySpec &canon,
 std::vector<std::string>
 Runner::chipCacheKeys(const ChipCell &cell) const
 {
-    control::PolicySpec canon;
-    std::vector<std::string> tile_specs;
-    chip::CoordConfig coord;
-    const control::Policy *policy = nullptr;
-    return resolveChip(cell, canon, tile_specs, coord, policy);
+    ChipPlan plan;
+    return resolveChip(cell, plan);
 }
 
 std::vector<Outcome>
 Runner::runChip(const ChipCell &cell, std::vector<bool> *row_hits)
 {
-    control::PolicySpec canon;
-    std::vector<std::string> tile_specs;
-    chip::CoordConfig coord;
-    const control::Policy *policy = nullptr;
-    std::vector<std::string> keys =
-        resolveChip(cell, canon, tile_specs, coord, policy);
-    std::size_t n = tile_specs.size();
+    ChipPlan plan;
+    std::vector<std::string> keys = resolveChip(cell, plan);
+    std::size_t n = plan.tileSpecs.size();
 
     // Lazy whole-chip simulation shared by all N+1 row keys: the
     // first row the memo misses runs the chip, later misses of this
@@ -698,20 +701,21 @@ Runner::runChip(const ChipCell &cell, std::vector<bool> *row_hits)
     std::shared_ptr<chip::ChipResult> res;
     auto chipResult = [&]() -> const chip::ChipResult & {
         if (!res) {
-            chip::Chip c(cfg.chip, cfg.sim, cfg.power, tile_specs);
+            chip::Chip c(cfg.chip, cfg.sim, cfg.power,
+                         plan.tileSpecs);
             std::vector<std::unique_ptr<sim::IntervalHook>> hooks(n);
             for (std::size_t k = 0; k < n; ++k) {
                 std::uint64_t instrs = 0;
-                if (!policy->makeTileController(canon, ctx, &hooks[k],
-                                                &instrs))
+                if (!plan.policy->makeTileController(
+                        plan.tilePolicy, ctx, &hooks[k], &instrs))
                     fatal("policy '%s' lost its tile capability "
                           "between resolve and run",
-                          canon.policy.c_str());
+                          plan.tilePolicy.policy.c_str());
                 if (hooks[k])
                     c.setTileHook(static_cast<int>(k),
                                   hooks[k].get(), instrs);
             }
-            c.setCoordinator(coord);
+            c.setCoordinator(plan.coord);
             res = std::make_shared<chip::ChipResult>(
                 c.run(ctx.productionWindow));
         }
@@ -725,24 +729,17 @@ Runner::runChip(const ChipCell &cell, std::vector<bool> *row_hits)
         bool computed = false;
         out.push_back(memoize(keys[k], [&]() -> Outcome {
             const chip::ChipResult &r = chipResult();
+            // A tile row is the tile policies' own single-core
+            // mapping, so an N=1 chip row prints byte-identically to
+            // the same policy's single-core resultLine — the CI
+            // equivalence gate diffs exactly that.
+            if (k < n)
+                return control::runOutcome(r.tiles[k]);
             Outcome o;
-            if (k < n) {
-                // Mirror the tile policies' own single-core Outcome
-                // mapping (timePs/energyNj/reconfigs), so an N=1
-                // chip row prints byte-identically to the same
-                // policy's single-core resultLine — the CI
-                // equivalence gate diffs exactly that.
-                const sim::RunResult &t = r.tiles[k];
-                o.timePs = static_cast<double>(t.timePs);
-                o.energyNj = t.chipEnergyNj;
-                o.reconfigs = static_cast<double>(t.reconfigs);
-            } else {
-                o.timePs = static_cast<double>(r.timePs);
-                o.energyNj = r.uncoreEnergyNj;
-                o.reconfigs =
-                    static_cast<double>(r.uncoreReconfigs);
-                o.globalFreq = r.uncoreAvgMhz;
-            }
+            o.timePs = static_cast<double>(r.timePs);
+            o.energyNj = r.uncoreEnergyNj;
+            o.reconfigs = static_cast<double>(r.uncoreReconfigs);
+            o.globalFreq = r.uncoreAvgMhz;
             return o;
         }, &computed));
         if (row_hits)

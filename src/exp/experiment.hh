@@ -161,6 +161,31 @@ struct ChipCell
 };
 
 /**
+ * The harness knobs of @p cfg as a policy sees them.  Runner adds its
+ * memoized evaluator and checkpoint source on top.
+ */
+control::PolicyContext policyContext(const ExpConfig &cfg);
+
+/** A chip cell's validated, canonical parts. */
+struct ChipPlan
+{
+    control::PolicySpec tilePolicy;           ///< canonical
+    const control::Policy *policy = nullptr;  ///< tile-capable
+    std::vector<std::string> tileSpecs;       ///< canonical, per tile
+    chip::CoordConfig coord;
+};
+
+/**
+ * The chip checks, which need no Runner: canonicalize @p cell's tile
+ * policy and co-schedule, refuse sampled simulation (chip cells
+ * always run exact), parse the coordinator spec and require a
+ * tile-capable policy — in that order.  Throws workload::SpecError
+ * at the first failure.
+ */
+ChipPlan planChipCell(const ChipCell &cell,
+                      const control::PolicyContext &ctx);
+
+/**
  * Memoizing, concurrency-safe experiment runner.
  *
  * run() may be called from any number of threads; runSweep() is the
@@ -315,14 +340,10 @@ class Runner
                         control::PolicySpec &canon,
                         std::string &canonBench,
                         const control::Policy *&policy) const;
-    /** Canonicalize a chip cell — co-schedule, tile policy (must be
-     *  tile-capable), coordinator — and build its N+1 keys.  Throws
-     *  workload::SpecError on any bad part. */
-    std::vector<std::string>
-    resolveChip(const ChipCell &cell, control::PolicySpec &canon,
-                std::vector<std::string> &tile_specs,
-                chip::CoordConfig &coord,
-                const control::Policy *&policy) const;
+    /** planChipCell() on this runner's context, plus the cell's
+     *  N+1 keys.  Throws workload::SpecError on any bad part. */
+    std::vector<std::string> resolveChip(const ChipCell &cell,
+                                         ChipPlan &plan) const;
     Outcome memoize(const std::string &key,
                     const std::function<Outcome()> &compute,
                     bool *computed = nullptr);

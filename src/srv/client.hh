@@ -54,18 +54,6 @@ class ClientError : public std::runtime_error
     int retryMs_;
 };
 
-/** One streamed sweep result row. */
-struct SweepRow
-{
-    std::string workload;  ///< canonical workload spec
-    std::string policy;    ///< canonical policy spec
-    /** Chip sweeps only: `"0"`..`"N-1"` for a tile row, `"u"` for
-     *  the shared-uncore row; empty on single-core sweeps. */
-    std::string tile;
-    bool memoHit = false;  ///< served from the server's memo?
-    control::Outcome outcome;
-};
-
 /** A complete sweep reply (every ROW up to DONE). */
 struct SweepReply
 {

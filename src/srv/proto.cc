@@ -509,6 +509,15 @@ resultLine(const std::string &workload, const std::string &policy,
 }
 
 std::string
+rowLine(const SweepRow &row)
+{
+    std::string line;
+    if (!row.tile.empty())
+        line = "tile=" + row.tile + ' ';
+    return line + resultLine(row.workload, row.policy, row.outcome);
+}
+
+std::string
 tileLabel(std::size_t k, std::size_t tiles)
 {
     return k < tiles ? std::to_string(k) : std::string("u");

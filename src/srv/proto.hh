@@ -193,6 +193,26 @@ std::string resultLine(const std::string &workload,
                        const std::string &policy,
                        const control::Outcome &o);
 
+/** One sweep result row: what a ROW frame carries and what
+ *  `mcd_client` prints, in both modes. */
+struct SweepRow
+{
+    std::string workload;  ///< canonical workload spec
+    std::string policy;    ///< canonical policy spec
+    /** Chip sweeps only: `"0"`..`"N-1"` for a tile row, `"u"` for
+     *  the shared-uncore row; empty on single-core sweeps. */
+    std::string tile;
+    bool memoHit = false;  ///< served from the memo?
+    control::Outcome outcome;
+};
+
+/**
+ * The one rendering of a sweep row: `tile=K ` (chip rows only)
+ * followed by resultLine().  `mcd_client` prints it in both modes,
+ * and a ROW frame carries it between its `id=` and `memo=` fields.
+ */
+std::string rowLine(const SweepRow &row);
+
 /**
  * Row label for chip sweep row @p k of an N-tile chip: `"0"`..`"N-1"`
  * for the tiles, `"u"` for the shared-uncore row (k == N).  The same

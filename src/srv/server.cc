@@ -3,14 +3,13 @@
 #include <algorithm>
 #include <chrono>
 #include <cstdio>
-#include <functional>
 #include <future>
 #include <utility>
 #include <vector>
 
 #include <poll.h>
 
-#include "chip/multi.hh"
+#include "srv/sweep.hh"
 #include "workload/registry.hh"
 #include "workload/spec.hh"
 
@@ -343,26 +342,22 @@ SweepServer::handleSweep(Conn &conn, const Request &req)
                         ", request pinned " +
                         hex16(req.fingerprint)));
     }
-    if (req.hasTiles)
-        return handleChipSweep(conn, req);
 
-    // Validate every spec up front — a bad cell must be rejected
-    // before any cell is admitted or computed.  The canonical spec
-    // strings become the row labels, making the dedup identity
-    // visible to the client.
-    std::vector<std::string> benches;
-    std::vector<control::PolicySpec> specs;
+    // Plan every cell before anything is claimed: a rejected request
+    // must not cost a window's runner, an admission slot or a
+    // computation.  The canonical specs become the row labels, so
+    // two clients spelling one cell differently share one memo entry.
+    std::vector<PlannedCell> cells;
     try {
-        for (const auto &w : req.workloads)
-            benches.push_back(workload::canonicalWorkloadSpec(w));
-        for (const auto &p : req.policies)
-            specs.push_back(control::canonicalPolicySpec(p));
+        cells = planSweep(req, cfg_.exp);
     } catch (const workload::SpecError &e) {
         nBadRequests_.fetch_add(1, std::memory_order_relaxed);
         return conn.writeLine(errLine(req.id, err::BAD_SPEC, e.what()));
     }
 
-    const std::size_t ncells = benches.size() * specs.size();
+    // Admission counts cells, not rows: a chip cell is one
+    // simulation however many rows it streams.
+    const std::size_t ncells = cells.size();
     if (ncells > cfg_.maxCellsPerRequest) {
         nBadRequests_.fetch_add(1, std::memory_order_relaxed);
         return conn.writeLine(errLine(
@@ -404,195 +399,21 @@ SweepServer::handleSweep(Conn &conn, const Request &req)
     // One pool job per cell.  Each job releases its admission slot
     // whether it succeeds, throws, or outlives a timed-out request
     // (the shared promise keeps the result alive for the memo).
-    struct Cell
-    {
-        const std::string *bench;
-        const control::PolicySpec *spec;
-        std::shared_future<std::pair<exp::Outcome, bool>> fut;
-    };
-    std::vector<Cell> cells;
-    cells.reserve(ncells);
-    for (const auto &b : benches) {
-        for (const auto &s : specs) {
-            auto prom = std::make_shared<
-                std::promise<std::pair<exp::Outcome, bool>>>();
-            cells.push_back({&b, &s, prom->get_future().share()});
-            std::string bench = b;
-            control::PolicySpec spec = s;
-            pool_->submit([this, runner, prom,
-                           bench = std::move(bench),
-                           spec = std::move(spec)]() {
-                // Decrement *before* fulfilling the promise: a
-                // client that has seen its last ROW (and therefore
-                // DONE) must observe inflightCells == 0 in STATS.
-                try {
-                    bool hit = false;
-                    exp::Outcome o = runner->run(bench, spec, &hit);
-                    inflightCells_.fetch_sub(
-                        1, std::memory_order_relaxed);
-                    prom->set_value({o, hit});
-                } catch (...) {
-                    inflightCells_.fetch_sub(
-                        1, std::memory_order_relaxed);
-                    prom->set_exception(std::current_exception());
-                }
-            });
-        }
-    }
-
-    int timeout = cfg_.requestTimeoutMs;
-    if (req.timeoutMs > 0)
-        timeout = std::min(timeout, req.timeoutMs);
-    Clock::time_point deadline =
-        Clock::now() + std::chrono::milliseconds(timeout);
-
-    std::uint64_t rows = 0, hits = 0, misses = 0;
-    for (const auto &cell : cells) {
-        if (cell.fut.wait_until(deadline) !=
-            std::future_status::ready) {
-            nTimeouts_.fetch_add(1, std::memory_order_relaxed);
-            return conn.writeLine(errLine(
-                req.id, err::TIMEOUT,
-                "deadline exceeded after " + std::to_string(rows) +
-                    " rows (remaining cells keep computing and "
-                    "warm the memo for a retry)"));
-        }
-        exp::Outcome o;
-        bool hit = false;
-        try {
-            auto r = cell.fut.get();
-            o = r.first;
-            hit = r.second;
-        } catch (const workload::SpecError &e) {
-            nBadRequests_.fetch_add(1, std::memory_order_relaxed);
-            return conn.writeLine(
-                errLine(req.id, err::BAD_SPEC, e.what()));
-        } catch (const std::exception &e) {
-            return conn.writeLine(
-                errLine(req.id, err::INTERNAL, e.what()));
-        }
-        (hit ? hits : misses) += 1;
-        // The row embeds resultLine() verbatim (workload, policy,
-        // outcome fields) with the memo flag appended, so clients
-        // can recover the exact `mcd_client --local` bytes.
-        std::string row = formatResponse(Response::Kind::Row,
-                                         req.id);
-        row += ' ';
-        row += resultLine(*cell.bench, cell.spec->str(), o);
-        row += " memo=";
-        row += hit ? "hit" : "miss";
-        if (!conn.writeLine(row))
-            return false; // peer gone mid-stream; jobs finish anyway
-        ++rows;
-        nRowsStreamed_.fetch_add(1, std::memory_order_relaxed);
-    }
-    return conn.writeLine(formatResponse(
-        Response::Kind::Done, req.id,
-        {{"rows", std::to_string(rows)},
-         {"hits", std::to_string(hits)},
-         {"misses", std::to_string(misses)}}));
-}
-
-bool
-SweepServer::handleChipSweep(Conn &conn, const Request &req)
-{
-    // handleSweep already handled the drain and fingerprint gates.
-    // The runner comes first here: chip validation (coordinator
-    // spec, tile capability) lives behind Runner::chipCacheKeys.
-    std::uint64_t window =
-        req.window ? req.window : cfg_.exp.productionWindow;
-    std::string rerr;
-    exp::Runner *runner = runnerFor(window, rerr);
-    if (!runner) {
-        nBadRequests_.fetch_add(1, std::memory_order_relaxed);
-        return conn.writeLine(errLine(req.id, err::TOO_LARGE, rerr));
-    }
-
-    // Validate every chip cell up front; the canonical multi spec
-    // and tile policy become the row labels, so two clients spelling
-    // one co-schedule differently still share one computation.
-    struct ChipJob
-    {
-        exp::ChipCell cell;
-        std::string multi;   ///< canonical multi: spec (row label)
-        std::string policy;  ///< canonical tile policy (row label)
-        std::size_t tiles = 0;
-        std::shared_future<std::pair<std::vector<exp::Outcome>,
-                                     std::vector<bool>>>
-            fut;
-    };
-    std::vector<ChipJob> jobs;
-    jobs.reserve(req.workloads.size() * req.policies.size());
-    for (const auto &w : req.workloads) {
-        for (const auto &p : req.policies) {
-            ChipJob j;
-            j.cell.workload = w;
-            j.cell.tiles = static_cast<int>(req.tiles);
-            j.cell.coord = req.coord;
+    std::vector<std::shared_future<std::vector<SweepRow>>> futs;
+    futs.reserve(ncells);
+    for (PlannedCell &cell : cells) {
+        auto prom =
+            std::make_shared<std::promise<std::vector<SweepRow>>>();
+        futs.push_back(prom->get_future().share());
+        pool_->submit([this, runner, prom, cell = std::move(cell)]() {
+            // Decrement *before* fulfilling the promise: a client
+            // that has seen its last ROW (and therefore DONE) must
+            // observe inflightCells == 0 in STATS.
             try {
-                j.cell.tilePolicy = control::canonicalPolicySpec(p);
-                j.policy = j.cell.tilePolicy.str();
-                std::vector<std::string> tile_specs =
-                    chip::parseMultiSpec(w, j.cell.tiles);
-                j.multi = chip::multiSpecOf(tile_specs);
-                j.tiles = tile_specs.size();
-                // Full validation (coordinator spec, tile-capable
-                // policy) before anything is admitted.
-                runner->chipCacheKeys(j.cell);
-            } catch (const workload::SpecError &e) {
-                nBadRequests_.fetch_add(1,
-                                        std::memory_order_relaxed);
-                return conn.writeLine(
-                    errLine(req.id, err::BAD_SPEC, e.what()));
-            }
-            jobs.push_back(std::move(j));
-        }
-    }
-
-    // Admission counts whole chips: one cell = one simulation,
-    // however many rows it streams.
-    const std::size_t ncells = jobs.size();
-    if (ncells > cfg_.maxCellsPerRequest) {
-        nBadRequests_.fetch_add(1, std::memory_order_relaxed);
-        return conn.writeLine(errLine(
-            req.id, err::TOO_LARGE,
-            std::to_string(ncells) +
-                " cells exceed max_cells_per_request=" +
-                std::to_string(cfg_.maxCellsPerRequest)));
-    }
-    std::uint64_t cur = inflightCells_.load();
-    for (;;) {
-        if (cur + ncells > cfg_.queueLimit) {
-            nRejectedOverload_.fetch_add(1,
-                                         std::memory_order_relaxed);
-            return conn.writeLine(errLine(
-                req.id, err::OVERLOAD,
-                std::to_string(cur) + " cells in flight; " +
-                    std::to_string(ncells) +
-                    " more would exceed queue_limit=" +
-                    std::to_string(cfg_.queueLimit),
-                cfg_.retryAfterMs));
-        }
-        if (inflightCells_.compare_exchange_weak(cur, cur + ncells))
-            break;
-    }
-    nAdmitted_.fetch_add(ncells, std::memory_order_relaxed);
-
-    for (auto &j : jobs) {
-        auto prom = std::make_shared<std::promise<
-            std::pair<std::vector<exp::Outcome>,
-                      std::vector<bool>>>>();
-        j.fut = prom->get_future().share();
-        exp::ChipCell cell = j.cell;
-        pool_->submit([this, runner, prom,
-                       cell = std::move(cell)]() {
-            try {
-                std::vector<bool> hits;
-                std::vector<exp::Outcome> rows =
-                    runner->runChip(cell, &hits);
+                std::vector<SweepRow> rows = runCell(*runner, cell);
                 inflightCells_.fetch_sub(1,
                                          std::memory_order_relaxed);
-                prom->set_value({std::move(rows), std::move(hits)});
+                prom->set_value(std::move(rows));
             } catch (...) {
                 inflightCells_.fetch_sub(1,
                                          std::memory_order_relaxed);
@@ -608,9 +429,8 @@ SweepServer::handleChipSweep(Conn &conn, const Request &req)
         Clock::now() + std::chrono::milliseconds(timeout);
 
     std::uint64_t rows = 0, hits = 0, misses = 0;
-    for (const auto &j : jobs) {
-        if (j.fut.wait_until(deadline) !=
-            std::future_status::ready) {
+    for (const auto &fut : futs) {
+        if (fut.wait_until(deadline) != std::future_status::ready) {
             nTimeouts_.fetch_add(1, std::memory_order_relaxed);
             return conn.writeLine(errLine(
                 req.id, err::TIMEOUT,
@@ -618,12 +438,9 @@ SweepServer::handleChipSweep(Conn &conn, const Request &req)
                     " rows (remaining cells keep computing and "
                     "warm the memo for a retry)"));
         }
-        std::vector<exp::Outcome> cellRows;
-        std::vector<bool> cellHits;
+        const std::vector<SweepRow> *cellRows = nullptr;
         try {
-            auto r = j.fut.get();
-            cellRows = std::move(r.first);
-            cellHits = std::move(r.second);
+            cellRows = &fut.get();
         } catch (const workload::SpecError &e) {
             nBadRequests_.fetch_add(1, std::memory_order_relaxed);
             return conn.writeLine(
@@ -632,18 +449,16 @@ SweepServer::handleChipSweep(Conn &conn, const Request &req)
             return conn.writeLine(
                 errLine(req.id, err::INTERNAL, e.what()));
         }
-        for (std::size_t k = 0; k < cellRows.size(); ++k) {
-            bool hit = k < cellHits.size() && cellHits[k];
-            (hit ? hits : misses) += 1;
-            std::string row =
-                formatResponse(Response::Kind::Row, req.id);
-            row += " tile=" + tileLabel(k, j.tiles);
-            row += ' ';
-            row += resultLine(j.multi, j.policy, cellRows[k]);
-            row += " memo=";
-            row += hit ? "hit" : "miss";
-            if (!conn.writeLine(row))
-                return false;
+        for (const SweepRow &row : *cellRows) {
+            (row.memoHit ? hits : misses) += 1;
+            // rowLine() is exactly what `mcd_client --local` prints;
+            // the memo flag rides after it.
+            std::string line =
+                formatResponse(Response::Kind::Row, req.id) + ' ' +
+                rowLine(row) + " memo=" +
+                (row.memoHit ? "hit" : "miss");
+            if (!conn.writeLine(line))
+                return false;  // peer gone; the jobs finish anyway
             ++rows;
             nRowsStreamed_.fetch_add(1, std::memory_order_relaxed);
         }

@@ -151,10 +151,9 @@ class SweepServer
     void serveConn(Conn conn);
     /** Returns false when the connection should be closed. */
     bool handleLine(Conn &conn, const std::string &line);
+    /** Single-core and chip (`tiles=`) sweeps alike, through the
+     *  shared path of srv/sweep.hh. */
     bool handleSweep(Conn &conn, const Request &req);
-    /** `tiles=` requests: each cell is one whole chip::Chip run
-     *  streaming tiles+1 rows (`tile=0..N-1`, `tile=u`). */
-    bool handleChipSweep(Conn &conn, const Request &req);
     bool handleProg(Conn &conn, const Request &req);
     exp::Runner *runnerFor(std::uint64_t window, std::string &err);
     void reapConnThreads(bool join_all);

@@ -31,6 +31,7 @@
 #include "srv/net.hh"
 #include "srv/proto.hh"
 #include "srv/server.hh"
+#include "srv/sweep.hh"
 #include "workload/registry.hh"
 
 using namespace mcd;
@@ -268,6 +269,35 @@ TEST(ServerTranscript, ChipSweepBadSpecsAreStructured)
     // The connection survives all of it.
     ASSERT_TRUE(conn.writeLine("MCD/2 PING"));
     EXPECT_EQ(readLineChecked(conn), "MCD/2 OK");
+}
+
+TEST(ServerTranscript, ChipSweepErrorIsThePlannersError)
+{
+    srv::ServerConfig cfg = smallServer();
+    ScopedServer s(cfg);
+
+    // Two bad specs: the co-schedule and the second policy.  The
+    // server reports whichever the shared planner finds first — the
+    // same message `mcd_client --local` prints.
+    srv::Request req;
+    req.verb = srv::Request::Verb::Sweep;
+    req.id = "cp1";
+    req.workloads = {"multi:t0=gsm_decode,t5=mcf"};
+    req.policies = {"baseline", "nosuch"};
+    req.hasTiles = true;
+    std::string planned;
+    try {
+        srv::planSweep(req, cfg.exp);
+        FAIL() << "expected a SpecError";
+    } catch (const workload::SpecError &e) {
+        planned = e.what();
+    }
+    EXPECT_NE(planned.find("multi:"), std::string::npos) << planned;
+
+    srv::Conn conn = s.raw();
+    ASSERT_TRUE(conn.writeLine(srv::formatRequest(req)));
+    EXPECT_EQ(readLineChecked(conn),
+              "MCD/2 ERR id=cp1 code=bad-spec msg=" + planned);
 }
 
 TEST(ServerTranscript, ErrorRepliesGolden)
@@ -522,6 +552,28 @@ TEST(ServerAdmission, WindowPoolIsBounded)
     }
 }
 
+TEST(ServerAdmission, RejectedChipSweepClaimsNoWindow)
+{
+    srv::ServerConfig cfg = smallServer();
+    cfg.maxWindows = 1;
+    ScopedServer s(cfg);
+    srv::Client client = s.client();
+    // Validation runs before a window's runner is claimed, so a
+    // rejected chip sweep leaves the only slot free...
+    try {
+        client.sweep({"gsm_decode"}, {"profile"}, /*window=*/5'000,
+                     0, /*pin=*/false, /*tiles=*/2);
+        FAIL() << "expected bad-spec";
+    } catch (const srv::ClientError &e) {
+        EXPECT_EQ(e.code(), srv::err::BAD_SPEC);
+    }
+    // ...for a valid sweep at another window.
+    EXPECT_EQ(
+        client.sweep({"gsm_decode"}, {"baseline"}, /*window=*/6'000)
+            .rows.size(),
+        1u);
+}
+
 TEST(ServerAdmission, ConfigMismatchRejected)
 {
     ScopedServer s;
@@ -557,12 +609,23 @@ TEST(ServerAdmission, DeadlineIsStructuredAndMemoStaysWarm)
     }
     EXPECT_GE(s.server.stats().timeouts, 1u);
     // The abandoned cells keep computing and warm the memo; a retry
-    // eventually answers within the same 1ms deadline.
+    // then answers within the same 1ms deadline.  Each retry first
+    // waits for every admitted cell to finish, so it never queues
+    // behind the still-computing owner cell (retries piling up
+    // behind it on a slow machine end in `overload`).
+    auto watchdog =
+        std::chrono::steady_clock::now() + std::chrono::seconds(120);
     srv::SweepReply reply;
     bool done = false;
-    for (int attempt = 0; attempt < 300 && !done; ++attempt) {
-        std::this_thread::sleep_for(
-            std::chrono::milliseconds(100));
+    while (!done) {
+        while (s.server.stats().inflightCells != 0) {
+            ASSERT_LT(std::chrono::steady_clock::now(), watchdog)
+                << "admitted cells never drained";
+            std::this_thread::sleep_for(
+                std::chrono::milliseconds(10));
+        }
+        ASSERT_LT(std::chrono::steady_clock::now(), watchdog)
+            << "memo never warmed up";
         try {
             reply = client.sweep({"gsm_decode"}, {"offline:d=10"});
             done = true;
@@ -570,7 +633,6 @@ TEST(ServerAdmission, DeadlineIsStructuredAndMemoStaysWarm)
             ASSERT_EQ(e.code(), srv::err::TIMEOUT) << e.what();
         }
     }
-    ASSERT_TRUE(done) << "memo never warmed up";
     ASSERT_EQ(reply.rows.size(), 1u);
     EXPECT_TRUE(reply.rows[0].memoHit);
 }

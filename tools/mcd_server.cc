@@ -13,15 +13,13 @@
  */
 
 #include <atomic>
-#include <cerrno>
 #include <chrono>
 #include <csignal>
 #include <cstdio>
-#include <cstdlib>
-#include <cstring>
 #include <limits>
 #include <thread>
 
+#include "args.hh"
 #include "srv/server.hh"
 
 namespace
@@ -62,44 +60,6 @@ printUsage(const char *argv0, std::FILE *to)
         argv0);
 }
 
-unsigned long long
-numberArg(int argc, char **argv, int &i, const char *flag,
-          unsigned long long max)
-{
-    if (i + 1 >= argc) {
-        std::fprintf(stderr, "%s: %s needs a value\n\n", argv[0],
-                     flag);
-        printUsage(argv[0], stderr);
-        std::exit(1);
-    }
-    const char *text = argv[++i];
-    char *end = nullptr;
-    errno = 0;
-    unsigned long long v = std::strtoull(text, &end, 10);
-    if (!(text[0] >= '0' && text[0] <= '9') || end == text ||
-        *end != '\0' || errno == ERANGE || v > max) {
-        std::fprintf(stderr,
-                     "%s: %s wants a plain decimal number in "
-                     "[0, %llu], got '%s'\n\n",
-                     argv[0], flag, max, text);
-        printUsage(argv[0], stderr);
-        std::exit(1);
-    }
-    return v;
-}
-
-const char *
-valueArg(int argc, char **argv, int &i, const char *flag)
-{
-    if (i + 1 >= argc) {
-        std::fprintf(stderr, "%s: %s needs a value\n\n", argv[0],
-                     flag);
-        printUsage(argv[0], stderr);
-        std::exit(1);
-    }
-    return argv[++i];
-}
-
 } // namespace
 
 int
@@ -109,64 +69,45 @@ main(int argc, char **argv)
 
     srv::ServerConfig cfg;
     bool haveTcp = false;
-    for (int i = 1; i < argc; ++i) {
-        if (!std::strcmp(argv[i], "--unix")) {
-            cfg.unixPath = valueArg(argc, argv, i, "--unix");
-        } else if (!std::strcmp(argv[i], "--tcp")) {
-            cfg.tcpPort = static_cast<int>(
-                numberArg(argc, argv, i, "--tcp", 65535));
+    cli::Args args(argc, argv, printUsage);
+    while (args.next()) {
+        if (args.is("--unix")) {
+            cfg.unixPath = args.value();
+        } else if (args.is("--tcp")) {
+            cfg.tcpPort = static_cast<int>(args.number(65535));
             haveTcp = true;
-        } else if (!std::strcmp(argv[i], "--window")) {
-            cfg.exp.productionWindow = numberArg(
-                argc, argv, i, "--window",
-                std::numeric_limits<std::uint64_t>::max());
+        } else if (args.is("--window")) {
+            cfg.exp.productionWindow =
+                args.number(std::numeric_limits<std::uint64_t>::max());
             cfg.exp.analysisWindow = cfg.exp.productionWindow;
-        } else if (!std::strcmp(argv[i], "--jobs")) {
+        } else if (args.is("--jobs")) {
             cfg.exp.jobs = static_cast<unsigned>(
-                numberArg(argc, argv, i, "--jobs",
-                          std::numeric_limits<unsigned>::max()));
-        } else if (!std::strcmp(argv[i], "--cache")) {
-            cfg.exp.cacheFile = valueArg(argc, argv, i, "--cache");
-        } else if (!std::strcmp(argv[i], "--queue-limit")) {
-            cfg.queueLimit = static_cast<std::size_t>(
-                numberArg(argc, argv, i, "--queue-limit", 1u << 20));
-        } else if (!std::strcmp(argv[i], "--max-cells")) {
-            cfg.maxCellsPerRequest = static_cast<std::size_t>(
-                numberArg(argc, argv, i, "--max-cells", 1u << 20));
-        } else if (!std::strcmp(argv[i], "--max-connections")) {
-            cfg.maxConnections = static_cast<std::size_t>(numberArg(
-                argc, argv, i, "--max-connections", 1u << 16));
-        } else if (!std::strcmp(argv[i], "--request-timeout-ms")) {
-            cfg.requestTimeoutMs = static_cast<int>(
-                numberArg(argc, argv, i, "--request-timeout-ms",
-                          86'400'000));
-        } else if (!std::strcmp(argv[i], "--idle-timeout-ms")) {
-            cfg.idleTimeoutMs = static_cast<int>(numberArg(
-                argc, argv, i, "--idle-timeout-ms", 86'400'000));
-        } else if (!std::strcmp(argv[i], "--retry-after-ms")) {
-            cfg.retryAfterMs = static_cast<int>(numberArg(
-                argc, argv, i, "--retry-after-ms", 3'600'000));
-        } else if (!std::strcmp(argv[i], "--max-windows")) {
-            cfg.maxWindows = static_cast<std::size_t>(
-                numberArg(argc, argv, i, "--max-windows", 1u << 10));
-        } else if (!std::strcmp(argv[i], "--help")) {
-            printUsage(argv[0], stdout);
-            return 0;
+                args.number(std::numeric_limits<unsigned>::max()));
+        } else if (args.is("--cache")) {
+            cfg.exp.cacheFile = args.value();
+        } else if (args.is("--queue-limit")) {
+            cfg.queueLimit = static_cast<std::size_t>(args.number(1u << 20));
+        } else if (args.is("--max-cells")) {
+            cfg.maxCellsPerRequest =
+                static_cast<std::size_t>(args.number(1u << 20));
+        } else if (args.is("--max-connections")) {
+            cfg.maxConnections =
+                static_cast<std::size_t>(args.number(1u << 16));
+        } else if (args.is("--request-timeout-ms")) {
+            cfg.requestTimeoutMs =
+                static_cast<int>(args.number(86'400'000));
+        } else if (args.is("--idle-timeout-ms")) {
+            cfg.idleTimeoutMs = static_cast<int>(args.number(86'400'000));
+        } else if (args.is("--retry-after-ms")) {
+            cfg.retryAfterMs = static_cast<int>(args.number(3'600'000));
+        } else if (args.is("--max-windows")) {
+            cfg.maxWindows = static_cast<std::size_t>(args.number(1u << 10));
         } else {
-            std::fprintf(stderr,
-                         "%s: unrecognized argument '%s'\n\n",
-                         argv[0], argv[i]);
-            printUsage(argv[0], stderr);
-            return 1;
+            args.other();
         }
     }
-    if (cfg.unixPath.empty() && !haveTcp) {
-        std::fprintf(stderr,
-                     "%s: need at least one of --unix / --tcp\n\n",
-                     argv[0]);
-        printUsage(argv[0], stderr);
-        return 1;
-    }
+    if (cfg.unixPath.empty() && !haveTcp)
+        args.fail("need at least one of --unix / --tcp");
 
     srv::SweepServer server(cfg);
     try {
