@@ -1,20 +1,21 @@
 #include "control/offline.hh"
 
+#include "core/threshold.hh"
+
 namespace mcd::control
 {
 
 namespace
 {
 
-/** Slices the trace into fixed instruction intervals. */
+/** Slices the trace into fixed instruction intervals and shakes
+ *  each one. */
 class IntervalCollector : public sim::TraceSink
 {
   public:
     IntervalCollector(const core::ShakerConfig &shaker_cfg,
-                      const core::ThresholdConfig &threshold_cfg,
                       std::uint64_t interval_instrs)
-        : analyzer(shaker_cfg), tcfg(threshold_cfg),
-          interval(interval_instrs)
+        : analyzer(shaker_cfg), interval(interval_instrs)
     {
     }
 
@@ -31,40 +32,40 @@ class IntervalCollector : public sim::TraceSink
     {
         if (segment.empty())
             return;
-        core::NodeHistograms h;
-        analyzer.analyze(segment, h);
-        sim::SchedulePoint pt;
-        pt.atInstr = startInstr;
-        pt.freqs = core::chooseFrequencies(h, tcfg);
-        points.push_back(pt);
+        OfflineAnalysis::Interval &iv = out.intervals.emplace_back();
+        iv.startInstr = startInstr;
+        analyzer.analyze(segment, iv.hists);
         startInstr += segment.size();
         segment.clear();
     }
 
-    std::vector<sim::SchedulePoint> points;
+    /** Flush the trailing interval and return the analysis. */
+    OfflineAnalysis
+    finish()
+    {
+        flush();
+        return std::move(out);
+    }
 
   private:
     core::SegmentAnalyzer analyzer;
-    core::ThresholdConfig tcfg;
     std::uint64_t interval;
+    OfflineAnalysis out;
     std::uint64_t startInstr = 0;
     std::vector<sim::InstrTiming> segment;
 };
 
 } // namespace
 
-std::vector<sim::SchedulePoint>
-offlineAnalyze(const OfflineConfig &cfg,
-               const workload::Program &program,
-               const workload::InputSet &input,
-               const sim::SimConfig &scfg,
-               const power::PowerConfig &pcfg, std::uint64_t window)
+OfflineAnalysis
+offlineHistograms(const OfflineConfig &cfg,
+                  const workload::Program &program,
+                  const workload::InputSet &input,
+                  const sim::SimConfig &scfg,
+                  const power::PowerConfig &pcfg, std::uint64_t window)
 {
-    core::ThresholdConfig tcfg = cfg.threshold;
-    tcfg.slowdownPct = cfg.slowdownPct;
-
     IntervalCollector collector(
-        core::shakerConfigFor(cfg.shaker, scfg, pcfg), tcfg,
+        core::shakerConfigFor(cfg.shaker, scfg, pcfg),
         cfg.intervalInstrs);
     // The shaker consumes every committed instruction's timing
     // record; sampled probes would leave holes in the dependence
@@ -74,16 +75,38 @@ offlineAnalyze(const OfflineConfig &cfg,
     sim::Processor analysis(acfg, pcfg, program, input);
     analysis.setTraceSink(&collector);
     analysis.run(window);
-    collector.flush();
+    return collector.finish();
+}
 
-    // Apply each interval's setting slightly early: the oracle knows
-    // the future and hides the ramp.
-    std::vector<sim::SchedulePoint> sched = collector.points;
-    for (auto &pt : sched)
-        pt.atInstr = pt.atInstr > cfg.leadInstrs
-                         ? pt.atInstr - cfg.leadInstrs
+std::vector<sim::SchedulePoint>
+offlineSchedule(const OfflineConfig &cfg, const OfflineAnalysis &analysis)
+{
+    core::ThresholdConfig tcfg =
+        core::thresholdConfigFor(cfg.slowdownPct, cfg.shaker);
+    std::vector<sim::SchedulePoint> sched;
+    sched.reserve(analysis.intervals.size());
+    for (const OfflineAnalysis::Interval &iv : analysis.intervals) {
+        sim::SchedulePoint pt;
+        // Apply each interval's setting slightly early: the oracle
+        // knows the future and hides the ramp.
+        pt.atInstr = iv.startInstr > cfg.leadInstrs
+                         ? iv.startInstr - cfg.leadInstrs
                          : 0;
+        pt.freqs = core::chooseFrequencies(iv.hists, tcfg);
+        sched.push_back(pt);
+    }
     return sched;
+}
+
+std::vector<sim::SchedulePoint>
+offlineAnalyze(const OfflineConfig &cfg,
+               const workload::Program &program,
+               const workload::InputSet &input,
+               const sim::SimConfig &scfg,
+               const power::PowerConfig &pcfg, std::uint64_t window)
+{
+    return offlineSchedule(cfg, offlineHistograms(cfg, program, input,
+                                                  scfg, pcfg, window));
 }
 
 sim::RunResult
@@ -92,10 +115,22 @@ offlineRun(const OfflineConfig &cfg, const workload::Program &program,
            const power::PowerConfig &pcfg, std::uint64_t window,
            std::shared_ptr<const sim::CheckpointSet> checkpoints)
 {
-    auto sched = offlineAnalyze(cfg, program, input, scfg, pcfg,
-                                window);
+    return offlineRun(cfg,
+                      offlineHistograms(cfg, program, input, scfg, pcfg,
+                                        window),
+                      program, input, scfg, pcfg, window,
+                      std::move(checkpoints));
+}
+
+sim::RunResult
+offlineRun(const OfflineConfig &cfg, const OfflineAnalysis &analysis,
+           const workload::Program &program,
+           const workload::InputSet &input, const sim::SimConfig &scfg,
+           const power::PowerConfig &pcfg, std::uint64_t window,
+           std::shared_ptr<const sim::CheckpointSet> checkpoints)
+{
     sim::Processor proc(scfg, pcfg, program, input);
-    proc.setSchedule(std::move(sched));
+    proc.setSchedule(offlineSchedule(cfg, analysis));
     proc.setCheckpoints(std::move(checkpoints));
     return proc.run(window);
 }

@@ -14,7 +14,6 @@
 #include <vector>
 
 #include "core/shaker.hh"
-#include "core/threshold.hh"
 #include "power/power.hh"
 #include "sim/processor.hh"
 #include "workload/program.hh"
@@ -54,15 +53,34 @@ struct OfflineConfig
      * hiding the DVFS ramp time — the oracle knows the future.
      */
     std::uint64_t leadInstrs = 2'000;
-    /** Phase-2 slack analysis knobs (see core/shaker.hh). */
+    /** Phase-2 slack analysis knobs (see core/shaker.hh); phase 3
+     *  thresholds on their step grid (core::thresholdConfigFor). */
     core::ShakerConfig shaker;
-    /** Phase-3 frequency selection knobs (see core/threshold.hh). */
-    core::ThresholdConfig threshold;
 };
 
 /**
- * Analyze a production run with future knowledge and produce the
- * frequency schedule to apply on the re-run.
+ * The half of the oracle that does not read d: one exact analysis
+ * run of the production input, cut into reconfiguration intervals,
+ * each shaken into histograms.  offlineSchedule() thresholds it at
+ * any d, so one analysis serves a whole d sweep; it is immutable once
+ * built and may be shared across threads.
+ */
+struct OfflineAnalysis
+{
+    /** One interval: the committed instruction it starts at and its
+     *  shaker histograms. */
+    struct Interval
+    {
+        std::uint64_t startInstr = 0;
+        core::NodeHistograms hists;
+    };
+    std::vector<Interval> intervals;
+};
+
+/**
+ * Analyze a production run with future knowledge: simulate it at
+ * full speed and shake every `intervalInstrs` interval.  Reads
+ * @p cfg's `intervalInstrs` and `shaker` only.
  *
  * The analysis run always executes in exact mode: the shaker needs
  * the complete per-instruction event trace, which sampled probes
@@ -74,7 +92,27 @@ struct OfflineConfig
  * @param input   production input set
  * @param scfg    simulator configuration
  * @param pcfg    power configuration
- * @param window  instructions to analyze/schedule
+ * @param window  instructions to analyze
+ */
+OfflineAnalysis
+offlineHistograms(const OfflineConfig &cfg,
+                  const workload::Program &program,
+                  const workload::InputSet &input,
+                  const sim::SimConfig &scfg,
+                  const power::PowerConfig &pcfg, std::uint64_t window);
+
+/**
+ * Threshold @p analysis at `cfg.slowdownPct` into the schedule to
+ * apply on the re-run, each point `cfg.leadInstrs` early.
+ */
+std::vector<sim::SchedulePoint>
+offlineSchedule(const OfflineConfig &cfg,
+                const OfflineAnalysis &analysis);
+
+/**
+ * Analyze a production run with future knowledge and produce the
+ * frequency schedule to apply on the re-run: offlineSchedule() of
+ * offlineHistograms().
  */
 std::vector<sim::SchedulePoint>
 offlineAnalyze(const OfflineConfig &cfg,
@@ -91,6 +129,19 @@ offlineAnalyze(const OfflineConfig &cfg,
  */
 sim::RunResult
 offlineRun(const OfflineConfig &cfg, const workload::Program &program,
+           const workload::InputSet &input, const sim::SimConfig &scfg,
+           const power::PowerConfig &pcfg, std::uint64_t window,
+           std::shared_ptr<const sim::CheckpointSet> checkpoints =
+               nullptr);
+
+/**
+ * offlineRun() on a prebuilt @p analysis of the same production run
+ * (offlineHistograms() with @p cfg's interval and shaker knobs):
+ * threshold it at @p cfg's d, then re-run under the schedule.
+ */
+sim::RunResult
+offlineRun(const OfflineConfig &cfg, const OfflineAnalysis &analysis,
+           const workload::Program &program,
            const workload::InputSet &input, const sim::SimConfig &scfg,
            const power::PowerConfig &pcfg, std::uint64_t window,
            std::shared_ptr<const sim::CheckpointSet> checkpoints =

@@ -20,7 +20,6 @@
 
 #include "control/ipc_guard.hh"
 #include "control/policies/pipeline_policy.hh"
-#include "workload/suite.hh"
 
 namespace mcd::control
 {
@@ -108,9 +107,7 @@ class HybridPolicy final : public PipelinePolicy
         const PolicyContext &ctx) const override
     {
         workload::Benchmark bm = workload::makeBenchmark(bench);
-        core::ProfilePipeline pipe(bm.program,
-                                   pipelineConfig(spec, ctx));
-        pipe.train(bm.train, ctx.sim, ctx.power);
+        core::ProfilePipeline pipe = trainedPipeline(bm, bench, spec, ctx);
 
         IpcGuardHook guard(spec.num("guard"), ctx.sim.maxMhz);
         // The schema bounds interval to [1, 1e12], so the cast is

@@ -58,8 +58,17 @@ class OfflinePolicy final : public Policy
         OfflineConfig oc;
         oc.intervalInstrs = ctx.offlineInterval;
         oc.slowdownPct = spec.num("d");
-        return runOutcome(offlineRun(oc, bm.program, bm.ref, ctx.sim,
-                                     ctx.power, ctx.productionWindow,
+        // Only the thresholding reads d: every d shares the context's
+        // one analysis of this bench's production run.
+        auto analysis = sharedArtifact<OfflineAnalysis>(
+            ctx, "offline|" + bench, [&] {
+                return std::make_shared<const OfflineAnalysis>(
+                    offlineHistograms(oc, bm.program, bm.ref, ctx.sim,
+                                      ctx.power, ctx.productionWindow));
+            });
+        return runOutcome(offlineRun(oc, *analysis, bm.program, bm.ref,
+                                     ctx.sim, ctx.power,
+                                     ctx.productionWindow,
                                      checkpointsFor(ctx, bench)));
     }
 };

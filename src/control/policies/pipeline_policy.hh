@@ -2,9 +2,10 @@
  * @file
  * The base of the policies built on the profile pipeline (`profile`,
  * `hybrid`, and any future pipeline-based policy): one schema for the
- * pipeline's parameters, one spec -> PipelineConfig mapping, one
- * cache-key fragment and one Outcome mapping, so the policies cannot
- * silently diverge in what they run or report.
+ * pipeline's parameters, one spec -> pipeline mapping over one shared
+ * training per (mode, bench), one cache-key fragment and one Outcome
+ * mapping, so the policies cannot silently diverge in what they run
+ * or report.
  */
 
 #ifndef MCD_CONTROL_POLICIES_PIPELINE_POLICY_HH
@@ -15,6 +16,7 @@
 #include "control/policy.hh"
 #include "core/pipeline.hh"
 #include "util/logging.hh"
+#include "workload/suite.hh"
 
 namespace mcd::control
 {
@@ -56,6 +58,32 @@ class PipelinePolicy : public Policy
         pc.profile.maxInstrs = ctx.profileMaxInstrs;
         pc.analysisWindow = ctx.analysisWindow;
         return pc;
+    }
+
+    /**
+     * The pipeline a canonical @p spec asks for on @p bm (the
+     * canonical @p bench), thresholded and edited on the context's
+     * shared training for the spec's mode (`train|<mode>|<bench>`):
+     * every d, `profile` and `hybrid` alike, reuses one phase 1-2
+     * run.
+     */
+    static core::ProfilePipeline
+    trainedPipeline(const workload::Benchmark &bm,
+                    const std::string &bench, const PolicySpec &spec,
+                    const PolicyContext &ctx)
+    {
+        core::PipelineConfig pc = pipelineConfig(spec, ctx);
+        core::ProfilePipeline pipe(bm.program, pc);
+        pipe.adopt(sharedArtifact<core::TrainedProfile>(
+            ctx,
+            std::string("train|") + compactModeName(pc.mode) + '|' +
+                bench,
+            [&] {
+                return std::make_shared<const core::TrainedProfile>(
+                    core::trainProfile(bm.program, bm.train, pc,
+                                       ctx.sim, ctx.power));
+            }));
+        return pipe;
     }
 
     /** A production run's outcome plus the trained plan's

@@ -6,7 +6,6 @@
  */
 
 #include "control/policies/pipeline_policy.hh"
-#include "workload/suite.hh"
 
 namespace mcd::control
 {
@@ -34,9 +33,7 @@ class ProfilePolicy final : public PipelinePolicy
         const PolicyContext &ctx) const override
     {
         workload::Benchmark bm = workload::makeBenchmark(bench);
-        core::ProfilePipeline pipe(bm.program,
-                                   pipelineConfig(spec, ctx));
-        pipe.train(bm.train, ctx.sim, ctx.power);
+        core::ProfilePipeline pipe = trainedPipeline(bm, bench, spec, ctx);
         core::RuntimeStats rt;
         sim::RunResult r = pipe.runProduction(
             bm.ref, ctx.sim, ctx.power, ctx.productionWindow, &rt,

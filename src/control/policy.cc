@@ -2,7 +2,9 @@
 
 #include <cctype>
 
+#include "sim/checkpoint.hh"
 #include "util/logging.hh"
+#include "workload/suite.hh"
 
 namespace mcd::control
 {
@@ -181,6 +183,23 @@ std::string
 describePolicies()
 {
     return policies().describe(10);
+}
+
+std::shared_ptr<const sim::CheckpointSet>
+checkpointsFor(const PolicyContext &ctx, const std::string &bench)
+{
+    if (!ctx.sim.sampling.sampled())
+        return nullptr;
+    return sharedArtifact<sim::CheckpointSet>(ctx, "ckpt|" + bench, [&] {
+        // The set's functional state points into the Program, so the
+        // set keeps the whole Benchmark alive through an aliasing
+        // pointer.
+        auto bm = std::make_shared<workload::Benchmark>(
+            workload::makeBenchmark(bench));
+        std::shared_ptr<const workload::Program> prog(bm, &bm->program);
+        return sim::CheckpointSet::build(prog, bm->ref, ctx.sim,
+                                         ctx.productionWindow);
+    });
 }
 
 } // namespace mcd::control

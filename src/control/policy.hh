@@ -191,10 +191,11 @@ PolicySpec canonicalPolicySpec(PolicySpec spec);
 
 /**
  * What a policy run may use: the simulator/power configurations, the
- * harness windows, and a recursive evaluator for outcomes of *other*
+ * harness windows, a recursive evaluator for outcomes of *other*
  * specs on the same harness (memoized, thread-safe), which is how
  * cross-policy dependencies are expressed — e.g. global DVS matches
- * the off-line oracle's run time via `evaluate(bench, offline spec)`.
+ * the off-line oracle's run time via `evaluate(bench, offline spec)`
+ * — and a store for artifacts several cells derive alike.
  */
 struct PolicyContext
 {
@@ -216,23 +217,46 @@ struct PolicyContext
                           const PolicySpec &spec)>
         evaluate;
     /**
-     * Sampled mode only: the harness's shared per-benchmark
-     * checkpoint set for production runs at `productionWindow` (see
-     * sim/checkpoint.hh — one functional walk serves every cell of a
-     * sweep on the same benchmark).  Unset in exact mode; may return
-     * nullptr.  Policies reach it through `checkpointsFor()`.
+     * Compute-once store for derived artifacts: returns the value
+     * stored under @p key, calling @p build only if no request did
+     * or does.  The harness keeps the values in memory while it keeps
+     * its outcomes; a key names one context's artifact, so it never
+     * spells out the context's knobs.  Unset: every request builds.
+     * Policies reach it through `sharedArtifact()`.
      */
-    std::function<std::shared_ptr<const sim::CheckpointSet>(
-        const std::string &bench)>
-        checkpoints;
+    std::function<std::shared_ptr<const void>(
+        const std::string &key,
+        const std::function<std::shared_ptr<const void>()> &build)>
+        artifacts;
 };
 
-/** Null-safe access to PolicyContext::checkpoints. */
-inline std::shared_ptr<const sim::CheckpointSet>
-checkpointsFor(const PolicyContext &ctx, const std::string &bench)
+/**
+ * The artifact stored under @p key in @p ctx's store, built by
+ * @p build on the first request (or on every request when the
+ * context has no store).  A key's first `|`-separated field names
+ * the artifact kind, and every kind has one type: `train|<mode>|
+ * <bench>` a core::TrainedProfile, `offline|<bench>` a
+ * control::OfflineAnalysis, `ckpt|<bench>` a sim::CheckpointSet.
+ */
+template <class T>
+std::shared_ptr<const T>
+sharedArtifact(const PolicyContext &ctx, const std::string &key,
+               const std::function<std::shared_ptr<const T>()> &build)
 {
-    return ctx.checkpoints ? ctx.checkpoints(bench) : nullptr;
+    if (!ctx.artifacts)
+        return build();
+    return std::static_pointer_cast<const T>(ctx.artifacts(
+        key, [&]() -> std::shared_ptr<const void> { return build(); }));
 }
+
+/**
+ * Sampled mode: the shared checkpoint set for production runs of the
+ * canonical @p bench at `ctx.productionWindow` (sim/checkpoint.hh —
+ * one functional walk serves every cell of a sweep on the same
+ * benchmark).  nullptr in exact mode.
+ */
+std::shared_ptr<const sim::CheckpointSet>
+checkpointsFor(const PolicyContext &ctx, const std::string &bench);
 
 /**
  * Abstract reconfiguration policy: a registry entry (name,

@@ -5,6 +5,34 @@
 namespace mcd::core
 {
 
+TrainedProfile
+trainProfile(const workload::Program &program,
+             const workload::InputSet &train,
+             const PipelineConfig &cfg, const sim::SimConfig &scfg,
+             const power::PowerConfig &pcfg)
+{
+    // Phase 1: profiling run (functional), long-running selection.
+    TrainedProfile t{profileProgram(program, train, cfg.mode,
+                                    cfg.profile),
+                     {}};
+
+    // Phase 2: full-speed analysis simulation with event tracing.
+    NodeTracker tracker(t.tree);
+    AnalysisCollector collector(shakerConfigFor(cfg.shaker, scfg, pcfg),
+                                cfg.limits);
+    // The shaker needs the complete per-instruction event trace of
+    // the analysis window; sampled probes would leave holes in it,
+    // so the analysis run is always exact.
+    sim::SimConfig acfg = scfg;
+    acfg.sampling = sim::SamplingConfig{};
+    sim::Processor analysis(acfg, pcfg, program, train);
+    analysis.setMarkerHandler(&tracker);
+    analysis.setTraceSink(&collector);
+    analysis.run(cfg.analysisWindow);
+    t.nodeHists = collector.finish();
+    return t;
+}
+
 ProfilePipeline::ProfilePipeline(const workload::Program &p,
                                  const PipelineConfig &c)
     : program(p), cfg(c)
@@ -16,38 +44,25 @@ ProfilePipeline::train(const workload::InputSet &train_input,
                        const sim::SimConfig &scfg,
                        const power::PowerConfig &pcfg)
 {
-    // Phase 1: profiling run (functional), long-running selection.
-    tree_ = std::make_unique<CallTree>(
-        profileProgram(program, train_input, cfg.mode, cfg.profile));
+    adopt(std::make_shared<const TrainedProfile>(
+        trainProfile(program, train_input, cfg, scfg, pcfg)));
+}
 
-    // Phase 2: full-speed analysis simulation with event tracing.
-    ShakerConfig shaker_cfg = shakerConfigFor(cfg.shaker, scfg, pcfg);
-    NodeTracker tracker(*tree_);
-    AnalysisCollector collector(shaker_cfg, cfg.limits);
-    // The shaker needs the complete per-instruction event trace of
-    // the analysis window; sampled probes would leave holes in it,
-    // so the analysis run is always exact.
-    sim::SimConfig acfg = scfg;
-    acfg.sampling = sim::SamplingConfig{};
-    sim::Processor analysis(acfg, pcfg, program, train_input);
-    analysis.setMarkerHandler(&tracker);
-    analysis.setTraceSink(&collector);
-    analysis.run(cfg.analysisWindow);
-    nodeHists = collector.finish();
+void
+ProfilePipeline::adopt(std::shared_ptr<const TrainedProfile> trained)
+{
+    trained_ = std::move(trained);
 
     // Phase 3: slowdown thresholding.
-    ThresholdConfig tcfg;
-    tcfg.slowdownPct = cfg.slowdownPct;
-    tcfg.steps = shaker_cfg.steps;
+    ThresholdConfig tcfg = thresholdConfigFor(cfg.slowdownPct, cfg.shaker);
     nodeFreqs.clear();
-    for (const auto &kv : nodeHists) {
-        if (kv.first != 0 && tree_->node(kv.first).longRunning)
+    for (const auto &kv : trained_->nodeHists) {
+        if (kv.first != 0 && trained_->tree.node(kv.first).longRunning)
             nodeFreqs[kv.first] = chooseFrequencies(kv.second, tcfg);
     }
 
     // Phase 4: application editing.
-    plan_ = buildPlan(*tree_, nodeFreqs, cfg.mode);
-    trained = true;
+    plan_ = buildPlan(trained_->tree, nodeFreqs, cfg.mode);
 }
 
 sim::RunResult
@@ -58,13 +73,13 @@ ProfilePipeline::runProduction(
     std::uint64_t hook_interval,
     std::shared_ptr<const sim::CheckpointSet> checkpoints)
 {
-    if (!trained)
+    if (!trained_)
         fatal("ProfilePipeline::runProduction() before train()");
     if (hook && hook_interval == 0)
         fatal("ProfilePipeline::runProduction(): an interval hook "
               "needs a positive hook_interval (0 would silently "
               "disable it)");
-    ProfileRuntime runtime(*tree_, plan_, cfg.costs);
+    ProfileRuntime runtime(trained_->tree, plan_, cfg.costs);
     sim::Processor proc(scfg, pcfg, program, input);
     proc.setMarkerHandler(&runtime);
     proc.setCheckpoints(std::move(checkpoints));

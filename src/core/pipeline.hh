@@ -43,7 +43,39 @@ struct PipelineConfig
 };
 
 /**
- * Driver object owning the trained state (tree, frequencies, plan).
+ * Phases 1-2, the half of the pipeline that does not read d: the
+ * training call tree with its long-running nodes, and the shaker's
+ * histograms per node.  Thresholding (phase 3) and editing (phase 4)
+ * start from it at any d, so one training serves a whole d sweep;
+ * it is immutable once built and may be shared across threads.
+ */
+struct TrainedProfile
+{
+    CallTree tree;
+    std::map<std::uint32_t, NodeHistograms> nodeHists;
+};
+
+/**
+ * Run phases 1-2 on the training input: profile it under
+ * @p cfg.mode, then simulate @p cfg.analysisWindow instructions of it
+ * at full speed and shake the trace per node.  Reads every
+ * PipelineConfig field but slowdownPct and costs.
+ *
+ * @param program workload
+ * @param train   training input set
+ * @param cfg     pipeline configuration
+ * @param scfg    simulator configuration for the analysis run
+ * @param pcfg    power model configuration
+ */
+TrainedProfile trainProfile(const workload::Program &program,
+                            const workload::InputSet &train,
+                            const PipelineConfig &cfg,
+                            const sim::SimConfig &scfg,
+                            const power::PowerConfig &pcfg);
+
+/**
+ * Driver object owning the per-d state (frequencies, plan) on top of
+ * a possibly shared TrainedProfile.
  */
 class ProfilePipeline
 {
@@ -56,7 +88,8 @@ class ProfilePipeline
                     const PipelineConfig &cfg);
 
     /**
-     * Run phases 1-4 on the training input.
+     * Run phases 1-4 on the training input: adopt() of a fresh
+     * trainProfile().
      *
      * @param train training input set
      * @param scfg  simulator configuration for the analysis run
@@ -65,6 +98,14 @@ class ProfilePipeline
     void train(const workload::InputSet &train,
                const sim::SimConfig &scfg,
                const power::PowerConfig &pcfg);
+
+    /**
+     * Run phases 3-4 on a prebuilt training: threshold its histograms
+     * at this pipeline's d and edit.  @p trained must come from
+     * trainProfile() with this pipeline's program and configuration
+     * (d aside); other pipelines may share it.
+     */
+    void adopt(std::shared_ptr<const TrainedProfile> trained);
 
     /**
      * Run the edited binary on a production input.
@@ -92,9 +133,9 @@ class ProfilePipeline
                   std::shared_ptr<const sim::CheckpointSet>
                       checkpoints = nullptr);
 
-    /** The training call tree (valid after train()). */
-    const CallTree &tree() const { return *tree_; }
-    /** The instrumentation plan (valid after train()). */
+    /** The training call tree (valid after train()/adopt()). */
+    const CallTree &tree() const { return trained_->tree; }
+    /** The instrumentation plan (valid after train()/adopt()). */
     const InstrumentationPlan &plan() const { return plan_; }
     /** Chosen frequencies per long-running node. */
     const std::map<std::uint32_t, sim::FreqSet> &
@@ -106,17 +147,15 @@ class ProfilePipeline
     const std::map<std::uint32_t, NodeHistograms> &
     nodeHistograms() const
     {
-        return nodeHists;
+        return trained_->nodeHists;
     }
 
   private:
     const workload::Program &program;
     PipelineConfig cfg;
-    std::unique_ptr<CallTree> tree_;
-    std::map<std::uint32_t, NodeHistograms> nodeHists;
+    std::shared_ptr<const TrainedProfile> trained_;
     std::map<std::uint32_t, sim::FreqSet> nodeFreqs;
     InstrumentationPlan plan_;
-    bool trained = false;
 };
 
 } // namespace mcd::core

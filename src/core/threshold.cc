@@ -3,6 +3,15 @@
 namespace mcd::core
 {
 
+ThresholdConfig
+thresholdConfigFor(double slowdown_pct, const ShakerConfig &shaker)
+{
+    ThresholdConfig c;
+    c.slowdownPct = slowdown_pct;
+    c.steps = shaker.steps;
+    return c;
+}
+
 sim::FreqSet
 chooseFrequencies(const NodeHistograms &node, const ThresholdConfig &cfg)
 {

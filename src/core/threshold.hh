@@ -56,6 +56,15 @@ struct ThresholdConfig
 sim::FreqSet chooseFrequencies(const NodeHistograms &node,
                                const ThresholdConfig &cfg);
 
+/**
+ * Thresholding at @p slowdown_pct on the step grid of @p shaker, the
+ * shaker configuration whose histograms are thresholded.  The one
+ * ShakerConfig→ThresholdConfig derivation, shared by the profile
+ * pipeline and the off-line oracle.
+ */
+ThresholdConfig thresholdConfigFor(double slowdown_pct,
+                                   const ShakerConfig &shaker);
+
 } // namespace mcd::core
 
 #endif // MCD_CORE_THRESHOLD_HH

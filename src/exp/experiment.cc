@@ -7,14 +7,16 @@
 #include <iterator>
 #include <thread>
 
+#if defined(__GLIBC__)
+#include <malloc.h>
+#endif
+
 #include "chip/multi.hh"
-#include "sim/checkpoint.hh"
 #include "util/logging.hh"
 #include "util/pool.hh"
 #include "util/text.hh"
 #include "workload/registry.hh"
 #include "workload/spec.hh"
-#include "workload/suite.hh"
 
 namespace mcd::exp
 {
@@ -381,12 +383,25 @@ Runner::Runner(const ExpConfig &c)
                           const control::PolicySpec &spec) {
         return run(bench, spec);
     };
-    // Sampled mode: policies pull the shared per-benchmark
-    // checkpoint set through the context, so every cell of a sweep
-    // that runs one benchmark replays one functional walk.
-    if (cfg.sim.sampling.sampled())
-        ctx.checkpoints = [this](const std::string &bench) {
-            return checkpointSetFor(bench);
+    // What cells derive alike (a d grid's training and off-line
+    // analysis, sampled-mode checkpoints) is built once per runner.
+    ctx.artifacts =
+        [this](const std::string &key,
+               const std::function<std::shared_ptr<const void>()>
+                   &build) {
+            bool built = false;
+            std::shared_ptr<const void> a =
+                artifacts.get(key, build, &built);
+#if defined(__GLIBC__)
+            // The artifact's small blocks were allocated among the far
+            // larger transient ones of its build (the analysis
+            // simulation, the shaker's DAGs) and outlive them, pinning
+            // that freed memory in the thread's malloc arena, which
+            // only shrinks from its top.  Hand it back to the system.
+            if (built)
+                malloc_trim(0);
+#endif
+            return a;
         };
     loadCache();
     if (!cfg.cacheFile.empty())
@@ -505,21 +520,6 @@ Runner::OnceMap<V>::get(const std::string &key,
         }
         throw;
     }
-}
-
-std::shared_ptr<const sim::CheckpointSet>
-Runner::checkpointSetFor(const std::string &canon_bench)
-{
-    return checkpointSets.get(canon_bench, [&] {
-        // The set's functional state points into the Program, so the
-        // set keeps the whole Benchmark alive through an aliasing
-        // pointer.
-        auto bm = std::make_shared<workload::Benchmark>(
-            workload::makeBenchmark(canon_bench));
-        std::shared_ptr<const workload::Program> prog(bm, &bm->program);
-        return sim::CheckpointSet::build(prog, bm->ref, cfg.sim,
-                                         cfg.productionWindow);
-    });
 }
 
 Runner::OnceMap<Outcome> &

@@ -162,7 +162,7 @@ struct ChipCell
 
 /**
  * The harness knobs of @p cfg as a policy sees them.  Runner adds its
- * memoized evaluator and checkpoint source on top.
+ * memoized evaluator and artifact store on top.
  */
 control::PolicyContext policyContext(const ExpConfig &cfg);
 
@@ -302,7 +302,7 @@ class Runner
 
     /**
      * The one compute-once protocol, shared by the outcome memo and
-     * the checkpoint sets: concurrent requests for one key compute it
+     * the artifact store: concurrent requests for one key compute it
      * once — the inserting thread computes, the others block on its
      * shared future.  A throwing computation reaches every waiter and
      * drops the entry, so a later request recomputes.
@@ -323,14 +323,6 @@ class Runner
     static constexpr std::size_t NUM_SHARDS = 16;
 
     OnceMap<Outcome> &shardFor(const std::string &key);
-    /**
-     * Sampled mode: the shared per-benchmark checkpoint set
-     * (sim/checkpoint.hh), built once per distinct canonical bench
-     * at the production window and reused by every cell of the
-     * sweep.
-     */
-    std::shared_ptr<const sim::CheckpointSet>
-    checkpointSetFor(const std::string &canon_bench);
     /** Canonicalize @p spec and @p bench (throws
      *  workload::SpecError on either), resolve the policy and build
      *  the memo/CSV key — the single definition of the key layout,
@@ -356,7 +348,14 @@ class Runner
     control::PolicyContext ctx;
     std::uint64_t fingerprint;
     std::array<OnceMap<Outcome>, NUM_SHARDS> shards;
-    OnceMap<std::shared_ptr<const sim::CheckpointSet>> checkpointSets;
+    /**
+     * The context's artifact store (control::sharedArtifact): what
+     * cells derive alike — a profile training per (mode, bench), an
+     * off-line analysis per bench, a sampled-mode checkpoint set per
+     * bench — built once and kept in memory only.  Artifacts are a
+     * function of cache-keyed inputs, so they never reach the CSV.
+     */
+    OnceMap<std::shared_ptr<const void>> artifacts;
     std::unique_ptr<CacheWriter> writer;
     std::size_t nLoaded = 0;
     std::size_t nRejected = 0;
