@@ -2,10 +2,10 @@
  * @file
  * `bench_tournament` — the all-policy tournament (exp/tournament.hh).
  *
- * Every registered sweepable policy (or an explicit `--policy`
- * roster) runs the tournament workload roster — the curated training
- * split plus the held-out `gen:` workloads (workload/split.hh), or
- * an explicit `--workload` list — and is ranked by mean regret
+ * Every registered policy (or an explicit `--policy` roster) runs
+ * the tournament workload roster — the curated training split plus
+ * the held-out `gen:` workloads (workload/split.hh), or an explicit
+ * `--workload` list — and is ranked by mean regret
  * against the off-line oracle (`--oracle`, default offline:d=10) on
  * the paper's energy*delay metric.  The holdout column shows regret
  * on the generated workloads alone: the policies' generalization
@@ -42,8 +42,7 @@ printUsage(const char *argv0, std::FILE *to)
         "  --oracle SPEC    regret reference (default offline:d=10)\n"
         "  --policy SPEC    add a policy to the roster (repeatable; "
         "default: every\n"
-        "                   registered sweepable policy at schema "
-        "defaults)\n"
+        "                   registered policy at schema defaults)\n"
         "  --workload SPEC  add a workload (repeatable; default: the "
         "tournament\n"
         "                   roster, training split + held-out gen: "

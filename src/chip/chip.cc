@@ -1,14 +1,69 @@
 #include "chip/chip.hh"
 
 #include <limits>
+#include <memory>
 
 #include "chip/multi.hh"
-#include "control/policy.hh"
 #include "util/logging.hh"
-#include "workload/spec.hh"
+#include "util/spec.hh"
 
 namespace mcd::chip
 {
+
+namespace
+{
+
+/** The shared-uncore coordinator as a spec-engine kind. */
+class CoordKind final : public util::SpecKind
+{
+  public:
+    const char *
+    name() const override
+    {
+        return "chip-coord";
+    }
+
+    const char *
+    description() const override
+    {
+        return "chip-level uncore/DRAM frequency coordinator "
+               "(aggregated queue occupancy)";
+    }
+
+    std::vector<util::SpecParamInfo>
+    params() const override
+    {
+        using P = util::SpecParamInfo;
+        const CoordConfig def;
+        return {
+            P::num("hi", def.hi,
+                   "occupancy above which the uncore speeds "
+                   "up (queued ps per interval ps)",
+                   0.0, 1000.0),
+            P::num("lo", def.lo,
+                   "occupancy below which the uncore slows "
+                   "down",
+                   0.0, 1000.0),
+            P::num("step", def.step,
+                   "frequency move per decision, as a "
+                   "fraction of the uncore range",
+                   0.0, 1.0),
+        };
+    }
+};
+
+const util::SpecRegistry &
+coordinators()
+{
+    static const util::SpecRegistry *reg = [] {
+        auto *r = new util::SpecRegistry("coordinator");
+        r->add(std::make_unique<CoordKind>());
+        return r;
+    }();
+    return *reg;
+}
+
+} // namespace
 
 CoordConfig
 parseCoordSpec(const std::string &text)
@@ -17,33 +72,20 @@ parseCoordSpec(const std::string &text)
     if (text.empty())
         return c;
 
-    auto bad = [&](const std::string &why) {
-        return workload::SpecError(strprintf(
-            "bad coordinator spec '%s': %s", text.c_str(), why.c_str()));
-    };
-    // The name is checked between parse and canonicalization, so any
-    // other policy is refused as such, valid for it or not.
-    control::PolicySpec spec;
+    std::string name;
+    util::SpecParams params;
     std::string err;
-    if (!control::parseSpec(text, spec, err))
-        throw bad(err);
-    if (spec.policy != "chip-coord")
-        throw workload::SpecError(strprintf(
-            "coordinator spec '%s' must name the chip-coord policy",
-            text.c_str()));
-    try {
-        spec = control::canonicalPolicySpec(std::move(spec));
-    } catch (const workload::SpecError &e) {
-        throw bad(e.what());
-    }
+    if (!util::splitSpec(text, "coordinator spec", name, params, err))
+        throw util::SpecError(err);
+    coordinators().canonicalize(name, params);
 
     c.enabled = true;
-    c.hi = spec.num("hi");
-    c.lo = spec.num("lo");
-    c.step = spec.num("step");
-    c.canonSpec = spec.str();
+    c.hi = params.at("hi").num;
+    c.lo = params.at("lo").num;
+    c.step = params.at("step").num;
+    c.canonSpec = params.str(name);
     if (c.lo > c.hi)
-        throw workload::SpecError(strprintf(
+        throw util::SpecError(strprintf(
             "coordinator spec '%s': lo=%g exceeds hi=%g",
             text.c_str(), c.lo, c.hi));
     return c;

@@ -41,9 +41,9 @@ namespace mcd::chip
 
 /**
  * Chip-level coordinator parameters, parsed from a canonical
- * `chip-coord:` policy spec (the schema lives in
- * src/chip/policies/chip_coord.cc).  Default-constructed =
- * disabled: the uncore stays at its maximum frequency.
+ * `chip-coord:` coordinator spec (the schema lives in chip.cc and
+ * takes its defaults from here).  Default-constructed = disabled:
+ * the uncore stays at its maximum frequency.
  */
 struct CoordConfig
 {
@@ -55,10 +55,10 @@ struct CoordConfig
 };
 
 /**
- * Canonicalize @p text as a `chip-coord:` spec through the
- * PolicyRegistry and extract the coordinator parameters.  An empty
+ * Canonicalize @p text against the coordinator registry (one kind,
+ * `chip-coord`) and extract the coordinator parameters.  An empty
  * @p text disables the coordinator.  Throws workload::SpecError on
- * an unknown policy name or malformed parameters, so servers can
+ * an unknown coordinator or malformed parameters, so servers can
  * reject bad requests instead of dying.
  */
 CoordConfig parseCoordSpec(const std::string &text);

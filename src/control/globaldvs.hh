@@ -1,9 +1,9 @@
 /**
  * @file
- * The "global" baseline of Figure 7: a single-clock processor whose
- * one voltage/frequency is chosen per benchmark so that total run
- * time approximately matches a target (the paper matches the
- * off-line algorithm's run time).
+ * The "global" baseline of Figure 7: the MCD processor with all four
+ * domains at one voltage/frequency, chosen per benchmark so that
+ * total run time approximately matches a target (the paper matches
+ * the off-line algorithm's run time).
  */
 
 #ifndef MCD_CONTROL_GLOBALDVS_HH
@@ -33,9 +33,10 @@ struct GlobalDvsResult
 };
 
 /**
- * Find (by bisection) the single chip frequency whose single-clock
- * run time best matches @p target_time_ps without exceeding it by
- * more than the search tolerance, and return that run.
+ * Find (by bisection) the single chip frequency whose run time, with
+ * every domain at that frequency, best matches @p target_time_ps
+ * without exceeding it by more than the search tolerance, and return
+ * that run.
  *
  * Unlike the other controllers this baseline has no slowdown target
  * of its own: the paper gives it the off-line oracle's achieved run
@@ -44,9 +45,9 @@ struct GlobalDvsResult
  *
  * @param program    workload
  * @param input      input set
- * @param scfg       simulator configuration (single-clock mode is
- *                   forced internally, so no MCD synchronization
- *                   penalties apply)
+ * @param scfg       simulator configuration, used unchanged: the
+ *                   search keeps the MCD substrate and its
+ *                   synchronization penalties
  * @param pcfg       power configuration
  * @param window     instructions to simulate
  * @param target_time_ps run time to match, in picoseconds

@@ -1,9 +1,9 @@
 /**
  * @file
- * The global-DVS baseline as a policy: a single-clock chip bisected
- * to the one frequency whose run time matches the off-line oracle's
- * (Section 4.1) — what conventional chip-wide DVFS could do under
- * the same performance budget.
+ * The global-DVS baseline as a policy: the MCD chip with all four
+ * domains bisected to the one frequency whose run time matches the
+ * off-line oracle's (Section 4.1) — what conventional chip-wide DVFS
+ * could do under the same performance budget.
  *
  * The off-line run it matches is obtained through
  * `PolicyContext::evaluate`, i.e. through the harness memo: whether
@@ -33,8 +33,8 @@ class GlobalPolicy final : public Policy
     const char *
     description() const override
     {
-        return "chip-wide DVS on a single-clock core, matched to "
-               "the off-line oracle's run time";
+        return "chip-wide DVS, all four domains at one frequency, "
+               "matched to the off-line oracle's run time";
     }
 
     std::vector<ParamInfo>

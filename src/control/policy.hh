@@ -22,7 +22,7 @@
  * `MCD_REGISTER_POLICY(...)`, and list the file in
  * `src/control/CMakeLists.txt`.  No changes to `exp/` or `bench/`
  * are needed — the registry makes it selectable in every bench
- * binary and sweepable like any built-in.
+ * binary and in every sweep like any built-in.
  */
 
 #ifndef MCD_CONTROL_POLICY_HH
@@ -274,15 +274,6 @@ class Policy : public util::SpecKind
      * itself).
      */
     virtual bool relativeToBaseline() const { return true; }
-
-    /**
-     * Whether the policy participates in all-policy sweeps
-     * (`exp::Tournament`'s default roster).  Policies whose `run()`
-     * does not model the paper's single-core production run — e.g.
-     * the many-core chip coordinator — opt out; they stay fully
-     * selectable by explicit spec.
-     */
-    virtual bool sweepable() const { return true; }
 
     /**
      * The harness-configuration fragment of this policy's cache key:

@@ -1,11 +1,7 @@
 #include "exp/experiment.hh"
 
-#include <condition_variable>
 #include <cstring>
-#include <deque>
-#include <fstream>
 #include <iterator>
-#include <thread>
 
 #if defined(__GLIBC__)
 #include <malloc.h>
@@ -256,93 +252,6 @@ configFingerprint(const ExpConfig &cfg)
     return f.h;
 }
 
-/**
- * Single writer thread owning the cache CSV: one ofstream kept open
- * for the Runner's lifetime, fed by a queue, flushed on destruction.
- * store() from any number of sweep threads just enqueues a line.  An
- * unwritable path or a mid-run write failure is reported once via
- * warn() and disables further appends (the in-memory memo still
- * works).
- */
-class Runner::CacheWriter
-{
-  public:
-    explicit CacheWriter(const std::string &path)
-    {
-        // The writer only ever emits pre-formatted lines
-        // (outcomeToLine routes doubles through util::fmtDouble17),
-        // so the stream needs no locale fiddling of its own.
-        out.open(path, std::ios::app);
-        if (!out) {
-            warn("result cache '%s' is not writable; "
-                 "outcomes will not be persisted",
-                 path.c_str());
-            failed = true;
-            return;
-        }
-        thr = std::thread(&CacheWriter::run, this);
-    }
-
-    ~CacheWriter()
-    {
-        if (!thr.joinable())
-            return;
-        {
-            std::lock_guard<std::mutex> l(m);
-            stop = true;
-        }
-        cv.notify_all();
-        thr.join();
-        out.flush();
-    }
-
-    void
-    append(std::string line)
-    {
-        {
-            std::lock_guard<std::mutex> l(m);
-            if (failed)
-                return;
-            q.push_back(std::move(line));
-        }
-        cv.notify_one();
-    }
-
-  private:
-    void
-    run()
-    {
-        std::unique_lock<std::mutex> l(m);
-        for (;;) {
-            cv.wait(l, [this] { return stop || !q.empty(); });
-            while (!q.empty() && !failed) {
-                std::string line = std::move(q.front());
-                q.pop_front();
-                l.unlock();
-                out << line << '\n';
-                bool bad = out.fail();
-                l.lock();
-                if (bad) {
-                    warn("writing to the result cache failed; "
-                         "disabling further appends");
-                    failed = true;
-                    q.clear();
-                }
-            }
-            if (stop)
-                return;
-        }
-    }
-
-    std::ofstream out;
-    std::mutex m;
-    std::condition_variable cv;
-    std::deque<std::string> q;
-    std::thread thr;
-    bool stop = false;
-    bool failed = false;
-};
-
 SweepCell
 SweepCell::of(std::string bench, control::PolicySpec spec)
 {
@@ -404,11 +313,17 @@ Runner::Runner(const ExpConfig &c)
             return a;
         };
     loadCache();
-    if (!cfg.cacheFile.empty())
-        writer = std::make_unique<CacheWriter>(cfg.cacheFile);
+    if (!cfg.cacheFile.empty()) {
+        // Lines are pre-formatted (outcomeToLine routes doubles
+        // through util::fmtDouble17), so the stream needs no locale
+        // fiddling of its own.
+        cacheOut.open(cfg.cacheFile, std::ios::app);
+        if (!cacheOut.is_open())
+            warn("result cache '%s' is not writable; "
+                 "outcomes will not be persisted",
+                 cfg.cacheFile.c_str());
+    }
 }
-
-Runner::~Runner() = default;
 
 std::string
 Runner::keyPrefix() const
@@ -473,7 +388,7 @@ Runner::loadCache()
         std::promise<Outcome> p;
         p.set_value(o);
         // Last occurrence wins, as with the old std::map overwrite.
-        shardFor(key).map[key] = p.get_future().share();
+        memo.map[key] = p.get_future().share();
         ++nLoaded;
     }
     if (nRejected > MAX_LINE_WARNINGS)
@@ -522,20 +437,19 @@ Runner::OnceMap<V>::get(const std::string &key,
     }
 }
 
-Runner::OnceMap<Outcome> &
-Runner::shardFor(const std::string &key)
-{
-    // mcd-lint: allow(determinism): in-memory lock-shard selection
-    // only — the hash never reaches a persisted key or a wire
-    // message, so an implementation-defined std::hash is fine here.
-    return shards[std::hash<std::string>{}(key) % NUM_SHARDS];
-}
-
 void
 Runner::store(const std::string &key, const Outcome &o)
 {
-    if (writer)
-        writer->append(outcomeToLine(key, o));
+    std::string line = outcomeToLine(key, o);
+    std::lock_guard<std::mutex> l(cacheMutex);
+    if (!cacheOut.is_open())
+        return;
+    cacheOut << line << '\n';
+    if (cacheOut.fail()) {
+        warn("writing to the result cache failed; "
+             "disabling further appends");
+        cacheOut.close();
+    }
 }
 
 Outcome
@@ -544,7 +458,7 @@ Runner::memoize(const std::string &key,
                 bool *computed)
 {
     bool owner = false;
-    Outcome o = shardFor(key).get(
+    Outcome o = memo.get(
         key,
         [&] {
             nMisses.fetch_add(1, std::memory_order_relaxed);

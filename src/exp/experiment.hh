@@ -22,20 +22,20 @@
  * the bench binaries; `--jobs 1` reproduces the old serial loops
  * exactly).
  *
- * Results are memoized in a sharded in-memory map and, optionally,
- * appended to a CSV cache file by a single writer thread so that the
- * per-figure bench binaries do not recompute shared sweeps.  Cache
- * keys embed a fingerprint of the active SimConfig/PowerConfig so
- * binaries run with different configurations can share one cache
- * file without reading each other's outcomes.
+ * Results are memoized in an in-memory map and, optionally,
+ * appended to a CSV cache file so that the per-figure bench binaries
+ * do not recompute shared sweeps.  Cache keys embed a fingerprint of
+ * the active SimConfig/PowerConfig so binaries run with different
+ * configurations can share one cache file without reading each
+ * other's outcomes.
  */
 
 #ifndef MCD_EXP_EXPERIMENT_HH
 #define MCD_EXP_EXPERIMENT_HH
 
-#include <array>
 #include <atomic>
 #include <cstdint>
+#include <fstream>
 #include <functional>
 #include <future>
 #include <memory>
@@ -195,7 +195,6 @@ class Runner
 {
   public:
     explicit Runner(const ExpConfig &cfg = ExpConfig());
-    ~Runner();
 
     Runner(const Runner &) = delete;
     Runner &operator=(const Runner &) = delete;
@@ -298,8 +297,6 @@ class Runner
                          const control::PolicySpec &spec) const;
 
   private:
-    class CacheWriter;
-
     /**
      * The one compute-once protocol, shared by the outcome memo and
      * the artifact store: concurrent requests for one key compute it
@@ -319,10 +316,6 @@ class Runner
         V get(const std::string &key, const std::function<V()> &compute,
               bool *computed = nullptr);
     };
-    /** The outcome memo is lock-sharded over this many OnceMaps. */
-    static constexpr std::size_t NUM_SHARDS = 16;
-
-    OnceMap<Outcome> &shardFor(const std::string &key);
     /** Canonicalize @p spec and @p bench (throws
      *  workload::SpecError on either), resolve the policy and build
      *  the memo/CSV key — the single definition of the key layout,
@@ -347,7 +340,7 @@ class Runner
     ExpConfig cfg;
     control::PolicyContext ctx;
     std::uint64_t fingerprint;
-    std::array<OnceMap<Outcome>, NUM_SHARDS> shards;
+    OnceMap<Outcome> memo;
     /**
      * The context's artifact store (control::sharedArtifact): what
      * cells derive alike — a profile training per (mode, bench), an
@@ -356,7 +349,11 @@ class Runner
      * function of cache-keyed inputs, so they never reach the CSV.
      */
     OnceMap<std::shared_ptr<const void>> artifacts;
-    std::unique_ptr<CacheWriter> writer;
+    /** The CSV cache, open for appending until a write fails;
+     *  store() appends one line per computed cell under
+     *  `cacheMutex`. */
+    std::mutex cacheMutex;
+    std::ofstream cacheOut;
     std::size_t nLoaded = 0;
     std::size_t nRejected = 0;
     std::atomic<std::uint64_t> nHits{0};

@@ -46,24 +46,12 @@ Tournament::Tournament(Runner &r, const TournamentConfig &cfg)
 
     if (cfg.policies.empty()) {
         for (const control::Policy *p :
-             control::PolicyRegistry::instance().list()) {
-            if (!p->sweepable())
-                continue;
+             control::PolicyRegistry::instance().list())
             roster.push_back(
                 canonicalPolicy(p->name(), "policy").str());
-        }
     } else {
-        for (const std::string &text : cfg.policies) {
-            control::PolicySpec canon = canonicalPolicy(text, "policy");
-            const control::Policy *p =
-                control::PolicyRegistry::instance().find(canon.policy);
-            if (!p->sweepable())
-                throw workload::SpecError(strprintf(
-                    "tournament policy spec '%s': policy '%s' "
-                    "cannot run single-core sweep cells",
-                    text.c_str(), p->name()));
-            roster.push_back(canon.str());
-        }
+        for (const std::string &text : cfg.policies)
+            roster.push_back(canonicalPolicy(text, "policy").str());
     }
     // Ranking tie-break order; also collapses duplicate spellings of
     // one cell to one row.

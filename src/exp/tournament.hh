@@ -55,8 +55,8 @@ struct TournamentConfig
     // caches under its own canonical spec key; this field only names
     // which key to compare against.
     std::string oracle = "offline:d=10";
-    /** Policy specs to rank; empty = every registered policy with
-     *  `sweepable()` true, at its schema defaults. */
+    /** Policy specs to rank; empty = every registered policy, at
+     *  its schema defaults. */
     // mcd-lint: allow(fingerprint-complete): cell selection only —
     // each selected cell keys on its canonical spec.
     std::vector<std::string> policies;
@@ -104,8 +104,8 @@ struct TournamentResult
  * The cross-product sweep.  Construction canonicalizes the whole
  * plan — oracle, roster, workloads — and throws
  * `workload::SpecError` on any malformed spec, an empty roster/
- * workload list, a non-sweepable policy named explicitly, or a
- * sampled-mode runner; nothing simulates until run().
+ * workload list, or a sampled-mode runner; nothing simulates until
+ * run().
  */
 class Tournament
 {

@@ -82,8 +82,8 @@ struct SimConfig
 
     /**
      * Single-clock mode: all domains share aligned edges and no
-     * synchronization penalties apply (used for the MCD-penalty
-     * experiment and the global-DVS baseline).
+     * synchronization penalties apply (used for the MCD-penalty and
+     * synchronization-ablation experiments).
      */
     bool singleClock = false;
 

@@ -171,8 +171,6 @@ ExecDomain::tryIssue(Tick now, std::uint64_t seq)
     }
 
     u.issueTime = now;
-    u.issued = true;
-    u.inIq = false;
     u.execDone = now + static_cast<Tick>(lat) * period;
     u.execDoneEdge = cur_edge + static_cast<std::uint64_t>(lat);
     u.completed = true;
@@ -190,7 +188,6 @@ ExecDomain::tryIssue(Tick now, std::uint64_t seq)
             Tick t = u.memStart +
                      static_cast<Tick>(p.cfg.l1Latency) * period;
             if (!p.l1d.access(u.di.addr)) {
-                u.l1Miss = true;
                 ++p.l1dMissCount;
                 p.power_.access(power::Unit::L2, mem_v);
                 t = p.l2PortGrant(t) +

@@ -273,7 +273,6 @@ Frontend::dispatch(Tick now)
         }
 
         u.dispatchTime = now;
-        u.inIq = true;
         if (u.isStore)
             p.storeSeqs.push_back(u.seq);
         p.rob.push_back(u);
@@ -347,9 +346,6 @@ Frontend::commit(Tick now)
         p.power_.access(power::Unit::Rob, fe_v);
 
         if (workload::producesValue(u.di.cls)) {
-            Tick ready = u.isLoad ? u.memDone : u.execDone;
-            p.valueRing[u.seq % Processor::VALUE_RING] =
-                Processor::ValueEntry{u.seq, ready};
             if (u.domain == Domain::FloatingPoint)
                 ++p.fpRegsFree;
             else
@@ -371,7 +367,6 @@ Frontend::commit(Tick now)
             t.memStart = u.memStart;
             t.memDone = u.memDone;
             t.commit = now;
-            t.l1Miss = u.l1Miss;
             t.l2Miss = u.l2Miss;
             t.mispredict = u.mispredicted;
             p.traceSink->onInstr(t);
@@ -386,15 +381,7 @@ Frontend::commit(Tick now)
         // *virtual* instruction index — committed plus functionally
         // skipped (sampled mode; always equal to committed in exact
         // mode, where skippedInstrs stays 0).
-        while (p.schedulePos < p.schedule.size() &&
-               p.committedInstrs + p.skippedInstrs >=
-                   p.schedule[p.schedulePos].atInstr) {
-            for (Domain d : scaledDomains())
-                p.kernel.setTarget(
-                    d, p.schedule[p.schedulePos].freqs[domainIndex(d)]);
-            ++p.reconfigCount;
-            ++p.schedulePos;
-        }
+        p.applyScheduleUpTo(p.committedInstrs + p.skippedInstrs);
 
         if (p.intervalHook && p.intervalInstrs > 0 &&
             p.committedInstrs + p.skippedInstrs -

@@ -52,6 +52,19 @@ Processor::setSchedule(std::vector<SchedulePoint> sched)
 }
 
 void
+Processor::applyScheduleUpTo(std::uint64_t v)
+{
+    while (schedulePos < schedule.size() &&
+           schedule[schedulePos].atInstr <= v) {
+        for (Domain d : scaledDomains())
+            kernel.setTarget(
+                d, schedule[schedulePos].freqs[domainIndex(d)]);
+        ++reconfigCount;
+        ++schedulePos;
+    }
+}
+
+void
 Processor::setInitialFreqs(const FreqSet &freqs)
 {
     for (Domain d : scaledDomains())
@@ -122,11 +135,10 @@ Processor::operandReady(std::uint64_t producer_seq, Domain d,
         Tick t = p->isLoad ? p->memDone : p->execDone;
         return now >= t + syncMargin(p->domain, d);
     }
-    // Producer has retired; the value ring remembers recent ones.
-    const ValueEntry &e = valueRing[producer_seq % VALUE_RING];
-    if (e.seq == producer_seq)
-        return now >= e.ready;
-    return true;  // retired long ago
+    // A producer that left the ROB has retired, and commit waited
+    // for its value to reach the front end (now >= ready + margin);
+    // edge times never decrease, so the value is ready here too.
+    return true;
 }
 
 RunResult

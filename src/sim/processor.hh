@@ -185,6 +185,10 @@ class Processor : public DvfsControl
     friend class Frontend;
     friend class ExecDomain;
 
+    /** Apply schedule points with atInstr <= @p v (virtual index:
+     *  committed plus functionally skipped instructions). */
+    void applyScheduleUpTo(std::uint64_t v);
+
     // --- sampled-mode machinery (sim/sampling.cc) ---
 
     /** The sampled counterpart of run(): detailed probes separated
@@ -193,8 +197,6 @@ class Processor : public DvfsControl
     /** Overwrite the warm microarchitectural state from @p f at a
      *  probe start (stream, caches, predictor, fetch line). */
     void copyInFuncState(const FuncState &f);
-    /** Apply schedule points with atInstr <= @p v (virtual index). */
-    void applyScheduleUpTo(std::uint64_t v);
     /** Deliver a skip-span marker: the handler sees it (call-tree
      *  position, reconfig decisions) and only the *state* effect of
      *  its action (reconfig) is applied — transient stall/energy
@@ -208,12 +210,9 @@ class Processor : public DvfsControl
         std::uint64_t seq = 0;
         std::uint32_t node = 0;
         Domain domain = Domain::Integer;
-        bool inIq = false;
-        bool issued = false;
         bool completed = false;   ///< result available (execDone set)
         bool isLoad = false;
         bool isStore = false;
-        bool l1Miss = false;
         bool l2Miss = false;
         bool mispredicted = false;
         std::uint64_t depSeq1 = 0;
@@ -234,14 +233,6 @@ class Processor : public DvfsControl
     {
         Uop uop;
         std::uint64_t readyFeTick = 0;
-    };
-
-    /** Retired-producer value-ready times (small ring by seq). */
-    static constexpr std::uint32_t VALUE_RING = 1024;
-    struct ValueEntry
-    {
-        std::uint64_t seq = 0;
-        Tick ready = 0;
     };
 
     // --- shared helpers used by the domain components ---
@@ -304,7 +295,6 @@ class Processor : public DvfsControl
     std::deque<Uop> rob;
     std::deque<FetchEntry> fetchQueue;
     std::array<std::vector<std::uint64_t>, NUM_SCALED_DOMAINS> iq;
-    std::array<ValueEntry, VALUE_RING> valueRing{};
     std::vector<std::uint64_t> producerRing;  ///< recent producer seqs
     std::size_t producerHead = 0;
     std::uint64_t producerCount = 0;

@@ -145,19 +145,6 @@ Processor::copyInFuncState(const FuncState &f)
 }
 
 void
-Processor::applyScheduleUpTo(std::uint64_t v)
-{
-    while (schedulePos < schedule.size() &&
-           schedule[schedulePos].atInstr <= v) {
-        for (Domain d : scaledDomains())
-            kernel.setTarget(
-                d, schedule[schedulePos].freqs[domainIndex(d)]);
-        ++reconfigCount;
-        ++schedulePos;
-    }
-}
-
-void
 Processor::deliverSkipMarker(const workload::Marker &m)
 {
     if (!markerHandler)

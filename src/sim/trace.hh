@@ -40,7 +40,6 @@ struct InstrTiming
     Tick memStart = 0;          ///< loads only
     Tick memDone = 0;           ///< loads only: data return
     Tick commit = 0;
-    bool l1Miss = false;
     bool l2Miss = false;
     bool mispredict = false;
 };

@@ -10,8 +10,8 @@
  * failing fault-suite case replays exactly.  tests/test_server.cc
  * sweeps every Fault against a live in-process server and asserts
  * the server's contract: structured errors or clean disconnects,
- * never a crash, never a hang past the watchdog.  bench_server uses
- * the same shim to measure throughput under a hostile client mix.
+ * never a crash, never a hang past the watchdog.
+ * tests/test_spec_fuzz.cc uses the same shim to mutate spec frames.
  */
 
 #ifndef MCD_SRV_FAULTS_HH

@@ -4,9 +4,9 @@
  * daemon that accepts `{workload spec, policy spec, window,
  * config fingerprint}` requests over a Unix or loopback-TCP socket
  * (the versioned line format of srv/proto.hh), executes them on the
- * shared thread pool through `exp::Runner`'s sharded shared-future
- * memo — concurrent identical cells compute exactly once — and
- * streams outcome rows back.
+ * shared thread pool through `exp::Runner`'s shared-future memo —
+ * concurrent identical cells compute exactly once — and streams
+ * outcome rows back.
  *
  * Robustness is part of the contract, not an afterthought:
  *  - malformed frames get a structured `ERR code=bad-request` reply

@@ -26,7 +26,7 @@
  * `MCD_REGISTER_WORKLOAD(...)`, and list the file in
  * `src/workload/CMakeLists.txt`.  No changes to `exp/` or `bench/`
  * are needed — the registry makes it selectable in every bench
- * binary and sweepable like any built-in.
+ * binary and in every sweep like any built-in.
  */
 
 #ifndef MCD_WORKLOAD_REGISTRY_HH

@@ -320,29 +320,47 @@ TEST(Chip, CoordinatorMovesTheUncoreFrequency)
 
 TEST(Chip, CoordSpecValidation)
 {
-    using workload::SpecError;
-    EXPECT_FALSE(chip::parseCoordSpec("").enabled);
-    EXPECT_THROW(chip::parseCoordSpec("online"), SpecError);
-    EXPECT_THROW(chip::parseCoordSpec("chip-coord:bogus=1"),
-                 SpecError);
-    EXPECT_THROW(chip::parseCoordSpec("chip-coord:hi=0.1,lo=0.2"),
-                 SpecError);
-}
+    // Input text -> canonical text, or "error: " and the message.
+    // Canonical strings are chip cache keys and wire labels.
+    auto result = [](const std::string &text) {
+        try {
+            return chip::parseCoordSpec(text).canonSpec;
+        } catch (const workload::SpecError &e) {
+            return std::string("error: ") + e.what();
+        }
+    };
+    const struct
+    {
+        const char *input;
+        const char *expect;
+    } cases[] = {
+        {"chip-coord",
+         "chip-coord:hi=0.250,lo=0.050,step=0.100"},
+        {"chip-coord:hi=900,lo=800",
+         "chip-coord:hi=900.000,lo=800.000,step=0.100"},
+        {"chip-coord:step=0.25,lo=0",
+         "chip-coord:hi=0.250,lo=0.000,step=0.250"},
+        {"online",
+         "error: unknown coordinator 'online' (known: chip-coord)"},
+        {"chip-coord:bogus=1",
+         "error: coordinator 'chip-coord' has no parameter 'bogus' "
+         "(takes: hi lo step)"},
+        {"chip-coord:step=2",
+         "error: coordinator 'chip-coord' parameter 'step': 2 is out "
+         "of range [0, 1]"},
+        {"chip-coord:hi=0.1,lo=0.2",
+         "error: coordinator spec 'chip-coord:hi=0.1,lo=0.2': lo=0.2 "
+         "exceeds hi=0.1"},
+        {"chip-coord:hi",
+         "error: bad coordinator spec 'chip-coord:hi': parameter 'hi' "
+         "is not of the form key=value"},
+    };
+    for (const auto &c : cases)
+        EXPECT_EQ(result(c.input), c.expect) << c.input;
 
-TEST(ChipDeathTest, ChipCoordPolicyRefusesSingleCoreRuns)
-{
-    control::PolicySpec spec =
-        control::PolicySpec::of("chip-coord");
-    std::string err;
-    ASSERT_TRUE(control::PolicyRegistry::instance().canonicalize(
-        spec, err))
-        << err;
-    const control::Policy *p =
-        control::PolicyRegistry::instance().find("chip-coord");
-    ASSERT_NE(p, nullptr);
-    control::PolicyContext ctx;
-    EXPECT_DEATH(p->run("gsm_decode", spec, ctx),
-                 "cannot run the single-core benchmark");
+    chip::CoordConfig off = chip::parseCoordSpec("");
+    EXPECT_FALSE(off.enabled);
+    EXPECT_EQ(off.canonSpec, "");
 }
 
 // ------------------------------------------------------------------ //

@@ -12,15 +12,18 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <fstream>
 #include <sstream>
 #include <string>
 
+#include "chip/chip.hh"
 #include "chip/config.hh"
 #include "control/policy.hh"
 #include "sim/sampling.hh"
 #include "srv/proto.hh"
 #include "srv/server.hh"
+#include "util/spec.hh"
 #include "util/text.hh"
 #include "workload/generate.hh"
 #include "workload/registry.hh"
@@ -62,6 +65,15 @@ TEST(Docs, PoliciesDocCoversTheRegistry)
                 << "' missing or stale";
         }
     }
+    // globalDvsMatch runs the MCD core with every domain at one
+    // frequency, not the single-clock configuration.  Line breaks
+    // are folded to spaces so a reflow does not trip the pin.
+    std::replace(doc.begin(), doc.end(), '\n', ' ');
+    EXPECT_NE(doc.find("It keeps the MCD substrate, with all four "
+                       "domains at one frequency"),
+              std::string::npos)
+        << "docs/POLICIES.md's `global` section no longer says what "
+           "globalDvsMatch runs";
 }
 
 TEST(Docs, WorkloadsDocCoversTheRegistry)
@@ -164,6 +176,20 @@ TEST(Docs, ChipDocCoversTopologyAndKnobs)
                               "chip:tiles=", "`chip-coord"})
         EXPECT_NE(doc.find(token), std::string::npos)
             << "docs/CHIP.md lacks '" << token << "'";
+    // Every coordinator parameter row carries its canonical default,
+    // read off the default spec's canonical text.
+    std::string canon = mcd::chip::parseCoordSpec("chip-coord").canonSpec;
+    std::string name, err;
+    mcd::util::SpecParams params;
+    ASSERT_TRUE(mcd::util::splitSpec(canon, "coordinator spec", name,
+                                     params, err))
+        << err;
+    for (const mcd::util::SpecParam &p : params.items)
+        EXPECT_NE(doc.find(row(p.name.c_str(), p.text)),
+                  std::string::npos)
+            << "docs/CHIP.md: coordinator parameter row '" << p.name
+            << "' missing or stale (canonical default " << canon
+            << ")";
 }
 
 TEST(Docs, LintingDocCoversEveryRule)

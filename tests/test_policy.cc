@@ -123,17 +123,13 @@ TEST(PolicyRegistry, ListIsSortedAndComplete)
                   std::string(all[i]->name()));
 }
 
-TEST(PolicyRegistry, OnlyBaselineAndChipCoordAreAbsolute)
+TEST(PolicyRegistry, OnlyBaselineIsAbsolute)
 {
-    // baseline is the reference every metric is computed against;
-    // chip-coord never runs a single-core cell at all (it governs a
-    // chip's shared uncore), so neither reports baseline-relative
-    // metrics.
-    for (const Policy *p : PolicyRegistry::instance().list()) {
-        std::string name = p->name();
+    // baseline is the reference every metric is computed against, so
+    // it alone reports no baseline-relative metrics.
+    for (const Policy *p : PolicyRegistry::instance().list())
         EXPECT_EQ(p->relativeToBaseline(),
-                  name != "baseline" && name != "chip-coord");
-    }
+                  std::string(p->name()) != "baseline");
 }
 
 // ---------------------------------------------------------------- //
@@ -337,6 +333,10 @@ TEST(PolicyRunner, BadSpecsThrowAndTheRunnerKeepsServing)
     // exit, and it leaves the memo untouched.
     Runner r(smallConfig());
     EXPECT_THROW(r.run("gsm_decode", PolicySpec::of("nosuch")),
+                 workload::SpecError);
+    // The chip coordinator has its own spec registry
+    // (chip::parseCoordSpec); as a policy it is unknown.
+    EXPECT_THROW(r.run("gsm_decode", PolicySpec::of("chip-coord")),
                  workload::SpecError);
     EXPECT_THROW(r.cacheKey("gsm_decode",
                             PolicySpec::of("offline").set("x", 1.0)),

@@ -370,6 +370,27 @@ TEST(ServerTranscript, BadSpecsNameTheRegistries)
               std::string::npos)
         << line;
     EXPECT_NE(line.find("takes:"), std::string::npos) << line;
+
+    // The chip coordinator names a chip's uncore controller (coord=),
+    // never a single-core policy.
+    ASSERT_TRUE(conn.writeLine(
+        "MCD/2 SWEEP id=b4 workload=gsm_decode policy=chip-coord"));
+    line = readLineChecked(conn);
+    EXPECT_NE(line.find("ERR id=b4 code=bad-spec"),
+              std::string::npos)
+        << line;
+    EXPECT_NE(line.find("unknown policy 'chip-coord'"),
+              std::string::npos)
+        << line;
+
+    // Every refusal came before any admission slot or memo entry was
+    // taken, and the connection keeps serving.
+    ASSERT_TRUE(conn.writeLine("MCD/2 PING"));
+    EXPECT_EQ(readLineChecked(conn), "MCD/2 OK");
+    ASSERT_TRUE(conn.writeLine("MCD/2 STATS"));
+    line = readLineChecked(conn);
+    EXPECT_NE(line.find(" memo_misses=0"), std::string::npos) << line;
+    EXPECT_NE(line.find(" inflight=0"), std::string::npos) << line;
 }
 
 // ---------------------------------------------------------------- //

@@ -101,13 +101,9 @@ TEST(SpecGolden, PolicySpecs)
          "learned:seed=3.000,lr=0.100,explore=0.250,interval=2000.000"},
         {"learned:explore=0.5,interval=1000,seed=2",
          "learned:seed=2.000,lr=0.080,explore=0.500,interval=1000.000"},
-        {"chip-coord",
-         "chip-coord:hi=0.250,lo=0.050,step=0.100"},
-        {"chip-coord:hi=900,lo=800",
-         "chip-coord:hi=900.000,lo=800.000,step=0.100"},
         {"nonesuch",
-         "error: unknown policy 'nonesuch' (known: baseline chip-coord "
-         "global hybrid learned offline online profile)"},
+         "error: unknown policy 'nonesuch' (known: baseline global "
+         "hybrid learned offline online profile)"},
         {"offline:x=1",
          "error: policy 'offline' has no parameter 'x' (takes: d)"},
         {"baseline:d=1",
@@ -295,16 +291,8 @@ TEST(SpecGolden, PolicyListing)
 {
     EXPECT_EQ(control::describePolicies(),
     "  baseline   MCD baseline, all domains at maximum frequency\n"
-    "  chip-coord chip-level uncore/DRAM frequency coordinator (aggregated "
-    "queue occupancy, chip runs only)\n"
-    "      hi=<number> (default 0.250): occupancy above which the uncore "
-    "speeds up (queued ps per interval ps)\n"
-    "      lo=<number> (default 0.050): occupancy below which the uncore "
-    "slows down\n"
-    "      step=<number> (default 0.100): frequency move per decision, as a "
-    "fraction of the uncore range\n"
-    "  global     chip-wide DVS on a single-clock core, matched to the "
-    "off-line oracle's run time\n"
+    "  global     chip-wide DVS, all four domains at one frequency, "
+    "matched to the off-line oracle's run time\n"
     "      d=<number> (default 5.000): slowdown threshold of the off-line "
     "run whose time is matched\n"
     "  hybrid     profile pipeline with an on-line IPC guard that overrides "

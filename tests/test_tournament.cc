@@ -1,12 +1,11 @@
 /**
  * @file
  * Tests for the all-policy tournament (exp/tournament.hh): roster
- * construction (every sweepable registered policy, chip-coord
- * excluded), the pinned train/holdout workload split, cell-key plan
- * determinism, a golden ranked table on a pinned 3-policy x
- * 2-workload cross-product, `--jobs` byte-identity, and the
- * constructor's refusals (malformed specs, empty plans, non-sweepable
- * policies, sampled-mode runners).
+ * construction (every registered policy), the pinned train/holdout
+ * workload split, cell-key plan determinism, a golden ranked table
+ * on a pinned 3-policy x 2-workload cross-product, `--jobs`
+ * byte-identity, and the constructor's refusals (malformed specs,
+ * empty plans, unknown policies, sampled-mode runners).
  */
 
 #include <gtest/gtest.h>
@@ -103,8 +102,7 @@ TEST(TournamentPlan, DefaultRosterIsEverySweepablePolicy)
         EXPECT_NE(std::find(names.begin(), names.end(), want),
                   names.end())
             << want;
-    // chip-coord's run() is a chip-sweep panic; sweepable() keeps it
-    // out of the all-policy roster.
+    // The chip coordinator is not a policy, so it cannot join.
     EXPECT_EQ(std::find(names.begin(), names.end(), "chip-coord"),
               names.end());
     EXPECT_TRUE(std::is_sorted(t.policies().begin(),
@@ -145,8 +143,8 @@ TEST(TournamentPlan, MalformedPlansDieInTheConstructor)
     cfg.workloads = {"gen:warp=9"};
     EXPECT_THROW(Tournament(runner, cfg), SpecError);
 
-    // Naming a non-sweepable policy explicitly is refused, not
-    // silently dropped.
+    // Naming the chip coordinator as a policy is refused like any
+    // unknown policy, not silently dropped.
     cfg = TournamentConfig();
     cfg.policies = {"chip-coord"};
     EXPECT_THROW(Tournament(runner, cfg), SpecError);

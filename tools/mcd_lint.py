@@ -21,10 +21,10 @@ CMake lists directly (no compiler needed) and checks:
   locale-safety         no ad-hoc precision()/setprecision/imbue() on
                         the cache and MCD/2 wire paths (src/exp/,
                         src/srv/) — doubles go through util::fmtDouble17
-  registration          every .cc under src/control/policies/,
-                        src/workload/workloads/ and src/chip/policies/
-                        contains its MCD_REGISTER_* macro and is
-                        listed in the OBJECT-library CMakeLists
+  registration          every .cc under src/control/policies/ and
+                        src/workload/workloads/ contains its
+                        MCD_REGISTER_* macro and is listed in the
+                        OBJECT-library CMakeLists
   lint-docs             every rule above has a section in
                         docs/LINTING.md and is pinned in
                         tests/test_docs.cc
@@ -82,8 +82,6 @@ REGISTRATION = [
      "src/control/CMakeLists.txt", "mcd_policies"),
     ("src/workload/workloads", "MCD_REGISTER_WORKLOAD",
      "src/workload/CMakeLists.txt", "mcd_workloads"),
-    ("src/chip/policies", "MCD_REGISTER_POLICY",
-     "src/chip/CMakeLists.txt", "mcd_chip_policies"),
 ]
 
 RULES = {

@@ -92,11 +92,6 @@ CASES = {
         ("src/exp/experiment.cc",
          "    f.u64(ln.trainWindow);\n", ""),
     ],
-    # ...and the chip coordinator falls out of its OBJECT library.
-    "chip-missing-cmake-entry": [
-        ("src/chip/CMakeLists.txt",
-         "    policies/toy_coord.cc\n", ""),
-    ],
     # Raw rand() on a wire path.
     "raw-rand": [
         ("src/srv/proto.cc",
