@@ -1,0 +1,194 @@
+/**
+ * @file
+ * Full-precision golden pins for the detailed kernel and the shaker.
+ *
+ * The tournament table rounds to two decimals and the fast-forward
+ * tests compare two paths of one build, so neither catches a change
+ * that moves the last bit of a simulated number.  These tests do:
+ * every RunResult field, printed through util::fmtDouble17 (exact
+ * round trip), for four workloads at w20000 in three setups — a plain
+ * run, every domain at 625 MHz (global's first bisection probe), and
+ * an off-line schedule (ramps and fast-forward parking) — plus the
+ * shaker's histogram bins for one recorded 10k-instruction segment.
+ *
+ * tests/data/kernel_bits_golden.txt holds the expected lines.  A
+ * change that is meant to be bit-identical must pass it unedited; a
+ * change that moves results on purpose re-pins it deliberately and
+ * says why.
+ */
+
+#include <gtest/gtest.h>
+
+#include <fstream>
+#include <string>
+#include <vector>
+
+#include "control/offline.hh"
+#include "core/shaker.hh"
+#include "sim/processor.hh"
+#include "util/text.hh"
+#include "workload/suite.hh"
+
+using namespace mcd;
+
+namespace
+{
+
+constexpr std::uint64_t WINDOW = 20'000;
+
+const char *const WORKLOADS[] = {"gsm_decode", "mcf", "mpeg2_decode",
+                                 "gen:phases=2,seed=7"};
+
+std::string
+num(double v)
+{
+    return util::fmtDouble17(v);
+}
+
+/** Every RunResult field, in declaration order. */
+std::string
+renderRun(const sim::RunResult &r)
+{
+    std::string s;
+    auto put = [&](const char *name, double v) {
+        s += ' ';
+        s += name;
+        s += '=';
+        s += num(v);
+    };
+    put("timePs", static_cast<double>(r.timePs));
+    put("chipEnergyNj", r.chipEnergyNj);
+    put("dramEnergyNj", r.dramEnergyNj);
+    put("instrs", static_cast<double>(r.instrs));
+    put("feCycles", static_cast<double>(r.feCycles));
+    put("ipc", r.ipc);
+    put("branches", static_cast<double>(r.branches));
+    put("mispredicts", static_cast<double>(r.mispredicts));
+    put("l1dAccesses", static_cast<double>(r.l1dAccesses));
+    put("l1dMisses", static_cast<double>(r.l1dMisses));
+    put("l2Misses", static_cast<double>(r.l2Misses));
+    put("icacheMisses", static_cast<double>(r.icacheMisses));
+    put("dramAccesses", static_cast<double>(r.dramAccesses));
+    put("reconfigs", static_cast<double>(r.reconfigs));
+    put("overheadCycles", static_cast<double>(r.overheadCycles));
+    put("ffEdges", static_cast<double>(r.ffEdges));
+    put("sampled", r.sampled ? 1.0 : 0.0);
+    put("sampleIntervals", static_cast<double>(r.sampleIntervals));
+    put("skippedInstrs", static_cast<double>(r.skippedInstrs));
+    put("timeCiPs", static_cast<double>(r.timeCiPs));
+    put("energyCiNj", r.energyCiNj);
+    for (double f : r.avgFreq)
+        put("avgFreq", f);
+    for (double e : r.domainEnergyNj)
+        put("domainEnergyNj", e);
+    return s;
+}
+
+/** One line per (workload, setup) run. */
+std::vector<std::string>
+renderRuns()
+{
+    sim::SimConfig scfg;
+    power::PowerConfig pcfg;
+    std::vector<std::string> lines;
+    for (const char *name : WORKLOADS) {
+        workload::Benchmark bm = workload::makeBenchmark(name);
+
+        sim::Processor plain(scfg, pcfg, bm.program, bm.ref);
+        lines.push_back(std::string(name) + " plain" +
+                        renderRun(plain.run(WINDOW)));
+
+        sim::Processor probe(scfg, pcfg, bm.program, bm.ref);
+        probe.setInitialFreqs({625.0, 625.0, 625.0, 625.0});
+        lines.push_back(std::string(name) + " mhz625" +
+                        renderRun(probe.run(WINDOW)));
+
+        control::OfflineConfig off;
+        off.intervalInstrs = 2'000;
+        off.slowdownPct = 10.0;
+        sim::Processor sched(scfg, pcfg, bm.program, bm.ref);
+        sched.setSchedule(control::offlineAnalyze(
+            off, bm.program, bm.ref, scfg, pcfg, WINDOW));
+        lines.push_back(std::string(name) + " offline" +
+                        renderRun(sched.run(WINDOW)));
+    }
+    return lines;
+}
+
+/** The shaker's output for the first 10k committed instructions of
+ *  one full-speed run: span, counts and every histogram bin. */
+std::vector<std::string>
+renderShaker()
+{
+    struct Collect : sim::TraceSink
+    {
+        std::vector<sim::InstrTiming> items;
+        void
+        onInstr(const sim::InstrTiming &t) override
+        {
+            items.push_back(t);
+        }
+    } sink;
+    sim::SimConfig scfg;
+    power::PowerConfig pcfg;
+    workload::Benchmark bm = workload::makeBenchmark("swim");
+    sim::Processor proc(scfg, pcfg, bm.program, bm.train);
+    proc.setTraceSink(&sink);
+    proc.run(10'000);
+
+    core::SegmentAnalyzer analyzer(
+        core::shakerConfigFor(core::ShakerConfig{}, scfg, pcfg));
+    core::NodeHistograms out;
+    analyzer.analyze(sink.items, out);
+
+    std::vector<std::string> lines;
+    lines.push_back("shaker spanPs=" +
+                    num(static_cast<double>(out.spanPs)) +
+                    " instrs=" + num(static_cast<double>(out.instrs)) +
+                    " segments=" + num(out.segments));
+    for (Domain d : scaledDomains()) {
+        const FreqHistogram &h = out.hist[domainIndex(d)];
+        std::string s = std::string("shaker ") + domainName(d);
+        for (int i = 0; i < h.steps().numSteps(); ++i)
+            s += ' ' + num(h.binCycles(i));
+        lines.push_back(s);
+    }
+    return lines;
+}
+
+/** The golden lines that do (@p shaker) or do not start with
+ *  "shaker ", in file order. */
+std::vector<std::string>
+goldenLines(bool shaker)
+{
+    std::ifstream in(std::string(MCD_SOURCE_DIR) +
+                     "/tests/data/kernel_bits_golden.txt");
+    std::vector<std::string> lines;
+    std::string line;
+    while (std::getline(in, line)) {
+        if ((line.compare(0, 7, "shaker ") == 0) == shaker)
+            lines.push_back(line);
+    }
+    return lines;
+}
+
+void
+expectLines(const std::vector<std::string> &got,
+            const std::vector<std::string> &want)
+{
+    ASSERT_EQ(got.size(), want.size());
+    for (std::size_t i = 0; i < got.size(); ++i)
+        EXPECT_EQ(got[i], want[i]);
+}
+
+} // namespace
+
+TEST(GoldenBits, RunResultsAtFullPrecision)
+{
+    expectLines(renderRuns(), goldenLines(false));
+}
+
+TEST(GoldenBits, ShakerHistogramBins)
+{
+    expectLines(renderShaker(), goldenLines(true));
+}
