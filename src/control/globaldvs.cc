@@ -9,7 +9,8 @@ globalDvsMatch(const workload::Program &program,
                const sim::SimConfig &scfg_in,
                const power::PowerConfig &pcfg, std::uint64_t window,
                Tick target_time_ps, int iters,
-               std::shared_ptr<const sim::CheckpointSet> checkpoints)
+               std::shared_ptr<const sim::CheckpointSet> checkpoints,
+               std::optional<Tick> full_speed_time_ps)
 {
     // Global DVS runs on the same MCD substrate with all domains
     // locked to one frequency: the comparison against per-domain
@@ -31,8 +32,11 @@ globalDvsMatch(const workload::Program &program,
     Mhz hi = scfg.maxMhz;
     GlobalDvsResult best;
     best.freq = hi;
-    best.run = run_at(hi);
-    if (best.run.timePs >= target_time_ps)
+    if (!full_speed_time_ps) {
+        best.run = run_at(hi);
+        full_speed_time_ps = best.run.timePs;
+    }
+    if (*full_speed_time_ps >= target_time_ps)
         return best;  // even full speed is no faster than the target
 
     for (int i = 0; i < iters; ++i) {

@@ -11,6 +11,7 @@
 
 #include <cstdint>
 #include <memory>
+#include <optional>
 
 #include "power/power.hh"
 #include "sim/processor.hh"
@@ -29,7 +30,12 @@ struct GlobalDvsResult
      * mV over the default range).
      */
     Mhz freq = 0.0;
-    sim::RunResult run;   ///< run at that frequency
+    /**
+     * Run at that frequency.  Left empty when the caller supplied
+     * the full-speed run time and full speed (`freq == maxMhz`) is
+     * the answer: the caller already holds that run.
+     */
+    sim::RunResult run;
 };
 
 /**
@@ -58,6 +64,10 @@ struct GlobalDvsResult
  *                   trajectory is frequency-independent, so one set
  *                   serves all probed frequencies); ignored in exact
  *                   mode
+ * @param full_speed_time_ps optional run time with every domain at
+ *                   `maxMhz`; when given, that first probe is not
+ *                   simulated (the `global` policy takes it from the
+ *                   memoized baseline cell)
  */
 GlobalDvsResult
 globalDvsMatch(const workload::Program &program,
@@ -66,7 +76,8 @@ globalDvsMatch(const workload::Program &program,
                const power::PowerConfig &pcfg, std::uint64_t window,
                Tick target_time_ps, int iters = 6,
                std::shared_ptr<const sim::CheckpointSet> checkpoints =
-                   nullptr);
+                   nullptr,
+               std::optional<Tick> full_speed_time_ps = std::nullopt);
 
 } // namespace mcd::control
 

@@ -8,7 +8,9 @@
  * The off-line run it matches is obtained through
  * `PolicyContext::evaluate`, i.e. through the harness memo: whether
  * the off-line cell ran first or this one does, the oracle is
- * computed exactly once.
+ * computed exactly once.  The bisection's full-speed probe is taken
+ * from the `baseline` cell the same way: with every domain at
+ * `maxMhz` it is that run (tests/test_policy.cc pins the identity).
  */
 
 #include "control/globaldvs.hh"
@@ -67,12 +69,15 @@ class GlobalPolicy final : public Policy
         // same threshold d (Section 4.1).
         Outcome off = ctx.evaluate(
             bench, PolicySpec::of("offline").set("d", spec.num("d")));
+        // The full-speed probe, served from the memo.
+        Outcome base = ctx.evaluate(bench, PolicySpec::of("baseline"));
         workload::Benchmark bm = workload::makeBenchmark(bench);
         GlobalDvsResult g = globalDvsMatch(
             bm.program, bm.ref, ctx.sim, ctx.power,
             ctx.productionWindow, static_cast<Tick>(off.timePs),
-            /*iters=*/6, checkpointsFor(ctx, bench));
-        Outcome res = runOutcome(g.run);
+            /*iters=*/6, checkpointsFor(ctx, bench),
+            static_cast<Tick>(base.timePs));
+        Outcome res = g.freq < ctx.sim.maxMhz ? runOutcome(g.run) : base;
         res.globalFreq = g.freq;
         return res;
     }

@@ -1,8 +1,8 @@
 #include "core/shaker.hh"
 
 #include <algorithm>
+#include <cassert>
 #include <cmath>
-#include <unordered_map>
 
 #include "workload/instr.hh"
 
@@ -37,28 +37,8 @@ shakerConfigFor(const ShakerConfig &base, const sim::SimConfig &sim,
 namespace
 {
 
-/** One primitive event in the dependence DAG. */
-struct Event
-{
-    Domain domain = Domain::FrontEnd;
-    double start = 0.0;     ///< current position (ps)
-    double nominalDur = 0;  ///< duration at nominal frequency (ps)
-    double stretch = 1.0;   ///< current stretch factor (>= 1)
-    double pf = 0.0;        ///< current power factor
-    double pf0 = 0.0;       ///< initial power factor
-    std::vector<std::uint32_t> succ;
-    std::vector<std::uint32_t> pred;
-
-    double dur() const { return nominalDur * stretch; }
-    double end() const { return start + dur(); }
-};
-
-void
-addEdge(std::vector<Event> &ev, std::uint32_t from, std::uint32_t to)
-{
-    ev[from].succ.push_back(to);
-    ev[to].pred.push_back(from);
-}
+/** No event (an absent memory/external event, no pending redirect). */
+constexpr std::uint32_t NONE = UINT32_MAX;
 
 } // namespace
 
@@ -68,85 +48,76 @@ SegmentAnalyzer::SegmentAnalyzer(const ShakerConfig &c)
 }
 
 void
-SegmentAnalyzer::analyze(const std::vector<InstrTiming> &segment,
-                         NodeHistograms &out) const
+SegmentAnalyzer::buildDag(const std::vector<InstrTiming> &segment)
 {
-    if (segment.empty())
-        return;
-
     const double cycle_ps = 1e6 / cfg.nominalMhz;
 
-    // ---- build the event DAG ----
-    std::vector<Event> ev;
+    ev.clear();
+    edgeFrom.clear();
+    edgeTo.clear();
+    valueEvent.clear();
+    fetchEvents.clear();
+    commitEvents.clear();
+    for (auto &chain : domainExec)
+        chain.clear();
     ev.reserve(segment.size() * 5);
-    // Producer seq -> index of the event whose completion carries the
-    // value (exec, or mem for loads).
-    std::unordered_map<std::uint64_t, std::uint32_t> value_event;
-    value_event.reserve(segment.size() * 2);
+
+    auto weight = [&](Domain d) {
+        return cfg.domainPowerWeight[static_cast<int>(d)];
+    };
+    auto add_event = [&](Domain d, double start, double nominal_dur,
+                         double pf) {
+        Event e;
+        e.domain = d;
+        e.start = start;
+        e.nominalDur = nominal_dur;
+        e.pf0 = e.pf = pf;
+        ev.push_back(e);
+        return static_cast<std::uint32_t>(ev.size() - 1);
+    };
+    auto add_edge = [&](std::uint32_t from, std::uint32_t to) {
+        edgeFrom.push_back(from);
+        edgeTo.push_back(to);
+    };
+
+    // A segment is a contiguous slice of one run's commit stream, so
+    // seqs are consecutive and a producer inside it sits at its seq's
+    // offset from the first.
+    const std::uint64_t first_seq = segment.front().seq;
+    assert(segment.back().seq - first_seq == segment.size() - 1);
 
     // Resource tracking for structural edges: bandwidth chains are
     // width-aware (instruction i's fetch follows instruction
     // i - fetchWidth's fetch, etc.), occupancy edges bound in-flight
     // counts (ROB, issue queues).
-    std::vector<std::uint32_t> fetch_events;
-    std::vector<std::uint32_t> commit_events;
-    std::vector<std::uint32_t> mem_events;
-    fetch_events.reserve(segment.size());
-    commit_events.reserve(segment.size());
-    std::array<std::vector<std::uint32_t>, NUM_SCALED_DOMAINS>
-        domain_exec;  // exec event per instr, per domain, in order
-    std::array<std::vector<std::uint32_t>, NUM_SCALED_DOMAINS>
-        domain_dispatch;
-
-    auto weight = [&](Domain d) {
-        return cfg.domainPowerWeight[static_cast<int>(d)];
-    };
-
+    //
     // Redirect modeling: fetch after a mispredicted branch depends on
     // the branch's execution plus a front-end refill event whose
     // length scales with the front-end clock.
-    std::uint32_t pending_redirect_from = UINT32_MAX;
+    std::uint32_t pending_redirect_from = NONE;
     double pending_redirect_start = 0.0;
 
-    for (const InstrTiming &t : segment) {
-        // fetch (front end)
-        std::uint32_t e_fetch = static_cast<std::uint32_t>(ev.size());
-        {
-            Event e;
-            e.domain = Domain::FrontEnd;
-            e.start = static_cast<double>(t.fetch);
-            e.nominalDur = cycle_ps;
-            e.pf0 = e.pf = weight(Domain::FrontEnd);
-            ev.push_back(e);
-        }
-        // dispatch/rename (front end)
-        std::uint32_t e_disp = static_cast<std::uint32_t>(ev.size());
-        {
-            Event e;
-            e.domain = Domain::FrontEnd;
-            e.start = static_cast<double>(t.dispatch);
-            e.nominalDur = cycle_ps;
-            e.pf0 = e.pf = weight(Domain::FrontEnd);
-            ev.push_back(e);
-        }
+    for (std::size_t i = 0; i < segment.size(); ++i) {
+        const InstrTiming &t = segment[i];
+        // fetch, dispatch/rename (front end)
+        std::uint32_t e_fetch =
+            add_event(Domain::FrontEnd, static_cast<double>(t.fetch),
+                      cycle_ps, weight(Domain::FrontEnd));
+        std::uint32_t e_disp = add_event(
+            Domain::FrontEnd, static_cast<double>(t.dispatch),
+            cycle_ps, weight(Domain::FrontEnd));
         // execute (owning domain)
-        std::uint32_t e_exec = static_cast<std::uint32_t>(ev.size());
-        {
-            Event e;
-            e.domain = t.domain;
-            e.start = static_cast<double>(t.issue);
-            double d = static_cast<double>(t.execDone) -
-                       static_cast<double>(t.issue);
-            e.nominalDur = std::max(d, cycle_ps * 0.5);
-            e.pf0 = e.pf = weight(t.domain);
-            ev.push_back(e);
-        }
+        double exec_dur = static_cast<double>(t.execDone) -
+                          static_cast<double>(t.issue);
+        std::uint32_t e_exec = add_event(
+            t.domain, static_cast<double>(t.issue),
+            std::max(exec_dur, cycle_ps * 0.5), weight(t.domain));
         // memory access (loads only); the fixed external-memory
         // latency of misses is carved out into an unscalable
         // External event so the shaker never treats DRAM time as
         // scalable memory-domain work.
-        std::uint32_t e_mem = UINT32_MAX;
-        std::uint32_t e_ext = UINT32_MAX;
+        std::uint32_t e_mem = NONE;
+        std::uint32_t e_ext = NONE;
         if (t.cls == InstrClass::Load && t.memDone > t.memStart) {
             double total = static_cast<double>(t.memDone) -
                            static_cast<double>(t.memStart);
@@ -156,110 +127,85 @@ SegmentAnalyzer::analyze(const std::vector<InstrTiming> &segment,
                                        cfg.l2LatencyCycles);
                 scalable = std::min(scalable, total);
             }
-            e_mem = static_cast<std::uint32_t>(ev.size());
-            {
-                Event e;
-                e.domain = Domain::Memory;
-                e.start = static_cast<double>(t.memStart);
-                e.nominalDur = std::max(scalable, cycle_ps * 0.5);
-                e.pf0 = e.pf = weight(Domain::Memory);
-                ev.push_back(e);
-            }
+            e_mem = add_event(Domain::Memory,
+                              static_cast<double>(t.memStart),
+                              std::max(scalable, cycle_ps * 0.5),
+                              weight(Domain::Memory));
             if (t.l2Miss && total > scalable) {
-                e_ext = static_cast<std::uint32_t>(ev.size());
-                Event e;
-                e.domain = Domain::External;
-                e.start = static_cast<double>(t.memStart) + scalable;
-                e.nominalDur = total - scalable;
-                e.pf0 = e.pf = 0.0;  // never stretched
-                ev.push_back(e);
+                // pf 0: never stretched
+                e_ext = add_event(
+                    Domain::External,
+                    static_cast<double>(t.memStart) + scalable,
+                    total - scalable, 0.0);
             }
         }
         // commit (front end)
-        std::uint32_t e_commit = static_cast<std::uint32_t>(ev.size());
-        {
-            Event e;
-            e.domain = Domain::FrontEnd;
-            e.start = static_cast<double>(t.commit);
-            e.nominalDur = cycle_ps;
-            e.pf0 = e.pf = weight(Domain::FrontEnd);
-            ev.push_back(e);
-        }
+        std::uint32_t e_commit =
+            add_event(Domain::FrontEnd, static_cast<double>(t.commit),
+                      cycle_ps, weight(Domain::FrontEnd));
 
         // intra-instruction chain
-        addEdge(ev, e_fetch, e_disp);
-        addEdge(ev, e_disp, e_exec);
-        if (e_mem != UINT32_MAX) {
-            addEdge(ev, e_exec, e_mem);
-            if (e_ext != UINT32_MAX) {
-                addEdge(ev, e_mem, e_ext);
-                addEdge(ev, e_ext, e_commit);
+        add_edge(e_fetch, e_disp);
+        add_edge(e_disp, e_exec);
+        if (e_mem != NONE) {
+            add_edge(e_exec, e_mem);
+            if (e_ext != NONE) {
+                add_edge(e_mem, e_ext);
+                add_edge(e_ext, e_commit);
             } else {
-                addEdge(ev, e_mem, e_commit);
+                add_edge(e_mem, e_commit);
             }
         } else {
-            addEdge(ev, e_exec, e_commit);
+            add_edge(e_exec, e_commit);
         }
 
         // mispredict redirect: branch exec -> refill -> this fetch
-        if (pending_redirect_from != UINT32_MAX) {
-            std::uint32_t e_redir =
-                static_cast<std::uint32_t>(ev.size());
-            Event e;
-            e.domain = Domain::FrontEnd;
-            e.start = pending_redirect_start;
-            e.nominalDur = cycle_ps * cfg.mispredictPenalty;
-            e.pf0 = e.pf = weight(Domain::FrontEnd);
-            ev.push_back(e);
-            addEdge(ev, pending_redirect_from, e_redir);
-            addEdge(ev, e_redir, e_fetch);
-            pending_redirect_from = UINT32_MAX;
+        if (pending_redirect_from != NONE) {
+            std::uint32_t e_redir = add_event(
+                Domain::FrontEnd, pending_redirect_start,
+                cycle_ps * cfg.mispredictPenalty,
+                weight(Domain::FrontEnd));
+            add_edge(pending_redirect_from, e_redir);
+            add_edge(e_redir, e_fetch);
+            pending_redirect_from = NONE;
         }
 
         // width-aware structural bandwidth chains
-        fetch_events.push_back(e_fetch);
+        fetchEvents.push_back(e_fetch);
         const std::size_t fetch_w =
             static_cast<std::size_t>(cfg.fetchWidth);
-        if (fetch_events.size() > fetch_w) {
-            addEdge(ev,
-                    fetch_events[fetch_events.size() - 1 - fetch_w],
-                    e_fetch);
-        }
+        if (fetchEvents.size() > fetch_w)
+            add_edge(fetchEvents[fetchEvents.size() - 1 - fetch_w],
+                     e_fetch);
         // NOTE: no chain over full mem-access events — cache ports
         // are pipelined (occupied only at initiation), which the
         // memory-domain exec (agen) chain below already models.
-        (void)mem_events;
 
         // data dependences (producers outside the segment are simply
-        // "ready"; no edge)
+        // "ready"; no edge).  Unsigned wrap folds dep < first_seq into
+        // the bound.
         for (std::uint64_t dep : {t.dep1, t.dep2}) {
-            if (!dep)
-                continue;
-            auto it = value_event.find(dep);
-            if (it != value_event.end())
-                addEdge(ev, it->second, e_exec);
+            std::uint64_t j = dep - first_seq;
+            if (dep && j < i)
+                add_edge(valueEvent[j], e_exec);
         }
-        value_event[t.seq] = e_ext != UINT32_MAX
-                                 ? e_ext
-                                 : (e_mem != UINT32_MAX ? e_mem
-                                                        : e_exec);
+        valueEvent.push_back(
+            e_ext != NONE ? e_ext : (e_mem != NONE ? e_mem : e_exec));
 
         // Retire bandwidth chain and ROB occupancy edge.
-        commit_events.push_back(e_commit);
-        std::size_t idx = commit_events.size() - 1;
+        commitEvents.push_back(e_commit);
+        std::size_t idx = commitEvents.size() - 1;
         const std::size_t retire_w =
             static_cast<std::size_t>(cfg.retireWidth);
         const std::size_t rob_sz =
             static_cast<std::size_t>(cfg.robSize);
         if (idx >= retire_w)
-            addEdge(ev, commit_events[idx - retire_w], e_commit);
+            add_edge(commitEvents[idx - retire_w], e_commit);
         if (idx >= rob_sz)
-            addEdge(ev, commit_events[idx - rob_sz], e_disp);
+            add_edge(commitEvents[idx - rob_sz], e_disp);
 
         // Per-domain issue bandwidth and queue occupancy.
-        int dom = static_cast<int>(t.domain);
-        auto &dex = domain_exec[static_cast<size_t>(dom)];
-        auto &ddp = domain_dispatch[static_cast<size_t>(dom)];
+        auto &dex = domainExec[static_cast<std::size_t>(t.domain)];
         int qcap = 0, width = 1;
         switch (t.domain) {
           case Domain::Integer:
@@ -278,19 +224,55 @@ SegmentAnalyzer::analyze(const std::vector<InstrTiming> &segment,
             break;
         }
         dex.push_back(e_exec);
-        ddp.push_back(e_disp);
         const std::size_t issue_w = static_cast<std::size_t>(width);
         const std::size_t queue_cap = static_cast<std::size_t>(qcap);
         if (dex.size() > issue_w)
-            addEdge(ev, dex[dex.size() - 1 - issue_w], e_exec);
+            add_edge(dex[dex.size() - 1 - issue_w], e_exec);
         if (qcap > 0 && dex.size() > queue_cap)
-            addEdge(ev, dex[dex.size() - 1 - queue_cap], ddp.back());
+            add_edge(dex[dex.size() - 1 - queue_cap], e_disp);
 
         if (t.mispredict) {
             pending_redirect_from = e_exec;
             pending_redirect_start = static_cast<double>(t.execDone);
         }
     }
+}
+
+void
+SegmentAnalyzer::buildCsr()
+{
+    // A stable counting pass: each event's edges keep their insertion
+    // order, so the slack scans below visit them in the order the DAG
+    // was built and every floating-point operation runs as it would
+    // over per-event lists.
+    auto group = [&](const std::vector<std::uint32_t> &key,
+                     const std::vector<std::uint32_t> &val,
+                     std::vector<std::uint32_t> &off,
+                     std::vector<std::uint32_t> &idx) {
+        off.assign(ev.size() + 1, 0);
+        for (std::uint32_t k : key)
+            ++off[k + 1];
+        for (std::size_t i = 0; i < ev.size(); ++i)
+            off[i + 1] += off[i];
+        cursor.assign(off.begin(), off.end() - 1);
+        idx.resize(key.size());
+        for (std::size_t e = 0; e < key.size(); ++e)
+            idx[cursor[key[e]]++] = val[e];
+    };
+    group(edgeFrom, edgeTo, succOff, succIdx);
+    group(edgeTo, edgeFrom, predOff, predIdx);
+}
+
+void
+SegmentAnalyzer::analyze(const std::vector<InstrTiming> &segment,
+                         NodeHistograms &out)
+{
+    if (segment.empty())
+        return;
+
+    const double cycle_ps = 1e6 / cfg.nominalMhz;
+    buildDag(segment);
+    buildCsr();
 
     const double seg_start =
         static_cast<double>(segment.front().fetch);
@@ -303,17 +285,17 @@ SegmentAnalyzer::analyze(const std::vector<InstrTiming> &segment,
         max_pf = std::max(max_pf, e.pf0);
     double threshold = max_pf * 0.95;
 
-    auto slack_out = [&](const Event &e) {
+    auto slack_out = [&](std::size_t i) {
         double limit = seg_end;
-        for (std::uint32_t s : e.succ)
-            limit = std::min(limit, ev[s].start);
-        return limit - e.end();
+        for (std::uint32_t k = succOff[i]; k < succOff[i + 1]; ++k)
+            limit = std::min(limit, ev[succIdx[k]].start);
+        return limit - ev[i].end();
     };
-    auto slack_in = [&](const Event &e) {
+    auto slack_in = [&](std::size_t i) {
         double limit = seg_start;
-        for (std::uint32_t p : e.pred)
-            limit = std::max(limit, ev[p].end());
-        return e.start - limit;
+        for (std::uint32_t k = predOff[i]; k < predOff[i + 1]; ++k)
+            limit = std::max(limit, ev[predIdx[k]].end());
+        return ev[i].start - limit;
     };
 
     // Stretch event e into `avail` ps of slack, honoring the power
@@ -345,7 +327,7 @@ SegmentAnalyzer::analyze(const std::vector<InstrTiming> &segment,
         if (backward) {
             for (std::size_t i = ev.size(); i-- > 0;) {
                 Event &e = ev[i];
-                double sl = slack_out(e);
+                double sl = slack_out(i);
                 if (sl <= 1e-9)
                     continue;
                 double used = stretch_event(e, sl);
@@ -362,7 +344,7 @@ SegmentAnalyzer::analyze(const std::vector<InstrTiming> &segment,
         } else {
             for (std::size_t i = 0; i < ev.size(); ++i) {
                 Event &e = ev[i];
-                double sl = slack_in(e);
+                double sl = slack_in(i);
                 if (sl <= 1e-9)
                     continue;
                 double used = stretch_event(e, sl);

@@ -106,6 +106,13 @@ struct NodeHistograms
 /**
  * Builds the event DAG for one contiguous trace segment and runs the
  * shaker over it, accumulating histograms.
+ *
+ * The DAG is built as an edge list and turned into CSR (compressed
+ * sparse row) successor and predecessor arrays.  Those arrays, the
+ * events and the structural-chain indices are scratch owned by the
+ * analyzer and reused across segments, so an analysis allocates only
+ * when its segment outgrows every earlier one; the scratch is freed
+ * with the analyzer.
  */
 class SegmentAnalyzer
 {
@@ -114,15 +121,52 @@ class SegmentAnalyzer
 
     /**
      * Analyze one segment of committed-instruction timing records
-     * (commit order) and add the result into @p out.
+     * and add the result into @p out.  The segment is a contiguous
+     * slice of one run's commit stream, so its sequence numbers are
+     * consecutive.
      */
     void analyze(const std::vector<sim::InstrTiming> &segment,
-                 NodeHistograms &out) const;
+                 NodeHistograms &out);
 
     const ShakerConfig &config() const { return cfg; }
 
   private:
+    /** One primitive event in the dependence DAG. */
+    struct Event
+    {
+        Domain domain = Domain::FrontEnd;
+        double start = 0.0;     ///< current position (ps)
+        double nominalDur = 0;  ///< duration at nominal frequency (ps)
+        double stretch = 1.0;   ///< current stretch factor (>= 1)
+        double pf = 0.0;        ///< current power factor
+        double pf0 = 0.0;       ///< initial power factor
+
+        double dur() const { return nominalDur * stretch; }
+        double end() const { return start + dur(); }
+    };
+
+    void buildDag(const std::vector<sim::InstrTiming> &segment);
+    void buildCsr();
+
     ShakerConfig cfg;
+
+    // --- per-segment scratch, reused across analyze() calls ---
+    std::vector<Event> ev;
+    /** Edges in insertion order; buildCsr() groups them per event
+     *  without reordering an event's own edges. */
+    std::vector<std::uint32_t> edgeFrom, edgeTo;
+    /** CSR adjacency: event i's successors are
+     *  succIdx[succOff[i] .. succOff[i + 1]), likewise predecessors. */
+    std::vector<std::uint32_t> succOff, succIdx, predOff, predIdx;
+    std::vector<std::uint32_t> cursor;  ///< CSR fill positions
+    /** Per instruction of the segment: the event whose completion
+     *  carries its value (exec, or the memory access for loads). */
+    std::vector<std::uint32_t> valueEvent;
+    /** Structural chains: fetch and commit events per instruction,
+     *  exec events per execution domain, all in commit order. */
+    std::vector<std::uint32_t> fetchEvents, commitEvents;
+    std::array<std::vector<std::uint32_t>, NUM_SCALED_DOMAINS>
+        domainExec;
 };
 
 /**

@@ -20,8 +20,8 @@ DomainClock::DomainClock(const SimConfig &c, Domain d, bool jitter,
                          Rng r)
     : cfg(c), domain(d), jitterOn(jitter), rng(r),
       curMhz(c.maxMhz), targetMhz(c.maxMhz),
-      volt(c.voltageFor(c.maxMhz)),
-      nominalNext(periodPs(c.maxMhz)), jitteredNext(nominalNext),
+      volt(c.voltageFor(c.maxMhz)), curPeriod(periodPs(c.maxMhz)),
+      nominalNext(curPeriod), jitteredNext(nominalNext),
       lastEdge(0), edgeCount(0), freqTimeIntegral(0.0), startTime(0)
 {
     if (jitterOn) {
@@ -44,19 +44,19 @@ DomainClock::advance()
     // Ramp the effective frequency toward the target: 1 MHz per
     // rampNsPerMhz nanoseconds of elapsed time.
     if (curMhz != targetMhz) {
-        double elapsed_ns =
-            static_cast<double>(periodPs(curMhz)) / 1000.0;
+        double elapsed_ns = static_cast<double>(curPeriod) / 1000.0;
         double delta = elapsed_ns / cfg.rampNsPerMhz;
         if (curMhz < targetMhz)
             curMhz = std::min(targetMhz, curMhz + delta);
         else
             curMhz = std::max(targetMhz, curMhz - delta);
         volt = cfg.voltageFor(curMhz);
+        curPeriod = periodPs(curMhz);
     }
 
     // The nominal grid advances jitter-free; jitter perturbs each
     // edge independently (no random-walk drift).
-    nominalNext += periodPs(curMhz);
+    nominalNext += curPeriod;
     jitteredNext = nominalNext;
     if (jitterOn) {
         double j = rng.clampedNormal(
@@ -104,19 +104,9 @@ DomainClock::jumpTo(Mhz f)
     targetMhz = std::clamp(f, cfg.minMhz, cfg.maxMhz);
     curMhz = targetMhz;
     volt = cfg.voltageFor(curMhz);
-    nominalNext = lastEdge + periodPs(curMhz);
+    curPeriod = periodPs(curMhz);
+    nominalNext = lastEdge + curPeriod;
     jitteredNext = nominalNext;
-}
-
-Tick
-syncMarginPs(const SimConfig &cfg, Domain src, Domain dst,
-             Tick src_period, Tick dst_period)
-{
-    if (cfg.singleClock || src == dst)
-        return 0;
-    Tick faster = std::min(src_period, dst_period);
-    return static_cast<Tick>(cfg.syncWindowFrac *
-                             static_cast<double>(faster));
 }
 
 } // namespace mcd::sim

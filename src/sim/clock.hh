@@ -11,6 +11,8 @@
 #ifndef MCD_SIM_CLOCK_HH
 #define MCD_SIM_CLOCK_HH
 
+#include <algorithm>
+
 #include "sim/config.hh"
 #include "util/rng.hh"
 #include "util/types.hh"
@@ -50,8 +52,12 @@ class DomainClock
     /** Supply voltage tracking the effective frequency. */
     Volt voltage() const { return volt; }
 
-    /** Current period in ps at the effective frequency. */
-    Tick period() const { return periodPs(curMhz); }
+    /**
+     * Current period in ps at the effective frequency.  Cached:
+     * refreshed wherever the effective frequency moves (a ramping
+     * advance(), jumpTo()), so this is a load, not a division.
+     */
+    Tick period() const { return curPeriod; }
 
     /** Request a new target frequency (clamped to legal range). */
     void setTarget(Mhz f);
@@ -97,6 +103,7 @@ class DomainClock
     Mhz curMhz;
     Mhz targetMhz;
     Volt volt;
+    Tick curPeriod;      ///< periodPs(curMhz), kept in step with it
     Tick nominalNext;    ///< unjittered next edge
     Tick jitteredNext;
     Tick lastEdge;
@@ -110,10 +117,19 @@ class DomainClock
  * time t in @p src is usable in @p dst only at a dst edge at least
  * this much later (Sjogren-Myers synchronizer; within the window the
  * consumer waits one extra cycle).  Zero for same-domain or
- * single-clock operation.
+ * single-clock operation.  Inline: every cross-domain operand check
+ * of the processor model goes through it.
  */
-Tick syncMarginPs(const SimConfig &cfg, Domain src, Domain dst,
-                  Tick src_period, Tick dst_period);
+inline Tick
+syncMarginPs(const SimConfig &cfg, Domain src, Domain dst,
+             Tick src_period, Tick dst_period)
+{
+    if (cfg.singleClock || src == dst)
+        return 0;
+    Tick faster = std::min(src_period, dst_period);
+    return static_cast<Tick>(cfg.syncWindowFrac *
+                             static_cast<double>(faster));
+}
 
 } // namespace mcd::sim
 

@@ -9,6 +9,7 @@ Processor::Processor(const SimConfig &c, const power::PowerConfig &pc,
                      const workload::Program &prog,
                      const workload::InputSet &in)
     : cfg(c), program(prog), input(in),
+      externalPeriod(periodPs(c.maxMhz)),
       power_(pc),
       l1i(c.l1iSizeKb, c.l1iWays, c.lineSize),
       l1d(c.l1dSizeKb, c.l1dWays, c.lineSize),
@@ -22,6 +23,8 @@ Processor::Processor(const SimConfig &c, const power::PowerConfig &pc,
                    ExecDomain(*this, Domain::FloatingPoint,
                               c.fpIssueWidth),
                    ExecDomain(*this, Domain::Memory, c.memIssueWidth)}},
+      rob(static_cast<std::size_t>(c.robSize)),
+      fetchQueue(static_cast<std::size_t>(c.fetchQueueSize)),
       intRegsFree(c.intRegs),
       fpRegsFree(c.fpRegs),
       intAluBusy(static_cast<size_t>(c.intAlus), 0),
@@ -87,58 +90,6 @@ Mhz
 Processor::targetFreq(Domain d) const
 {
     return clock(d).target();
-}
-
-Tick
-Processor::syncMargin(Domain src, Domain dst) const
-{
-    if (cfg.singleClock || src == dst)
-        return 0;
-    // External memory runs at the (fixed) maximum frequency.
-    Tick sp = src == Domain::External ? periodPs(cfg.maxMhz)
-                                      : clock(src).period();
-    Tick dp = dst == Domain::External ? periodPs(cfg.maxMhz)
-                                      : clock(dst).period();
-    return syncMarginPs(cfg, src, dst, sp, dp);
-}
-
-Processor::Uop *
-Processor::findUop(std::uint64_t seq)
-{
-    if (rob.empty())
-        return nullptr;
-    std::uint64_t front = rob.front().seq;
-    if (seq < front || seq >= front + rob.size())
-        return nullptr;
-    return &rob[seq - front];
-}
-
-const Processor::Uop *
-Processor::findUop(std::uint64_t seq) const
-{
-    return const_cast<Processor *>(this)->findUop(seq);
-}
-
-bool
-Processor::operandReady(std::uint64_t producer_seq, Domain d,
-                        Tick now) const
-{
-    if (producer_seq == 0)
-        return true;
-    if (const Uop *p = findUop(producer_seq)) {
-        if (!p->completed)
-            return false;
-        // Same-domain, non-memory producers: compare edge counts so
-        // that back-to-back dependent issue is exact under jitter.
-        if (p->domain == d && !p->isLoad)
-            return clock(d).edges() >= p->execDoneEdge;
-        Tick t = p->isLoad ? p->memDone : p->execDone;
-        return now >= t + syncMargin(p->domain, d);
-    }
-    // A producer that left the ROB has retired, and commit waited
-    // for its value to reach the front end (now >= ready + margin);
-    // edge times never decrease, so the value is ready here too.
-    return true;
 }
 
 RunResult

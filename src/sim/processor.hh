@@ -36,6 +36,7 @@
 #include "sim/exec_domain.hh"
 #include "sim/frontend.hh"
 #include "sim/kernel.hh"
+#include "sim/ring.hh"
 #include "sim/trace.hh"
 #include "workload/program.hh"
 #include "workload/stream.hh"
@@ -236,12 +237,67 @@ class Processor : public DvfsControl
     };
 
     // --- shared helpers used by the domain components ---
-    Uop *findUop(std::uint64_t seq);
-    const Uop *findUop(std::uint64_t seq) const;
+    //
+    // The operand path below runs for every issue attempt, so it is
+    // inline: a ROB lookup is a bounds check plus a masked index (ROB
+    // seqs are contiguous), and a sync margin reads two cached clock
+    // periods.
+
+    /** The in-flight uop with sequence number @p seq, or nullptr. */
+    Uop *
+    findUop(std::uint64_t seq)
+    {
+        if (rob.empty())
+            return nullptr;
+        // Unsigned wrap folds `seq < front` into the size check.
+        std::uint64_t i = seq - rob.front().seq;
+        return i < rob.size() ? &rob[i] : nullptr;
+    }
+    const Uop *
+    findUop(std::uint64_t seq) const
+    {
+        return const_cast<Processor *>(this)->findUop(seq);
+    }
+
     /** Operand readiness: ready time as seen from domain @p d. */
-    bool operandReady(std::uint64_t producer_seq, Domain d,
-                      Tick now) const;
-    Tick syncMargin(Domain src, Domain dst) const;
+    bool
+    operandReady(std::uint64_t producer_seq, Domain d, Tick now) const
+    {
+        if (producer_seq == 0)
+            return true;
+        if (const Uop *p = findUop(producer_seq)) {
+            if (!p->completed)
+                return false;
+            // Same-domain, non-memory producers: compare edge counts
+            // so that back-to-back dependent issue is exact under
+            // jitter.
+            if (p->domain == d && !p->isLoad)
+                return clock(d).edges() >= p->execDoneEdge;
+            Tick t = p->isLoad ? p->memDone : p->execDone;
+            return now >= t + syncMargin(p->domain, d);
+        }
+        // A producer that left the ROB has retired, and commit waited
+        // for its value to reach the front end (now >= ready +
+        // margin); edge times never decrease, so the value is ready
+        // here too.
+        return true;
+    }
+
+    /** Current clock period of @p d; external memory runs at the
+     *  (fixed) maximum frequency. */
+    Tick
+    periodOf(Domain d) const
+    {
+        return d == Domain::External ? externalPeriod
+                                     : clock(d).period();
+    }
+
+    Tick
+    syncMargin(Domain src, Domain dst) const
+    {
+        return syncMarginPs(cfg, src, dst, periodOf(src), periodOf(dst));
+    }
+
     /** L2 lookup start: shared-port grant under a chip, else @p t. */
     Tick
     l2PortGrant(Tick t)
@@ -267,6 +323,7 @@ class Processor : public DvfsControl
     SimConfig cfg;
     const workload::Program &program;
     workload::InputSet input;
+    Tick externalPeriod;  ///< periodPs(cfg.maxMhz)
 
     // --- components ---
     power::PowerModel power_;
@@ -292,8 +349,8 @@ class Processor : public DvfsControl
     std::shared_ptr<const CheckpointSet> checkpoints_;
 
     // --- pipeline state ---
-    std::deque<Uop> rob;
-    std::deque<FetchEntry> fetchQueue;
+    Ring<Uop> rob;
+    Ring<FetchEntry> fetchQueue;
     std::array<std::vector<std::uint64_t>, NUM_SCALED_DOMAINS> iq;
     std::vector<std::uint64_t> producerRing;  ///< recent producer seqs
     std::size_t producerHead = 0;

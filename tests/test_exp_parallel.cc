@@ -8,9 +8,9 @@
  * The memo-abuse section at the bottom is the sweep server's
  * foundation: exact `memoHits()`/`memoMisses()` accounting (the
  * server's duplicate-suppression acceptance test keys off misses ==
- * distinct cells) and concurrent readers racing the cache-writer
- * thread over a cache file salted with truncated, garbled and
- * foreign-version lines.
+ * distinct cells) and concurrent readers racing the jobs that append
+ * to a cache file salted with truncated, garbled and foreign-version
+ * lines.
  */
 
 #include <gtest/gtest.h>
@@ -135,9 +135,11 @@ TEST(ExpParallel, ConcurrentStoresLoseNoLines)
         cells.push_back(SweepCell::of(suite[i], "offline:d=10"));
     }
     {
+        // Each job's store() appends its line whole under the cache
+        // mutex; the destructor closes the file.
         Runner r(cfg);
         r.runSweep(cells, 8);
-    }  // destructor drains + flushes the writer thread
+    }
     // 6 baseline + 6 offline outcomes, no duplicates, no torn lines.
     EXPECT_EQ(readLines(path).size(), 12u);
     Runner reload(cfg);
@@ -384,8 +386,8 @@ TEST(ExpParallel, ConcurrentReadersRaceWriterOverCorruptCache)
     // The hostile-restart scenario: the cache file holds a mix of a
     // valid (sentinel-rewritten) line, a foreign-CACHE_VERSION line,
     // a foreign-fingerprint line, a truncated tail and a garbled
-    // numeric — then 8 sweep jobs plus dedicated reader threads race
-    // the appending cache-writer thread over it.
+    // numeric — then 8 sweep jobs, each appending its computed cells
+    // to the file, race dedicated reader threads over it.
     std::string path = tempCachePath("abuse");
     std::remove(path.c_str());
     ExpConfig cfg = smallConfig();
@@ -432,7 +434,7 @@ TEST(ExpParallel, ConcurrentReadersRaceWriterOverCorruptCache)
         EXPECT_EQ(race.rejectedCacheLines(), 2u);
 
         // Readers hammer the preloaded cell while the sweep computes
-        // the other three and the writer thread appends them.
+        // the other three and its jobs append them.
         std::vector<std::thread> readers;
         for (int t = 0; t < 3; ++t)
             readers.emplace_back([&race] {
@@ -451,7 +453,7 @@ TEST(ExpParallel, ConcurrentReadersRaceWriterOverCorruptCache)
         // Only the three non-preloaded cells were simulated, however
         // the readers and jobs interleaved.
         EXPECT_EQ(race.memoMisses(), 3u);
-    }  // drain the writer
+    }  // close the cache file
 
     // Duplicates agree with each other...
     for (std::size_t i = 4; i < out.size(); ++i) {
@@ -463,7 +465,7 @@ TEST(ExpParallel, ConcurrentReadersRaceWriterOverCorruptCache)
     EXPECT_DOUBLE_EQ(out[0].timePs, 777.0);
     EXPECT_NE(out[2].timePs, 777.0);
 
-    // The writer appended the three computed cells after the corrupt
+    // The jobs appended the three computed cells after the corrupt
     // seed; a fresh runner loads 3 + 3 lines, still rejecting 2, and
     // serves the appended outcomes byte-exactly.
     Runner reload(cfg);

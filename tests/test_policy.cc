@@ -13,9 +13,12 @@
 #include <string>
 #include <vector>
 
+#include "control/globaldvs.hh"
 #include "control/policy.hh"
 #include "exp/experiment.hh"
+#include "sim/sampling.hh"
 #include "workload/spec.hh"
+#include "workload/split.hh"
 #include "workload/suite.hh"
 
 #include "cache_key_util.hh"
@@ -396,4 +399,100 @@ TEST(HybridPolicy, SharesTheProfilePlanButNotTheOutcomeKey)
                          PolicySpec::of("profile").set("d", 10.0)),
               r.cacheKey("mpeg2_decode",
                          PolicySpec::of("hybrid").set("d", 10.0)));
+}
+
+// ---------------------------------------------------------------- //
+// The global policy's full-speed probe                             //
+// ---------------------------------------------------------------- //
+
+namespace
+{
+
+/** globalDvsMatch's own full-speed probe, every domain jumped to
+ *  maxMhz before t=0: an unreachable target returns that first run. */
+Outcome
+fullSpeedProbe(const ExpConfig &cfg, const std::string &bench)
+{
+    workload::Benchmark bm = workload::makeBenchmark(bench);
+    control::GlobalDvsResult g = control::globalDvsMatch(
+        bm.program, bm.ref, cfg.sim, cfg.power, cfg.productionWindow,
+        /*target_time_ps=*/1, /*iters=*/6,
+        control::checkpointsFor(exp::policyContext(cfg), bench));
+    return control::runOutcome(g.run);
+}
+
+/** The Outcome fields a raw run fills in, compared bit for bit. */
+void
+expectSameRun(const Outcome &a, const Outcome &b, const std::string &what)
+{
+    EXPECT_EQ(a.timePs, b.timePs) << what;
+    EXPECT_EQ(a.energyNj, b.energyNj) << what;
+    EXPECT_EQ(a.reconfigs, b.reconfigs) << what;
+    EXPECT_EQ(a.timeCiPs, b.timeCiPs) << what;
+    EXPECT_EQ(a.energyCiNj, b.energyCiNj) << what;
+}
+
+} // namespace
+
+TEST(GlobalPolicy, FullSpeedProbeIsTheBaselineCellExact)
+{
+    // global serves its bisection's full-speed probe from the
+    // memoized baseline cell.  The probe jumps every domain to maxMhz
+    // before t=0, which drops each clock's first jitter draw, so the
+    // two runs are equal by measurement, not by construction: pin it
+    // on every suite and holdout workload.
+    ExpConfig cfg;
+    cfg.productionWindow = 15'000;
+    Runner r(cfg);
+    std::vector<std::string> names = workload::suiteNames();
+    for (const std::string &h : workload::holdoutSplit())
+        names.push_back(h);
+    for (const std::string &name : names)
+        expectSameRun(fullSpeedProbe(cfg, name),
+                      r.run(name, PolicySpec::of("baseline")), name);
+}
+
+TEST(GlobalPolicy, FullSpeedProbeIsTheBaselineCellSampled)
+{
+    ExpConfig cfg;
+    cfg.productionWindow = 15'000;
+    cfg.sim.sampling = sim::parseSamplingSpec(
+        "sampled:interval=4000,sample=600,warmup=400");
+    Runner r(cfg);
+    for (const char *name : {"gsm_decode", "mcf"})
+        expectSameRun(fullSpeedProbe(cfg, name),
+                      r.run(name, PolicySpec::of("baseline")), name);
+}
+
+TEST(GlobalPolicy, FreshRunnerComputesTheBaselineOnce)
+{
+    // Outcomes pinned from the simulator that still re-ran the
+    // full-speed probe: d=10 bisects to 871 MHz, d=0 stays at full
+    // speed and so returns the baseline cell itself.
+    struct Pin
+    {
+        const char *spec;
+        double timePs, energyNj, globalFreq;
+    };
+    const Pin pins[] = {
+        {"global:d=10", 23290589, 28775.297012802708, 871.09375},
+        {"global:d=0", 21918014, 34589.142519988811, 1000},
+    };
+    ExpConfig cfg;
+    cfg.productionWindow = 15'000;
+    cfg.analysisWindow = 15'000;
+    for (const Pin &pin : pins) {
+        Runner r(cfg);
+        Outcome o = r.run("gsm_decode",
+                          control::canonicalPolicySpec(pin.spec));
+        EXPECT_EQ(o.timePs, pin.timePs) << pin.spec;
+        EXPECT_EQ(o.energyNj, pin.energyNj) << pin.spec;
+        EXPECT_EQ(o.globalFreq, pin.globalFreq) << pin.spec;
+        EXPECT_EQ(o.reconfigs, 0.0) << pin.spec;
+        // Three cells compute: global, its off-line target and the
+        // baseline.  The baseline is then looked up twice, as the
+        // full-speed probe and for global's metrics.
+        EXPECT_EQ(r.memoMisses(), 3u) << pin.spec;
+        EXPECT_EQ(r.memoHits(), 2u) << pin.spec;
+    }
 }
