@@ -11,6 +11,14 @@
  * an off-line schedule (ramps and fast-forward parking) — plus the
  * shaker's histogram bins for one recorded 10k-instruction segment.
  *
+ * The "special" lines pin the inputs the clock and issue paths treat
+ * specially: aligned edges (singleClock), no jitter, a jitter bound
+ * too wide for a shared jitter stream, a zero synchronization window
+ * (every minimum margin is zero), a checkpointed sampled run, a
+ * two-tile chip whose second tile derives its jitter seed, and a
+ * schedule that keeps every clock ramping, so synchronization
+ * margins shrink and grow while instructions wait on them.
+ *
  * tests/data/kernel_bits_golden.txt holds the expected lines.  A
  * change that is meant to be bit-identical must pass it unedited; a
  * change that moves results on purpose re-pins it deliberately and
@@ -20,11 +28,14 @@
 #include <gtest/gtest.h>
 
 #include <fstream>
+#include <memory>
 #include <string>
 #include <vector>
 
+#include "chip/chip.hh"
 #include "control/offline.hh"
 #include "core/shaker.hh"
+#include "sim/checkpoint.hh"
 #include "sim/processor.hh"
 #include "util/text.hh"
 #include "workload/suite.hh"
@@ -156,17 +167,107 @@ renderShaker()
     return lines;
 }
 
-/** The golden lines that do (@p shaker) or do not start with
- *  "shaker ", in file order. */
+/** One "special" line per run whose configuration takes a path the
+ *  default runs do not. */
 std::vector<std::string>
-goldenLines(bool shaker)
+renderSpecialRuns()
+{
+    power::PowerConfig pcfg;
+    std::vector<std::string> lines;
+    auto plain = [&](const char *setup, const sim::SimConfig &scfg) {
+        for (const char *name : WORKLOADS) {
+            workload::Benchmark bm = workload::makeBenchmark(name);
+            sim::Processor proc(scfg, pcfg, bm.program, bm.ref);
+            lines.push_back(std::string("special ") + name + ' ' +
+                            setup + renderRun(proc.run(WINDOW)));
+        }
+    };
+
+    sim::SimConfig single;
+    single.singleClock = true;
+    plain("singleClock", single);
+
+    sim::SimConfig no_jitter;
+    no_jitter.jitterPs = 0;
+    plain("jitter0", no_jitter);
+
+    sim::SimConfig wide_jitter;
+    wide_jitter.jitterPs = 200;
+    plain("jitter200", wide_jitter);
+
+    sim::SimConfig no_window;
+    no_window.syncWindowFrac = 0.0;
+    plain("syncWindow0", no_window);
+
+    {
+        auto bm = std::make_shared<workload::Benchmark>(
+            workload::makeBenchmark("gsm_decode"));
+        std::shared_ptr<const workload::Program> prog(bm, &bm->program);
+        sim::SimConfig scfg;
+        scfg.sampling = sim::parseSamplingSpec("sampled:interval=4000");
+        sim::Processor proc(scfg, pcfg, bm->program, bm->ref);
+        proc.setCheckpoints(
+            sim::CheckpointSet::build(prog, bm->ref, scfg, WINDOW));
+        lines.push_back("special gsm_decode sampledCheckpointed" +
+                        renderRun(proc.run(WINDOW)));
+    }
+
+    {
+        chip::Chip c(chip::ChipConfig{}, sim::SimConfig{}, pcfg,
+                     {"gsm_decode", "mcf"});
+        chip::ChipResult r = c.run(WINDOW);
+        for (std::size_t t = 0; t < r.tiles.size(); ++t)
+            lines.push_back("special chip2 tile" + std::to_string(t) +
+                            renderRun(r.tiles[t]));
+        lines.push_back(
+            "special chip2 uncore timePs=" +
+            num(static_cast<double>(r.timePs)) +
+            " uncoreEnergyNj=" + num(r.uncoreEnergyNj) +
+            " uncoreAvgMhz=" + num(r.uncoreAvgMhz) +
+            " l2Grants=" + num(static_cast<double>(r.uncore.l2Grants)) +
+            " l2QueuedPs=" +
+            num(static_cast<double>(r.uncore.l2QueuedPs)) +
+            " dramAccesses=" +
+            num(static_cast<double>(r.uncore.dramAccesses)) +
+            " dramQueuedPs=" +
+            num(static_cast<double>(r.uncore.dramQueuedPs)));
+    }
+
+    // Every 500 instructions the domains swap between 250 and 1000
+    // MHz targets, far more often than a full ramp takes.
+    for (const char *name : WORKLOADS) {
+        std::vector<sim::SchedulePoint> sched;
+        for (std::uint64_t k = 1; k * 500 < WINDOW; ++k) {
+            sim::SchedulePoint pt;
+            pt.atInstr = k * 500;
+            pt.freqs = k % 2 ? sim::FreqSet{1000.0, 250.0, 250.0, 1000.0}
+                             : sim::FreqSet{250.0, 1000.0, 1000.0, 250.0};
+            sched.push_back(pt);
+        }
+        workload::Benchmark bm = workload::makeBenchmark(name);
+        sim::Processor proc(sim::SimConfig{}, pcfg, bm.program, bm.ref);
+        proc.setSchedule(std::move(sched));
+        lines.push_back(std::string("special ") + name + " ramps" +
+                        renderRun(proc.run(WINDOW)));
+    }
+    return lines;
+}
+
+/** The golden lines of one section, in file order: lines whose first
+ *  word is "shaker" or "special" belong to that section, every other
+ *  line to the plain-run section (@p section empty). */
+std::vector<std::string>
+goldenLines(const std::string &section)
 {
     std::ifstream in(std::string(MCD_SOURCE_DIR) +
                      "/tests/data/kernel_bits_golden.txt");
     std::vector<std::string> lines;
     std::string line;
     while (std::getline(in, line)) {
-        if ((line.compare(0, 7, "shaker ") == 0) == shaker)
+        std::string first = line.substr(0, line.find(' '));
+        if (first != "shaker" && first != "special")
+            first.clear();
+        if (first == section)
             lines.push_back(line);
     }
     return lines;
@@ -185,10 +286,15 @@ expectLines(const std::vector<std::string> &got,
 
 TEST(GoldenBits, RunResultsAtFullPrecision)
 {
-    expectLines(renderRuns(), goldenLines(false));
+    expectLines(renderRuns(), goldenLines(""));
 }
 
 TEST(GoldenBits, ShakerHistogramBins)
 {
-    expectLines(renderShaker(), goldenLines(true));
+    expectLines(renderShaker(), goldenLines("shaker"));
+}
+
+TEST(GoldenBits, SpecialPathRuns)
+{
+    expectLines(renderSpecialRuns(), goldenLines("special"));
 }
