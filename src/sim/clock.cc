@@ -25,12 +25,37 @@ DomainClock::DomainClock(const SimConfig &c, Domain d, bool jitter,
       lastEdge(0), edgeCount(0), freqTimeIntegral(0.0), startTime(0)
 {
     if (jitterOn) {
-        double j = rng.clampedNormal(
-            0.0, static_cast<double>(cfg.jitterPs) / 3.0,
-            static_cast<double>(cfg.jitterPs));
-        jitteredNext = static_cast<Tick>(
-            std::max<double>(1.0, static_cast<double>(nominalNext) + j));
+        stream = JitterStream::of(rng, cfg.jitterPs);
+        if (stream)
+            chunk = &stream->chunk(0);
+        jitteredNext = jittered(nominalNext, 1);
     }
+}
+
+Tick
+DomainClock::jittered(Tick nominal, Tick lo)
+{
+    if (stream) {
+        if (pos == JitterStream::CHUNK_DRAWS) {
+            chunk = &stream->chunk(++chunkIdx);
+            pos = 0;
+        }
+        JitterCode c = chunk->codes[pos];
+        if (static_cast<std::int64_t>(nominal) + c.floorPs <
+            CODED_EDGE_LIMIT) {
+            ++pos;
+            return codedEdge(nominal, c, lo);
+        }
+        // Past 2^52 ps: resync the clock's own generator to this
+        // draw and draw directly from here on.
+        rng = chunk->start;
+        for (std::size_t i = 0; i < pos; ++i)
+            drawJitter(rng, cfg.jitterPs);
+        stream = nullptr;
+    }
+    double j = drawJitter(rng, cfg.jitterPs);
+    return static_cast<Tick>(std::max(static_cast<double>(nominal) + j,
+                                      static_cast<double>(lo)));
 }
 
 void
@@ -55,17 +80,11 @@ DomainClock::advance()
     }
 
     // The nominal grid advances jitter-free; jitter perturbs each
-    // edge independently (no random-walk drift).
+    // edge independently (no random-walk drift), and an edge never
+    // falls before the previous one plus 1 ps.
     nominalNext += curPeriod;
-    jitteredNext = nominalNext;
-    if (jitterOn) {
-        double j = rng.clampedNormal(
-            0.0, static_cast<double>(cfg.jitterPs) / 3.0,
-            static_cast<double>(cfg.jitterPs));
-        double cand = static_cast<double>(nominalNext) + j;
-        double floor_t = static_cast<double>(now) + 1.0;
-        jitteredNext = static_cast<Tick>(std::max(cand, floor_t));
-    }
+    jitteredNext =
+        jitterOn ? jittered(nominalNext, now + 1) : nominalNext;
 }
 
 std::uint64_t
@@ -73,8 +92,8 @@ DomainClock::fastForwardTo(Tick t)
 {
     // Consuming each edge through advance() keeps the edge schedule
     // bit-identical to stepping by construction: one jitter draw per
-    // edge, the same arithmetic.  (A hand-specialized loop saves
-    // nothing measurable — the Box-Muller jitter draw dominates.)
+    // edge, the same arithmetic.  A draw is a two-byte stream read,
+    // so the per-edge bookkeeping in advance() is the whole cost.
     std::uint64_t n = 0;
     while (jitteredNext < t) {
         advance();

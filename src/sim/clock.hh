@@ -14,6 +14,7 @@
 #include <algorithm>
 
 #include "sim/config.hh"
+#include "sim/jitter.hh"
 #include "util/rng.hh"
 #include "util/types.hh"
 
@@ -35,8 +36,11 @@ class DomainClock
      * @param cfg     shared configuration
      * @param d       which domain this clock drives
      * @param jitter  whether to apply jitter (off in single-clock mode)
-     * @param rng     jitter random stream (owned by caller semantics:
-     *                copied in)
+     * @param rng     jitter generator state (copied in).  The clock
+     *                reads the draws from the process-wide
+     *                JitterStream of (rng, cfg.jitterPs), or draws
+     *                them from its own copy when cfg.jitterPs is too
+     *                wide to encode.
      */
     DomainClock(const SimConfig &cfg, Domain d, bool jitter, Rng rng);
 
@@ -80,12 +84,13 @@ class DomainClock
     /**
      * Consume every edge strictly before time @p t and return how
      * many were consumed.  Each edge goes through advance(), so the
-     * jitter stream sees exactly one draw per edge and the resulting
-     * edge times are bit-identical to stepping edge by edge — this
-     * is what makes the kernel's idle-domain fast-forward
-     * deterministic.  Callers only fast-forward non-ramping clocks
-     * (the kernel parks a domain only when ramping() is false), so
-     * frequency and voltage are constant across the span.
+     * jitter sequence sees exactly one draw per edge and the
+     * resulting edge times are bit-identical to stepping edge by
+     * edge — this is what makes the kernel's idle-domain
+     * fast-forward deterministic.  Callers only fast-forward
+     * non-ramping clocks (the kernel parks a domain only when
+     * ramping() is false), so frequency and voltage are constant
+     * across the span.
      */
     std::uint64_t fastForwardTo(Tick t);
 
@@ -96,10 +101,19 @@ class DomainClock
     Mhz averageFreq() const;
 
   private:
+    /** The jittered edge for nominal time @p nominal, at least @p lo:
+     *  consumes one draw. */
+    Tick jittered(Tick nominal, Tick lo);
+
     const SimConfig &cfg;
     Domain domain;
     bool jitterOn;
-    Rng rng;
+    Rng rng;  ///< direct draws; unused while reading a stream
+    /** Shared draws; nullptr for direct draws or no jitter. */
+    JitterStream *stream = nullptr;
+    const JitterStream::Chunk *chunk = nullptr;
+    std::size_t chunkIdx = 0;
+    std::size_t pos = 0;  ///< next draw's index in *chunk
     Mhz curMhz;
     Mhz targetMhz;
     Volt volt;

@@ -20,13 +20,31 @@ ExecDomain::tick(Tick now)
     int issued = 0;
     for (auto it = queue.begin();
          it != queue.end() && issued < width;) {
-        if (tryIssue(now, *it)) {
+        if (!waiting(*it, now) && tryIssue(now, *it)) {
             it = queue.erase(it);
             ++issued;
         } else {
             ++it;
         }
     }
+}
+
+bool
+ExecDomain::waiting(const IqEntry &e, Tick now) const
+{
+    switch (e.wait) {
+      case IqEntry::Wait::Until:
+        return now < e.until;
+      case IqEntry::Wait::Producer: {
+        const Processor::Uop *u = p.findUop(e.on);
+        return u && !u->completed;
+      }
+      case IqEntry::Wait::Edge:
+        return p.clock(dom).edges() < e.until && p.findUop(e.on);
+      case IqEntry::Wait::None:
+        break;
+    }
+    return false;
 }
 
 Tick
@@ -44,19 +62,60 @@ ExecDomain::skipped(std::uint64_t n)
 }
 
 bool
-ExecDomain::tryIssue(Tick now, std::uint64_t seq)
+ExecDomain::operandReady(std::uint64_t producer_seq, Tick now,
+                         IqEntry &e) const
 {
-    Processor::Uop *up = p.findUop(seq);
+    if (producer_seq == 0)
+        return true;
+    const Processor::Uop *pr = p.findUop(producer_seq);
+    // A producer that left the ROB has retired, and commit waited for
+    // its value to reach the front end (now >= ready + margin); edge
+    // times never decrease, so the value is ready here too.
+    if (!pr)
+        return true;
+    if (!pr->completed) {
+        e.wait = IqEntry::Wait::Producer;
+        e.on = producer_seq;
+        return false;
+    }
+    // Same-domain, non-memory producers: compare edge counts so that
+    // back-to-back dependent issue is exact under jitter.
+    if (pr->domain == dom && !pr->isLoad) {
+        if (p.clock(dom).edges() >= pr->execDoneEdge)
+            return true;
+        e.wait = IqEntry::Wait::Edge;
+        e.on = producer_seq;
+        e.until = pr->execDoneEdge;
+        return false;
+    }
+    Tick t = pr->isLoad ? pr->memDone : pr->execDone;
+    if (now >= t + p.syncMargin(pr->domain, dom))
+        return true;
+    // Once the producer retires, commit has already waited past this
+    // bound (the front-end margin is never below this minimum).
+    e.wait = IqEntry::Wait::Until;
+    e.until = t + p.minSyncMargin(pr->domain, dom);
+    return false;
+}
+
+bool
+ExecDomain::tryIssue(Tick now, IqEntry &e)
+{
+    e.wait = IqEntry::Wait::None;
+    Processor::Uop *up = p.findUop(e.seq);
     if (!up)
         panic("IQ entry %llu missing from ROB",
-              static_cast<unsigned long long>(seq));
+              static_cast<unsigned long long>(e.seq));
     Processor::Uop &u = *up;
 
     // Dispatch-to-issue-queue synchronization (front end -> domain).
-    if (now < u.dispatchTime + p.syncMargin(Domain::FrontEnd, dom))
+    if (now < u.dispatchTime + p.syncMargin(Domain::FrontEnd, dom)) {
+        e.wait = IqEntry::Wait::Until;
+        e.until = u.dispatchTime + p.minSyncMargin(Domain::FrontEnd, dom);
         return false;
-    if (!p.operandReady(u.depSeq1, dom, now) ||
-        !p.operandReady(u.depSeq2, dom, now))
+    }
+    if (!operandReady(u.depSeq1, now, e) ||
+        !operandReady(u.depSeq2, now, e))
         return false;
 
     // Loads: memory ordering against older in-flight stores to the
@@ -74,8 +133,12 @@ ExecDomain::tryIssue(Tick now, std::uint64_t seq)
                 break;  // older stores retired: no conflict possible
             if (s->di.addr != u.di.addr)
                 continue;
-            if (!s->completed)
-                return false;  // data not ready yet
+            if (!s->completed) {
+                // Data not ready yet.
+                e.wait = IqEntry::Wait::Producer;
+                e.on = *it;
+                return false;
+            }
             forwarded = true;
             forward_ready = s->execDone;
             break;

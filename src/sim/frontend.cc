@@ -276,7 +276,7 @@ Frontend::dispatch(Tick now)
         if (u.isStore)
             p.storeSeqs.push_back(u.seq);
         p.rob.push_back(u);
-        p.iq[di].push_back(u.seq);
+        p.iq[di].push_back({u.seq});
         // The consuming domain may be parked on an empty queue; it
         // has work now.  Waking replays its idle edges up to `now`,
         // so an edge exactly at `now` still issues this cycle.

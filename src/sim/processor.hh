@@ -259,30 +259,6 @@ class Processor : public DvfsControl
         return const_cast<Processor *>(this)->findUop(seq);
     }
 
-    /** Operand readiness: ready time as seen from domain @p d. */
-    bool
-    operandReady(std::uint64_t producer_seq, Domain d, Tick now) const
-    {
-        if (producer_seq == 0)
-            return true;
-        if (const Uop *p = findUop(producer_seq)) {
-            if (!p->completed)
-                return false;
-            // Same-domain, non-memory producers: compare edge counts
-            // so that back-to-back dependent issue is exact under
-            // jitter.
-            if (p->domain == d && !p->isLoad)
-                return clock(d).edges() >= p->execDoneEdge;
-            Tick t = p->isLoad ? p->memDone : p->execDone;
-            return now >= t + syncMargin(p->domain, d);
-        }
-        // A producer that left the ROB has retired, and commit waited
-        // for its value to reach the front end (now >= ready +
-        // margin); edge times never decrease, so the value is ready
-        // here too.
-        return true;
-    }
-
     /** Current clock period of @p d; external memory runs at the
      *  (fixed) maximum frequency. */
     Tick
@@ -296,6 +272,16 @@ class Processor : public DvfsControl
     syncMargin(Domain src, Domain dst) const
     {
         return syncMarginPs(cfg, src, dst, periodOf(src), periodOf(dst));
+    }
+
+    /** The smallest syncMargin(@p src, @p dst) any clock setting can
+     *  give: no period is shorter than periodPs(maxMhz), and the
+     *  margin grows with the faster period. */
+    Tick
+    minSyncMargin(Domain src, Domain dst) const
+    {
+        return syncMarginPs(cfg, src, dst, externalPeriod,
+                            externalPeriod);
     }
 
     /** L2 lookup start: shared-port grant under a chip, else @p t. */
@@ -351,7 +337,7 @@ class Processor : public DvfsControl
     // --- pipeline state ---
     Ring<Uop> rob;
     Ring<FetchEntry> fetchQueue;
-    std::array<std::vector<std::uint64_t>, NUM_SCALED_DOMAINS> iq;
+    std::array<std::vector<IqEntry>, NUM_SCALED_DOMAINS> iq;
     std::vector<std::uint64_t> producerRing;  ///< recent producer seqs
     std::size_t producerHead = 0;
     std::uint64_t producerCount = 0;

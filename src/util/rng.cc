@@ -1,6 +1,7 @@
 #include "util/rng.hh"
 
 #include <cmath>
+#include <cstring>
 
 namespace mcd
 {
@@ -112,6 +113,22 @@ Rng
 Rng::fork()
 {
     return Rng(next());
+}
+
+bool
+operator==(const Rng &a, const Rng &b)
+{
+    for (int i = 0; i < 4; ++i) {
+        if (a.s[i] != b.s[i])
+            return false;
+    }
+    if (a.hasCachedNormal != b.hasCachedNormal)
+        return false;
+    // The cached value matters only while it is pending; compare its
+    // bits so that -0.0 and 0.0 stay distinct states.
+    return !a.hasCachedNormal ||
+           std::memcmp(&a.cachedNormal, &b.cachedNormal,
+                       sizeof a.cachedNormal) == 0;
 }
 
 } // namespace mcd

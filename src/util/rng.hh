@@ -60,6 +60,14 @@ class Rng
     /** Derive an independent child generator (stable w.r.t. parent). */
     Rng fork();
 
+    /**
+     * Whether @p a and @p b are in the same state, so that every
+     * future draw of one equals the other's (the cached Box-Muller
+     * partner included).  The key of a shared jitter stream
+     * (sim/jitter.hh).
+     */
+    friend bool operator==(const Rng &a, const Rng &b);
+
   private:
     std::uint64_t s[4];
     double cachedNormal;

@@ -1,12 +1,20 @@
 /**
  * @file
  * Tests for domain clocks: edges, jitter bounds, DVFS ramping,
- * voltage tracking, synchronization margins.
+ * voltage tracking, synchronization margins, and the exactness of
+ * the shared jitter streams against direct Rng::clampedNormal draws.
  */
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cmath>
+#include <cstdint>
+#include <thread>
+#include <vector>
+
 #include "sim/clock.hh"
+#include "sim/jitter.hh"
 
 using namespace mcd;
 using namespace mcd::sim;
@@ -18,6 +26,109 @@ SimConfig
 cfg()
 {
     return SimConfig{};
+}
+
+/** The edge a direct draw @p j gives: the reference formula. */
+Tick
+directEdge(Tick nominal, double j, Tick lo)
+{
+    return static_cast<Tick>(std::max(static_cast<double>(nominal) + j,
+                                      static_cast<double>(lo)));
+}
+
+/** The code-path edge for draw @p j. */
+Tick
+streamEdge(Tick nominal, double j, Tick lo)
+{
+    return codedEdge(nominal, encodeJitter(j), lo);
+}
+
+/**
+ * Reference clock: DomainClock's edge and ramp model with a
+ * Rng::clampedNormal draw per edge, as the clock computed it before
+ * the shared streams.
+ */
+class DirectClock
+{
+  public:
+    DirectClock(const SimConfig &c, bool jitter, Rng r)
+        : cfg(c), jitterOn(jitter), rng(r), cur(c.maxMhz),
+          target(c.maxMhz), period(periodPs(c.maxMhz)), nominal(period),
+          next(nominal)
+    {
+        if (jitterOn)
+            next = static_cast<Tick>(std::max<double>(
+                1.0, static_cast<double>(nominal) + draw()));
+    }
+
+    Tick nextEdge() const { return next; }
+    Mhz freq() const { return cur; }
+
+    void
+    advance()
+    {
+        Tick now = next;
+        last = now;
+        if (cur != target) {
+            double delta =
+                static_cast<double>(period) / 1000.0 / cfg.rampNsPerMhz;
+            cur = cur < target ? std::min(target, cur + delta)
+                               : std::max(target, cur - delta);
+            period = periodPs(cur);
+        }
+        nominal += period;
+        next = nominal;
+        if (jitterOn)
+            next = static_cast<Tick>(
+                std::max(static_cast<double>(nominal) + draw(),
+                         static_cast<double>(now) + 1.0));
+    }
+
+    void
+    setTarget(Mhz f)
+    {
+        target = std::clamp(f, cfg.minMhz, cfg.maxMhz);
+    }
+
+    void
+    jumpTo(Mhz f)
+    {
+        target = std::clamp(f, cfg.minMhz, cfg.maxMhz);
+        cur = target;
+        period = periodPs(cur);
+        nominal = last + period;
+        next = nominal;
+    }
+
+  private:
+    double
+    draw()
+    {
+        double bound = static_cast<double>(cfg.jitterPs);
+        return rng.clampedNormal(0.0, bound / 3.0, bound);
+    }
+
+    const SimConfig &cfg;
+    bool jitterOn;
+    Rng rng;
+    Mhz cur;
+    Mhz target;
+    Tick period;
+    Tick nominal;
+    Tick next;
+    Tick last = 0;
+};
+
+/** The four clock generators Kernel derives from @p seed, in domain
+ *  order. */
+std::vector<Rng>
+kernelClockRngs(std::uint64_t seed)
+{
+    Rng seed_rng(seed);
+    std::vector<Rng> out;
+    for (int d = 0; d < NUM_SCALED_DOMAINS; ++d)
+        out.push_back(seed_rng.fork());
+    return out;
 }
 
 } // namespace
@@ -241,3 +352,200 @@ TEST_P(RampSweep, ConvergesToTarget)
 INSTANTIATE_TEST_SUITE_P(Targets, RampSweep,
                          ::testing::Values(250, 300, 475, 500, 725, 900,
                                            1000));
+
+// ---------------------------------------------------------------- //
+// Shared jitter streams: every coded edge equals the direct draw's.  //
+
+TEST(JitterStream, KernelStreamsMatchDirectDrawsInEveryBinade)
+{
+    // Every draw of the four streams the default Kernel builds, up to
+    // 2^20 each, with the nominal edge in every binade from 2^10 to
+    // 2^51 and a floor that sometimes binds.
+    constexpr std::size_t DRAWS = std::size_t{1} << 20;
+    SimConfig c = cfg();
+    for (Rng direct : kernelClockRngs(c.jitterSeed)) {
+        JitterStream *stream = JitterStream::of(direct, c.jitterPs);
+        ASSERT_NE(stream, nullptr);
+        std::uint64_t mismatches = 0;
+        for (std::size_t i = 0; i < DRAWS; ++i) {
+            double j = drawJitter(direct, c.jitterPs);
+            const JitterCode code =
+                stream->chunk(i / JitterStream::CHUNK_DRAWS)
+                    .codes[i % JitterStream::CHUNK_DRAWS];
+            ASSERT_EQ(code.floorPs, static_cast<int>(std::floor(j)));
+            for (int b = 10; b <= 51; ++b) {
+                Tick base = Tick{1} << b;
+                Tick n = base + (i * 0x9E3779B97F4A7C15ULL) % base;
+                Tick lo = n - 128 + i % 256;
+                if (codedEdge(n, code, lo) != directEdge(n, j, lo))
+                    ++mismatches;
+            }
+        }
+        EXPECT_EQ(mismatches, 0u);
+    }
+}
+
+TEST(JitterStream, RoundUpBoundariesAreExact)
+{
+    // Fractions at each round-up boundary 1 - 2^(e-53) and one ulp on
+    // either side, with M = N + k at the bottom, just above and at the
+    // top of binades e-1, e and e+1.
+    const int ks[] = {-127, -110, -2, -1, 0, 1, 2, 109, 126};
+    for (int e = 0; e <= 51; ++e) {
+        double frac = 1.0 - std::ldexp(1.0, e - 53);
+        for (int k : ks) {
+            double j0 = k + frac;
+            for (double j : {std::nextafter(j0, -1e9), j0,
+                             std::nextafter(j0, 1e9)}) {
+                if (std::floor(j) > 126 || std::floor(j) < -127)
+                    continue;
+                for (int bin = std::max(0, e - 1);
+                     bin <= std::min(51, e + 1); ++bin) {
+                    std::int64_t bottom = std::int64_t{1} << bin;
+                    for (std::int64_t m :
+                         {bottom, bottom + 1, 2 * bottom - 1}) {
+                        std::int64_t n = m - k;
+                        if (n < 1)
+                            continue;
+                        Tick nt = static_cast<Tick>(n);
+                        EXPECT_EQ(streamEdge(nt, j, 1),
+                                  directEdge(nt, j, 1))
+                            << "e=" << e << " k=" << k << " m=" << m;
+                    }
+                }
+            }
+        }
+        // The construction really straddles the boundary: the exact
+        // fraction rounds up from binade e on, and not below it.
+        Tick at = Tick{1} << e;
+        EXPECT_EQ(directEdge(at, frac, 1), at + 1) << "e=" << e;
+        if (e > 0) {
+            EXPECT_EQ(directEdge(at / 2, frac, 1), at / 2) << "e=" << e;
+        }
+    }
+}
+
+TEST(JitterStream, TooWideABoundHasNoStream)
+{
+    EXPECT_NE(JitterStream::of(Rng(1), MAX_CODED_JITTER_PS), nullptr);
+    EXPECT_EQ(JitterStream::of(Rng(1), MAX_CODED_JITTER_PS + 1),
+              nullptr);
+}
+
+TEST(JitterStream, EqualStatesShareOneStream)
+{
+    JitterStream *s = JitterStream::of(Rng(21), 110);
+    EXPECT_EQ(JitterStream::of(Rng(21), 110), s);
+    EXPECT_NE(JitterStream::of(Rng(22), 110), s);
+    EXPECT_NE(JitterStream::of(Rng(21), 100), s);
+}
+
+/** A stream-reading clock against the direct-draw reference over
+ *  10^6 edges: full speed, a ramp down, a jumpTo, a fast-forward and
+ *  a ramp up. */
+class StreamClockVsDirect : public ::testing::TestWithParam<int>
+{
+};
+
+TEST_P(StreamClockVsDirect, MillionEdgesThroughRampAndJump)
+{
+    SimConfig c = cfg();
+    c.jitterPs = static_cast<Tick>(GetParam());
+    const Rng seed(std::uint64_t{0x5EED0000} +
+                   static_cast<std::uint64_t>(GetParam()));
+    DomainClock clk(c, Domain::Memory, true, seed);
+    DirectClock ref(c, true, seed);
+    std::uint64_t edges = 0;
+    std::uint64_t mismatches = 0;
+    auto step = [&](std::uint64_t n) {
+        for (std::uint64_t i = 0; i < n; ++i) {
+            if (clk.nextEdge() != ref.nextEdge() ||
+                clk.freq() != ref.freq())
+                ++mismatches;
+            clk.advance();
+            ref.advance();
+            ++edges;
+        }
+    };
+    step(200'000);
+    clk.setTarget(400.0);
+    ref.setTarget(400.0);
+    step(200'000);
+    EXPECT_FALSE(clk.ramping());
+    clk.jumpTo(700.0);
+    ref.jumpTo(700.0);
+    step(100'000);
+    // Fast-forward one clock across ~150k edges; the reference steps.
+    Tick until = ref.nextEdge() + 150'000 * periodPs(700.0);
+    std::uint64_t skipped = clk.fastForwardTo(until);
+    std::uint64_t stepped = 0;
+    while (ref.nextEdge() < until) {
+        ref.advance();
+        ++stepped;
+    }
+    EXPECT_EQ(skipped, stepped);
+    edges += stepped;
+    clk.setTarget(1000.0);
+    ref.setTarget(1000.0);
+    step(1'000'000 - edges);
+    EXPECT_EQ(clk.edges(), 1'000'000u);
+    EXPECT_EQ(mismatches, 0u);
+    EXPECT_EQ(clk.nextEdge(), ref.nextEdge());
+}
+
+INSTANTIATE_TEST_SUITE_P(Bounds, StreamClockVsDirect,
+                         ::testing::Values(0, 110, 127, 128, 200));
+
+TEST(JitterStream, EdgesPastTwoToThe52ResyncExactly)
+{
+    // At a tiny minimum frequency the nominal grid passes 2^52 ps
+    // after ~70k edges, in the stream's second chunk; the clock must
+    // switch to direct draws there without moving an edge.
+    SimConfig c = cfg();
+    c.minMhz = 1e6 / 6.4e10;
+    const Rng seed(0xB16B00B5ULL);
+    DomainClock clk(c, Domain::Integer, true, seed);
+    DirectClock ref(c, true, seed);
+    clk.jumpTo(c.minMhz);
+    ref.jumpTo(c.minMhz);
+    std::uint64_t mismatches = 0;
+    for (int i = 0; i < 90'000; ++i) {
+        if (clk.nextEdge() != ref.nextEdge())
+            ++mismatches;
+        clk.advance();
+        ref.advance();
+    }
+    EXPECT_GT(clk.nextEdge(), Tick{1} << 52);
+    EXPECT_EQ(mismatches, 0u);
+}
+
+TEST(JitterStreamConcurrency, FourThreadsRaceAcrossChunkBoundaries)
+{
+    // Four threads build clocks on one fresh stream at the same time,
+    // so chunks are generated while other threads read; each thread's
+    // edge sequence must equal the serial direct-draw one.
+    SimConfig c = cfg();
+    const Rng seed(0xC0C0A5EEDULL);
+    constexpr std::size_t EDGES = 3 * JitterStream::CHUNK_DRAWS + 1000;
+    std::vector<Tick> want;
+    DirectClock ref(c, true, seed);
+    for (std::size_t i = 0; i < EDGES; ++i) {
+        want.push_back(ref.nextEdge());
+        ref.advance();
+    }
+    std::vector<std::vector<Tick>> got(4);
+    std::vector<std::thread> threads;
+    for (auto &out : got) {
+        threads.emplace_back([&c, &seed, &out] {
+            DomainClock clk(c, Domain::Integer, true, seed);
+            for (std::size_t i = 0; i < EDGES; ++i) {
+                out.push_back(clk.nextEdge());
+                clk.advance();
+            }
+        });
+    }
+    for (std::thread &t : threads)
+        t.join();
+    for (const auto &out : got)
+        EXPECT_EQ(out, want);
+}
