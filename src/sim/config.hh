@@ -95,11 +95,12 @@ struct SimConfig
      * that provably have no work (empty issue queue, stable
      * frequency) and replays their skipped edges in batch when they
      * wake.  Edge times, instruction timing and every counter are
-     * bit-identical to the slow path — each skipped edge still draws
-     * its jitter sample and the ramp never runs while parked — only
-     * the floating-point summation order of energy totals differs
-     * (below any reported precision).  Part of the memo-cache
-     * fingerprint so outcomes from the two modes never mix.
+     * bit-identical to the slow path — each skipped edge still
+     * consumes its draw of the clock's jitter sequence and the ramp
+     * never runs while parked — only the floating-point summation
+     * order of energy totals differs (below any reported
+     * precision).  Part of the memo-cache fingerprint so outcomes
+     * from the two modes never mix.
      */
     bool fastForward = true;
 

@@ -40,7 +40,8 @@ ExecDomain::waiting(const IqEntry &e, Tick now) const
         return u && !u->completed;
       }
       case IqEntry::Wait::Edge:
-        return p.clock(dom).edges() < e.until && p.findUop(e.on);
+        return p.clock(dom).edges() < e.until &&
+               p.findUop(e.on) != nullptr;
       case IqEntry::Wait::None:
         break;
     }

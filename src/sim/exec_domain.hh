@@ -15,11 +15,10 @@
  *
  * There are no wakeup lists.  Each edge walks the queue in age order,
  * but an entry whose last failed attempt proved a wait that still
- * holds (IqEntry) is skipped without an attempt.  A
- * failing attempt has no side effects, so skipping it changes
- * nothing.  The waits never feed idleHorizon(): parking a domain
- * with a non-empty queue would merge leakage slices and so reorder
- * energy sums.
+ * holds (IqEntry) is skipped without an attempt.  A failing attempt
+ * has no side effects, so skipping it changes nothing.  The waits
+ * never feed idleHorizon(): parking a domain with a non-empty queue
+ * would merge leakage slices and so reorder energy sums.
  */
 
 #ifndef MCD_SIM_EXEC_DOMAIN_HH

@@ -10,6 +10,7 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdint>
+#include <limits>
 #include <thread>
 #include <vector>
 
@@ -44,9 +45,9 @@ streamEdge(Tick nominal, double j, Tick lo)
 }
 
 /**
- * Reference clock: DomainClock's edge and ramp model with a
- * Rng::clampedNormal draw per edge, as the clock computed it before
- * the shared streams.
+ * Reference clock: DomainClock's edge and ramp model with one
+ * Rng::clampedNormal draw per edge, the definition that the shared
+ * jitter streams must reproduce edge for edge.
  */
 class DirectClock
 {
@@ -421,6 +422,23 @@ TEST(JitterStream, RoundUpBoundariesAreExact)
         EXPECT_EQ(directEdge(at, frac, 1), at + 1) << "e=" << e;
         if (e > 0) {
             EXPECT_EQ(directEdge(at / 2, frac, 1), at / 2) << "e=" << e;
+        }
+    }
+}
+
+TEST(JitterStream, DrawsNearZeroAreExact)
+{
+    // A tiny negative draw lies just below the integer N, so it must
+    // round up to N in every binade; j - k = j + 1 would round to 1.0
+    // and lose that.  Tiny positive draws and signed zeros never
+    // round.
+    const double tiny = std::numeric_limits<double>::denorm_min();
+    for (double j : {-tiny, -0x1p-60, -0x1p-55, -0x1p-54, -0x1p-53,
+                     -0.0, 0.0, tiny, 0x1p-60, 0x1p-53}) {
+        for (int b = 1; b <= 51; ++b) {
+            Tick n = (Tick{1} << b) + 3;
+            EXPECT_EQ(streamEdge(n, j, 1), directEdge(n, j, 1))
+                << "j=" << j << " b=" << b;
         }
     }
 }

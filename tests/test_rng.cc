@@ -102,3 +102,25 @@ TEST(Rng, ForkIndependentButDeterministic)
     for (int i = 0; i < 100; ++i)
         EXPECT_EQ(fa.next(), fb.next());
 }
+
+TEST(Rng, EqualityTracksTheWholeState)
+{
+    Rng a(5), b(5);
+    EXPECT_TRUE(a == b);
+    a.next();
+    EXPECT_FALSE(a == b);
+    b.next();
+    EXPECT_TRUE(a == b);
+    // One normal() draw leaves its Box-Muller partner pending: equal
+    // words, different state.
+    Rng c = a;
+    a.normal(0.0, 1.0);
+    Rng d = a;
+    d.normal(0.0, 1.0);  // consumes the pending partner only
+    EXPECT_FALSE(a == d);
+    c.normal(0.0, 1.0);
+    EXPECT_TRUE(a == c);
+    EXPECT_EQ(a.normal(0.0, 1.0), c.normal(0.0, 1.0));
+    EXPECT_TRUE(a == c);
+    EXPECT_TRUE(a == d);
+}
