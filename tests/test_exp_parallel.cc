@@ -195,6 +195,14 @@ TEST(ExpParallel, CacheHitShortCircuitsRecomputation)
     std::remove(path.c_str());
 }
 
+TEST(ExpParallel, DefaultConfigFingerprintIsPinned)
+{
+    // The fingerprint prefixes every cache key and pins every SWEEP
+    // on the wire; the hash behind it must not move by one bit.
+    EXPECT_EQ(exp::configFingerprint(ExpConfig{}),
+              0x1f0f06a48de36e54ULL);
+}
+
 TEST(ExpParallel, MismatchedConfigFingerprintMissesCache)
 {
     ExpConfig a = smallConfig();

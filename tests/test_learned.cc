@@ -82,6 +82,16 @@ TEST(LearnedTraining, SameSeedIsBitIdentical)
             EXPECT_DOUBLE_EQ(a.w[d][i], b.w[d][i]) << d << "," << i;
 }
 
+TEST(LearnedTraining, DigestIsPinned)
+{
+    // digest() hashes the weight bits least significant byte first;
+    // pinned so a change of hasher cannot move it.
+    LearnedModel m;
+    EXPECT_EQ(m.digest(), 0xa7a8ed558bd749e3ULL);
+    m.update(Domain::Integer, {1.0, 0.5, 0.25, 0.125}, 0.25, 0.08);
+    EXPECT_EQ(m.digest(), 0x9067c91033049818ULL);
+}
+
 TEST(LearnedTraining, SeedAndKnobsShapeTheTrajectory)
 {
     LearnedParams base;

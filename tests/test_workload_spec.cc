@@ -8,6 +8,11 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdio>
+#include <iterator>
+#include <utility>
+
+#include "util/text.hh"
 #include "workload/author.hh"
 #include "workload/registry.hh"
 #include "workload/spec.hh"
@@ -244,6 +249,171 @@ TEST(Authoring, HardErrorsCarryLineNumbersAndWhatIsAccepted)
                 "mix: id=k, load=0.2\n"
                 "func: name=main\n  block: mix=k, n=10\n",
                 "entry function 'nope'");
+}
+
+// ---------------------------------------------------------------- //
+// Canonical-text golden                                            //
+// ---------------------------------------------------------------- //
+
+namespace
+{
+
+std::string
+hex16(std::uint64_t v)
+{
+    char buf[17];
+    std::snprintf(buf, sizeof(buf), "%016llx",
+                  static_cast<unsigned long long>(v));
+    return buf;
+}
+
+/** The docs/WORKLOADS.md worked example, verbatim. */
+const char *const workedExample =
+    "program: name=adpcm_encode, entry=main, seed=12345\n"
+    "input: set=train, seed=11, scale=1.000\n"
+    "input: set=ref, seed=12, scale=1.600\n"
+    "mix: id=m0, ialu=0.000, imul=0.030, idiv=0.000, fadd=0.000, "
+    "fmul=0.000, fdiv=0.000, fsqrt=0.000, load=0.220, store=0.080, "
+    "branch=0.180, ws=4096, stream=0.850, stride=8, noise=0.050, "
+    "short=0.550, dep=24\n"
+    "mix: id=m1, ialu=0.000, imul=0.000, idiv=0.000, fadd=0.000, "
+    "fmul=0.000, fdiv=0.000, fsqrt=0.000, load=0.250, store=0.150, "
+    "branch=0.100, ws=8192, stream=0.900, stride=8, noise=0.030, "
+    "short=0.550, dep=24\n"
+    "func: name=adpcm_coder\n"
+    "  block: mix=m0, n=68\n"
+    "func: name=main\n"
+    "  block: mix=m1, n=180\n"
+    "  loop: trips=3200.000, scale=1.000\n"
+    "    call: f=adpcm_coder, arg=0, guard=1.000\n"
+    "  end\n"
+    "  block: mix=m1, n=120\n";
+
+/** The CI "Workload registry and CLI smoke" program, verbatim. */
+const char *const ciSmokeProgram =
+    "program: name=ci_smoke, entry=main\n"
+    "input: set=train, seed=1, scale=1.0\n"
+    "input: set=ref, seed=2, scale=1.3\n"
+    "mix: id=k, load=0.3, branch=0.12, ws=2097152, stream=0.4\n"
+    "func: name=main\n"
+    "  loop: trips=400, scale=1.0\n"
+    "    block: mix=k, n=120\n"
+    "  end\n";
+
+} // namespace
+
+TEST(Authoring, CanonicalTextHashesArePinned)
+{
+    // `prog:` handles and every authored cell's cache key are
+    // fnv1a64 of printProgram()'s text, so not one byte of it may
+    // move.  Values generated from the implementation they pin.
+    const std::pair<const char *, const char *> suite[] = {
+        {"adpcm_decode", "fbd6dd426f43f91d"},
+        {"adpcm_encode", "b2a13f43f3f1bc5f"},
+        {"epic_decode", "70db968ad11bd145"},
+        {"epic_encode", "9a486cdee7cef9ec"},
+        {"g721_decode", "76a3135f4693d8e5"},
+        {"g721_encode", "59c1e0ce030c0015"},
+        {"gsm_decode", "0d0e7d1ddfb85d18"},
+        {"gsm_encode", "99b2bfb46693b300"},
+        {"jpeg_compress", "f38789375a2d88e3"},
+        {"jpeg_decompress", "7f99b63a715ed7f9"},
+        {"mpeg2_decode", "85ec3895cf72db87"},
+        {"mpeg2_encode", "e231a7928a185253"},
+        {"gzip", "7b5f703bd1e1911d"},
+        {"vpr", "5196a9881e00beb2"},
+        {"mcf", "ba5a6ed3f44553ad"},
+        {"swim", "185b45217b2e030c"},
+        {"applu", "a0d03e9795c0d084"},
+        {"art", "8074c8028fce48c0"},
+        {"equake", "e314ccc14ab594be"},
+    };
+    ASSERT_EQ(std::size(suite), suiteNames().size());
+    for (const auto &[name, hash] : suite)
+        EXPECT_EQ(hex16(mcd::util::fnv1a64(
+                      printProgram(makeBenchmark(name)))),
+                  hash)
+            << name;
+
+    // The worked example is canonical text: a fixed point.
+    EXPECT_EQ(printProgram(parseProgram(workedExample)), workedExample);
+    EXPECT_EQ(hex16(mcd::util::fnv1a64(workedExample)),
+              "b2a13f43f3f1bc5f");
+
+    // CI greps fig06's output for this handle.
+    EXPECT_EQ(hex16(mcd::util::fnv1a64(
+                  printProgram(parseProgram(ciSmokeProgram)))),
+              "bd510d62bb570dde");
+    EXPECT_EQ(WorkloadRegistry::instance().addProgram(ciSmokeProgram),
+              "prog:name=ci_smoke,hash=bd510d62bb570dde");
+}
+
+TEST(Authoring, EverySectionRoundTripsToPinnedText)
+{
+    // Sparse, reordered input touching every section and key kind:
+    // args profiles, nested loops, both knob forms and seeds above
+    // 2^53 (which a double would round).
+    const char *sparse =
+        "# every section of the grammar\n"
+        "program: name=full_grammar, entry=top, seed=18446744073709551557\n"
+        "input: set=ref, seed=9007199254740993, scale=2.5, "
+        "knob.burst=0.75, knob.alpha=1.5\n"
+        "input:   set=train ,  knob.burst=0.25, seed=3\n"
+        "mix: id=int, ialu=0.4, load=0.2, branch=0.15, ws=32768, "
+        "stride=16, dep=12\n"
+        "mix: id=fp, fadd=0.3, fmul=0.2, fdiv=0.01, fsqrt=0.005, "
+        "load=0.25, store=0.05, ws=4194304, stream=0.95, noise=0.01, "
+        "short=0.4\n"
+        "func: name=leaf\n"
+        "  args: ws=1.0\n"
+        "  args: stream=0.5, ws=4, trips=2, noise=0.05\n"
+        "  loop: trips=8, scale=0\n"
+        "    block: n=64, mix=fp\n"
+        "  end\n"
+        "func: name=top\n"
+        "  loop: knob=alpha, trips=10, scale=1\n"
+        "    block: mix=int, n=32\n"
+        "    loop: trips=3.5, scale=0.5\n"
+        "      call: f=leaf, arg=1, guard=0.5, knob=burst\n"
+        "      block: mix=fp, n=16\n"
+        "    end\n"
+        "    call: f=leaf\n"
+        "  end\n";
+    const char *canonical =
+        "program: name=full_grammar, entry=top, seed=18446744073709551557\n"
+        "input: set=train, seed=3, scale=1.000, knob.burst=0.250\n"
+        "input: set=ref, seed=9007199254740993, scale=2.500, "
+        "knob.alpha=1.500, knob.burst=0.750\n"
+        "mix: id=m0, ialu=0.400, imul=0.000, idiv=0.000, fadd=0.000, "
+        "fmul=0.000, fdiv=0.000, fsqrt=0.000, load=0.200, store=0.000, "
+        "branch=0.150, ws=32768, stream=0.700, stride=16, noise=0.030, "
+        "short=0.550, dep=12\n"
+        "mix: id=m1, ialu=0.000, imul=0.000, idiv=0.000, fadd=0.300, "
+        "fmul=0.200, fdiv=0.010, fsqrt=0.005, load=0.250, store=0.050, "
+        "branch=0.000, ws=4194304, stream=0.950, stride=8, noise=0.010, "
+        "short=0.400, dep=24\n"
+        "func: name=leaf\n"
+        "  args: ws=1.000, trips=1.000, noise=0.000, stream=1.000\n"
+        "  args: ws=4.000, trips=2.000, noise=0.050, stream=0.500\n"
+        "  loop: trips=8.000, scale=0.000\n"
+        "    block: mix=m1, n=64\n"
+        "  end\n"
+        "func: name=top\n"
+        "  loop: trips=10.000, scale=1.000, knob=alpha\n"
+        "    block: mix=m0, n=32\n"
+        "    loop: trips=3.500, scale=0.500\n"
+        "      call: f=leaf, arg=1, guard=0.500, knob=burst\n"
+        "      block: mix=m1, n=16\n"
+        "    end\n"
+        "    call: f=leaf, arg=0, guard=1.000\n"
+        "  end\n";
+    Benchmark bm = parseProgram(sparse);
+    EXPECT_EQ(bm.program.layoutSeed, 18446744073709551557ULL);
+    EXPECT_EQ(bm.ref.seed, 9007199254740993ULL);
+    std::string text = printProgram(bm);
+    EXPECT_EQ(text, canonical);
+    EXPECT_EQ(printProgram(parseProgram(text)), text);
+    EXPECT_EQ(hex16(mcd::util::fnv1a64(text)), "29ed458067cab93d");
 }
 
 // ---------------------------------------------------------------- //
