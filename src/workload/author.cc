@@ -1,14 +1,15 @@
 #include "workload/author.hh"
 
 #include <cerrno>
-#include <cmath>
 #include <cstdlib>
 #include <fstream>
 #include <locale>
 #include <map>
+#include <memory>
 #include <sstream>
 
 #include "util/logging.hh"
+#include "util/spec.hh"
 #include "util/text.hh"
 
 namespace mcd::workload
@@ -17,243 +18,37 @@ namespace mcd::workload
 namespace
 {
 
+using util::SpecParam;
+using util::SpecParamInfo;
+using util::SpecParams;
+
 // ---------------------------------------------------------------- //
-// Line tokenizer                                                   //
+// Section schemas                                                  //
 // ---------------------------------------------------------------- //
 
-/** One tokenized authoring line: `section: key=value, ...` or the
- *  bare `end` keyword. */
-struct Line
+/** A full 64-bit decimal, read exactly: a seed above 2^53 must not
+ *  round through a double. */
+bool
+canonicalSeed(std::string &v)
 {
-    int no = 0;
-    bool isEnd = false;
-    std::string section;
-    std::vector<std::pair<std::string, std::string>> kvs;
-};
-
-std::string
-trim(const std::string &s)
-{
-    std::size_t b = s.find_first_not_of(" \t\r");
-    if (b == std::string::npos)
-        return "";
-    std::size_t e = s.find_last_not_of(" \t\r");
-    return s.substr(b, e - b + 1);
+    if (v.empty() || v.find_first_not_of("0123456789") != std::string::npos)
+        return false;
+    errno = 0;
+    unsigned long long x = std::strtoull(v.c_str(), nullptr, 10);
+    if (errno == ERANGE)
+        return false;
+    v = std::to_string(x);
+    return true;
 }
 
-[[noreturn]] void
-err(int line_no, const std::string &msg)
+const util::SpecTextType SEED = {"integer", "an integer in [0, 2^64)",
+                                 canonicalSeed};
+
+std::uint64_t
+seedOf(const SpecParam &p)
 {
-    throw SpecError(strprintf("workload program text line %d: %s",
-                              line_no, msg.c_str()));
+    return std::strtoull(p.text.c_str(), nullptr, 10);
 }
-
-std::vector<Line>
-tokenize(const std::string &text)
-{
-    std::vector<Line> out;
-    std::istringstream in(text);
-    std::string raw;
-    int no = 0;
-    while (std::getline(in, raw)) {
-        ++no;
-        std::string s = trim(raw);
-        if (s.empty() || s[0] == '#')
-            continue;
-        Line line;
-        line.no = no;
-        if (s == "end") {
-            line.isEnd = true;
-            out.push_back(std::move(line));
-            continue;
-        }
-        std::size_t colon = s.find(':');
-        if (colon == std::string::npos)
-            err(no, "expected 'section: key=value, ...' or 'end', "
-                    "got '" + s + "'");
-        line.section = trim(s.substr(0, colon));
-        if (!util::validSpecName(line.section))
-            err(no, "'" + line.section +
-                        "' is not a [a-z0-9_-]+ section name");
-        std::string rest = trim(s.substr(colon + 1));
-        std::size_t start = 0;
-        while (start <= rest.size() && !rest.empty()) {
-            std::size_t comma = rest.find(',', start);
-            std::string item = trim(rest.substr(
-                start, comma == std::string::npos
-                           ? std::string::npos
-                           : comma - start));
-            std::size_t eq = item.find('=');
-            if (eq == std::string::npos || eq == 0 ||
-                eq + 1 >= item.size())
-                err(no, "parameter '" + item +
-                            "' is not of the form key=value");
-            std::string key = item.substr(0, eq);
-            std::string value = item.substr(eq + 1);
-            for (const auto &kv : line.kvs)
-                if (kv.first == key)
-                    err(no, "parameter '" + key + "' given twice");
-            if (!util::validSpecValue(value))
-                err(no, "value '" + value + "' of '" + key +
-                            "' is not a [A-Za-z0-9_.-]+ token");
-            line.kvs.emplace_back(std::move(key), std::move(value));
-            if (comma == std::string::npos)
-                break;
-            start = comma + 1;
-        }
-        out.push_back(std::move(line));
-    }
-    return out;
-}
-
-// ---------------------------------------------------------------- //
-// Typed key access                                                 //
-// ---------------------------------------------------------------- //
-
-/** Wraps one line's key=value list with typed, checked accessors
- *  and the unknown-key hard error. */
-class Keys
-{
-  public:
-    Keys(const Line &line, std::vector<std::string> allowed,
-         bool allow_knobs = false)
-        : line(line), allowed(std::move(allowed)),
-          allowKnobs(allow_knobs)
-    {
-        for (const auto &kv : line.kvs) {
-            bool known = isKnob(kv.first);
-            for (const auto &a : this->allowed)
-                known = known || a == kv.first;
-            if (!known) {
-                std::string msg = "section '" + line.section +
-                                  "' has no key '" + kv.first +
-                                  "' (takes:";
-                for (const auto &a : this->allowed)
-                    msg += ' ' + a;
-                if (allowKnobs)
-                    msg += " knob.<name>";
-                msg += ')';
-                err(line.no, msg);
-            }
-        }
-    }
-
-    const std::string *
-    findText(const std::string &key) const
-    {
-        for (const auto &kv : line.kvs)
-            if (kv.first == key)
-                return &kv.second;
-        return nullptr;
-    }
-
-    std::string
-    text(const std::string &key, const std::string &dflt) const
-    {
-        const std::string *v = findText(key);
-        return v ? *v : dflt;
-    }
-
-    std::string
-    requiredText(const std::string &key) const
-    {
-        const std::string *v = findText(key);
-        if (!v)
-            err(line.no, "section '" + line.section +
-                             "' requires key '" + key + "'");
-        return *v;
-    }
-
-    /**
-     * Numeric value, quantized to the canonical 3-digit form as it
-     * is read so the program a text builds and the canonical text
-     * `printProgram()` emits can never disagree (the same rule
-     * registry canonicalization applies to spec parameters).
-     */
-    double
-    num(const std::string &key, double dflt, double min,
-        double max) const
-    {
-        const std::string *t = findText(key);
-        if (!t)
-            return dflt;
-        double v = 0.0;
-        if (!util::parseDouble(*t, v))
-            err(line.no, "'" + *t + "' of '" + key +
-                             "' is not a number");
-        if (!(v >= min && v <= max))
-            err(line.no, "'" + key + "=" + *t +
-                             "' is out of range [" +
-                             util::fmtFixed(min, 3) + ", " +
-                             util::fmtFixed(max, 3) + "]");
-        double q = 0.0;
-        util::parseDouble(util::fmtFixed(v, 3), q);
-        return q;
-    }
-
-    std::uint64_t
-    integer(const std::string &key, std::uint64_t dflt,
-            std::uint64_t min, std::uint64_t max) const
-    {
-        const std::string *t = findText(key);
-        if (!t)
-            return dflt;
-        // Exact unsigned parse — never through double, which would
-        // silently round values above 2^53 (layout seeds use the
-        // full 64 bits) and break the round-trip contract.
-        if (t->empty() ||
-            t->find_first_not_of("0123456789") != std::string::npos)
-            err(line.no, "'" + *t + "' of '" + key +
-                             "' is not a non-negative integer");
-        errno = 0;
-        char *end = nullptr;
-        unsigned long long v = std::strtoull(t->c_str(), &end, 10);
-        if (errno == ERANGE || *end != '\0' || v < min || v > max)
-            err(line.no, "'" + key + "=" + *t +
-                             "' is out of range [" +
-                             std::to_string(min) + ", " +
-                             std::to_string(max) + "]");
-        return v;
-    }
-
-    /** The knob.<name> entries, quantized, sorted by name. */
-    std::vector<std::pair<std::string, double>>
-    knobs() const
-    {
-        std::map<std::string, double> sorted;
-        for (const auto &kv : line.kvs) {
-            if (!isKnob(kv.first))
-                continue;
-            std::string name = kv.first.substr(5);
-            if (!util::validSpecValue(name))
-                err(line.no, "knob name '" + name +
-                                 "' is not a [A-Za-z0-9_.-]+ token");
-            double v = 0.0;
-            if (!util::parseDouble(kv.second, v))
-                err(line.no, "'" + kv.second + "' of '" + kv.first +
-                                 "' is not a number");
-            double q = 0.0;
-            util::parseDouble(util::fmtFixed(v, 3), q);
-            sorted[name] = q;
-        }
-        return {sorted.begin(), sorted.end()};
-    }
-
-  private:
-    bool
-    isKnob(const std::string &key) const
-    {
-        return allowKnobs && key.rfind("knob.", 0) == 0;
-    }
-
-    const Line &line;
-    std::vector<std::string> allowed;
-    bool allowKnobs;
-};
-
-// ---------------------------------------------------------------- //
-// Parser                                                           //
-// ---------------------------------------------------------------- //
 
 /** The per-class mix keys, in InstrClass order. */
 const char *const mixClassKeys[numInstrClasses] = {
@@ -261,232 +56,400 @@ const char *const mixClassKeys[numInstrClasses] = {
     "fdiv", "fsqrt", "load", "store", "branch",
 };
 
-InstructionMix
-parseMixLine(const Keys &k)
+/** One section of the grammar as a spec-engine kind: its keys in
+ *  canonical (print) order, with defaults and ranges. */
+class Section final : public util::SpecKind
 {
-    InstructionMix m;
-    for (int c = 0; c < numInstrClasses; ++c)
-        m.frac[static_cast<std::size_t>(c)] =
-            k.num(mixClassKeys[c], 0.0, 0.0, 1.0);
-    m.workingSetBytes = k.integer("ws", 64 * 1024, 1, 1ULL << 40);
-    m.streamFrac = k.num("stream", 0.7, 0.0, 1.0);
-    m.strideBytes = static_cast<std::uint32_t>(
-        k.integer("stride", 8, 1, 1ULL << 20));
-    m.branchNoise = k.num("noise", 0.03, 0.0, 1.0);
-    m.shortDepProb = k.num("short", 0.55, 0.0, 1.0);
-    m.maxDepDist = static_cast<int>(k.integer("dep", 24, 1, 255));
-    return m;
+  public:
+    Section(const char *name, std::vector<SpecParamInfo> schema)
+        : name_(name), schema(std::move(schema))
+    {
+    }
+
+    const char *name() const override { return name_; }
+    const char *description() const override { return ""; }
+    std::vector<SpecParamInfo> params() const override { return schema; }
+
+  private:
+    const char *name_;
+    std::vector<SpecParamInfo> schema;
+};
+
+const util::SpecRegistry &
+sections()
+{
+    static const util::SpecRegistry *reg = [] {
+        using P = SpecParamInfo;
+        auto *r = new util::SpecRegistry("section");
+        auto add = [r](const char *name, std::vector<P> schema) {
+            r->add(std::make_unique<Section>(name, std::move(schema)));
+        };
+        add("program",
+            {P::text("name", "", "program name"),
+             P::text("entry", "main", "entry function"),
+             P::text("seed", "12345", "static block-layout seed", SEED)});
+        const InputSet in{};
+        add("input",
+            {P::text("set", "", "train or ref"),
+             P::text("seed", std::to_string(in.seed),
+                      "stream seed of this input", SEED),
+             P::num("scale", in.scale, "global input scale", 0.001, 1e6)});
+        const InstructionMix mix{};
+        std::vector<P> mixKeys = {P::text("id", "", "mix id")};
+        for (const char *c : mixClassKeys)
+            mixKeys.push_back(
+                P::num(c, 0.0, "instruction-class fraction", 0, 1));
+        mixKeys.insert(
+            mixKeys.end(),
+            {P::count("ws", static_cast<double>(mix.workingSetBytes),
+                      "working-set bytes", 1, 1ULL << 40),
+             P::num("stream", mix.streamFrac, "streaming fraction", 0, 1),
+             P::count("stride", mix.strideBytes, "stream stride bytes", 1,
+                      1u << 20),
+             P::num("noise", mix.branchNoise, "branch noise", 0, 1),
+             P::num("short", mix.shortDepProb,
+                    "short-dependence probability", 0, 1),
+             P::count("dep", mix.maxDepDist, "maximum producer distance",
+                      1, 255)});
+        add("mix", std::move(mixKeys));
+        add("func", {P::text("name", "", "function name")});
+        const ArgProfile arg{};
+        add("args",
+            {P::num("ws", arg.wsMul, "working-set multiplier", 0, 1e6),
+             P::num("trips", arg.tripMul, "trip-count multiplier", 0, 1e6),
+             P::num("noise", arg.noiseAdd, "extra branch noise", 0, 1),
+             P::num("stream", arg.streamMul, "streaming multiplier", 0,
+                    1e6)});
+        // `n` has no default: the engine's numbers always carry one,
+        // so parseProgram() checks that it is given.
+        add("block", {P::text("mix", "", "mix id"),
+                      P::count("n", 0, "instructions", 1, 1u << 20)});
+        const LoopStmt loop{};
+        add("loop",
+            {P::num("trips", loop.baseTrips, "base trip count", 0.001, 1e9),
+             P::num("scale", loop.scaleExp, "input-scale exponent", 0, 16)});
+        const CallStmt call{};
+        add("call", {P::text("f", "", "callee"),
+                     P::count("arg", call.arg, "callee args: profile", 0,
+                              255),
+                     P::num("guard", call.guardProb,
+                            "execution probability", 0, 1)});
+        return r;
+    }();
+    return *reg;
 }
 
+/** True for the input-knob references, the only keys outside the
+ *  section schemas: `knob.<name>=` on input:, `knob=` on loop: and
+ *  call:. */
+bool
+isKnob(const std::string &section, const std::string &key)
+{
+    if (section == "input")
+        return key.rfind("knob.", 0) == 0;
+    return key == "knob" && (section == "loop" || section == "call");
+}
+
+/**
+ * Canonicalize one section line: @p params against the section's
+ * schema, and @p knobs (its input-knob references) against the value
+ * charset, each `knob.<name>` value quantized as a number parameter
+ * is.  The one path both parseProgram() and printProgram() take, so
+ * what one reads the other writes.
+ */
+void
+canonicalLine(const std::string &section, SpecParams &params,
+              SpecParams &knobs)
+{
+    sections().canonicalize(section, params);
+    for (SpecParam &k : knobs.items) {
+        bool ref = k.name == "knob";
+        std::string name = ref ? k.text : k.name.substr(5);
+        if (!util::validSpecValue(name))
+            throw SpecError("knob name '" + name +
+                            "' is not a [A-Za-z0-9_.-]+ value");
+        if (!ref) {
+            if (!util::parseDouble(k.text, k.num))
+                throw SpecError("'" + k.text + "' of '" + k.name +
+                                "' is not a number");
+            knobs.set(k.name, k.num);
+        }
+    }
+}
+
+/**
+ * @p raw in spec-engine form, `section:key=value,...`: blanks next to
+ * the ':' and ',' separators and at either end dropped, and a
+ * section line without keys written as the bare section name.
+ * Throws SpecError if the line has no ':'.
+ */
+std::string
+specForm(const std::string &raw)
+{
+    std::string out, blanks;
+    for (char c : raw) {
+        if (c == ' ' || c == '\t' || c == '\r') {
+            blanks += c;
+            continue;
+        }
+        if (c != ':' && c != ',' && !out.empty() && out.back() != ':' &&
+            out.back() != ',')
+            out += blanks;
+        blanks.clear();
+        out += c;
+    }
+    if (out.empty() || out[0] == '#' || out == "end")
+        return out;
+    std::size_t colon = out.find(':');
+    if (colon == std::string::npos)
+        throw SpecError("expected 'section: key=value, ...' or 'end', "
+                        "got '" + out + "'");
+    if (colon + 1 == out.size())
+        out.pop_back();
+    return out;
+}
+
+/** Split and canonicalize the spec-form line @p s into its section
+ *  name, schema keys and input-knob references. */
+std::string
+readLine(const std::string &s, SpecParams &params, SpecParams &knobs)
+{
+    std::string section, err;
+    if (!util::splitSpec(s, "section line", section, params, err))
+        throw SpecError(err);
+    SpecParams keys;
+    for (SpecParam &p : params.items)
+        (isKnob(section, p.name) ? knobs : keys)
+            .items.push_back(std::move(p));
+    params = std::move(keys);
+    if (section == "block" && !params.find("n"))
+        throw SpecError("section 'block' requires key 'n'");
+    canonicalLine(section, params, knobs);
+    return section;
+}
+
+/** What the lines read so far have built. */
 struct ParseState
 {
-    Program prog;
+    Benchmark bm;
+    std::string entry;
+    std::uint64_t layoutSeed = 0;
+    bool sawProgram = false;
+    bool sawTrain = false;
+    bool sawRef = false;
     std::map<std::string, MixId> mixIds;
     /** Statement-list stack: function body at the bottom, one entry
      *  per open loop above it. */
     std::vector<std::vector<Stmt> *> listStack;
     bool sawArgs = false;
     bool sawStmt = false;
+
+    void line(const std::string &s);
+
+    void
+    closeFunction()
+    {
+        if (listStack.size() > 1)
+            throw SpecError("missing 'end' for an open loop");
+        listStack.clear();
+        sawArgs = false;
+        sawStmt = false;
+    }
+
+    std::vector<Stmt> &
+    statements(const std::string &section)
+    {
+        if (listStack.empty())
+            throw SpecError("'" + section + ":' outside a function");
+        sawStmt = true;
+        return *listStack.back();
+    }
 };
+
+void
+ParseState::line(const std::string &s)
+{
+    Program &prog = bm.program;
+    if (s == "end") {
+        if (listStack.size() < 2)
+            throw SpecError("'end' without an open loop");
+        if (listStack.back()->empty())
+            throw SpecError("loop with an empty body");
+        listStack.pop_back();
+        return;
+    }
+    SpecParams p, knobs;
+    std::string section = readLine(s, p, knobs);
+    auto num = [&](const char *key) { return p.at(key).num; };
+    auto text = [&](const char *key) { return p.at(key).text; };
+    if (section == "program") {
+        if (sawProgram)
+            throw SpecError("duplicate 'program:' line");
+        sawProgram = true;
+        prog.name = text("name");
+        entry = text("entry");
+        layoutSeed = seedOf(p.at("seed"));
+        return;
+    }
+    if (!sawProgram)
+        throw SpecError("a program text must start with a 'program: "
+                        "name=...' line");
+    if (section == "input") {
+        closeFunction();
+        std::string role = text("set");
+        if (role != "train" && role != "ref")
+            throw SpecError("input set must be 'train' or 'ref', got '" +
+                            role + "'");
+        bool &seen = role == "train" ? sawTrain : sawRef;
+        if (seen)
+            throw SpecError("duplicate 'input: set=" + role + "'");
+        seen = true;
+        InputSet in;
+        in.name = role;
+        in.seed = seedOf(p.at("seed"));
+        in.scale = num("scale");
+        std::map<std::string, double> sorted;
+        for (const SpecParam &k : knobs.items)
+            sorted[k.name.substr(5)] = k.num;
+        in.knobs.assign(sorted.begin(), sorted.end());
+        (role == "train" ? bm.train : bm.ref) = std::move(in);
+    } else if (section == "mix") {
+        closeFunction();
+        std::string id = text("id");
+        if (mixIds.count(id))
+            throw SpecError("duplicate mix id '" + id + "'");
+        mixIds[id] = static_cast<MixId>(prog.mixes.size());
+        InstructionMix m;
+        for (int c = 0; c < numInstrClasses; ++c)
+            m.frac[static_cast<std::size_t>(c)] = num(mixClassKeys[c]);
+        m.workingSetBytes = static_cast<std::uint64_t>(num("ws"));
+        m.streamFrac = num("stream");
+        m.strideBytes = static_cast<std::uint32_t>(num("stride"));
+        m.branchNoise = num("noise");
+        m.shortDepProb = num("short");
+        m.maxDepDist = static_cast<int>(num("dep"));
+        prog.mixes.push_back(m);
+    } else if (section == "func") {
+        closeFunction();
+        std::string name = text("name");
+        if (prog.findFunction(name))
+            throw SpecError("duplicate function name '" + name + "'");
+        Function f;
+        f.id = static_cast<std::uint16_t>(prog.functions.size());
+        f.name = name;
+        f.argProfiles.push_back(ArgProfile{});
+        prog.functions.push_back(std::move(f));
+        listStack.push_back(&prog.functions.back().body);
+    } else if (section == "args") {
+        if (listStack.empty())
+            throw SpecError("'args:' outside a function");
+        if (sawStmt)
+            throw SpecError("'args:' must precede the function's "
+                            "statements");
+        ArgProfile a;
+        a.wsMul = num("ws");
+        a.tripMul = num("trips");
+        a.noiseAdd = num("noise");
+        a.streamMul = num("stream");
+        Function &f = prog.functions.back();
+        if (!sawArgs) {
+            // The first args: line replaces the implicit default
+            // profile, as ProgramBuilder::argProfiles() replaces the
+            // whole list.
+            f.argProfiles.clear();
+            sawArgs = true;
+        }
+        f.argProfiles.push_back(a);
+    } else if (section == "block") {
+        std::vector<Stmt> &list = statements(section);
+        auto it = mixIds.find(text("mix"));
+        if (it == mixIds.end())
+            throw SpecError("unknown mix id '" + text("mix") +
+                            "' (mixes must be declared first)");
+        Stmt st;
+        st.kind = StmtKind::Block;
+        st.block.mix = it->second;
+        st.block.count = static_cast<std::uint32_t>(num("n"));
+        list.push_back(std::move(st));
+    } else if (section == "loop") {
+        std::vector<Stmt> &list = statements(section);
+        Stmt st;
+        st.kind = StmtKind::Loop;
+        st.loop.baseTrips = num("trips");
+        st.loop.scaleExp = num("scale");
+        if (const SpecParam *k = knobs.find("knob"))
+            st.loop.tripKnob = k->text;
+        list.push_back(std::move(st));
+        // Safe, as in ProgramBuilder::loopK(): while the loop body is
+        // being filled only the body vector grows, so the enclosing
+        // list cannot reallocate.
+        listStack.push_back(&list.back().loop.body);
+    } else if (section == "call") {
+        std::vector<Stmt> &list = statements(section);
+        std::string callee = text("f");
+        const Function *cf = prog.findFunction(callee);
+        if (!cf)
+            throw SpecError("call to undefined function '" + callee +
+                            "' (define callees first)");
+        Stmt st;
+        st.kind = StmtKind::Call;
+        st.call.callee = cf->id;
+        st.call.arg = static_cast<std::uint8_t>(num("arg"));
+        if (st.call.arg >= cf->argProfiles.size())
+            throw SpecError(strprintf(
+                "arg=%u selects a profile '%s' does not have (it has "
+                "%zu)",
+                st.call.arg, callee.c_str(), cf->argProfiles.size()));
+        st.call.guardProb = num("guard");
+        if (const SpecParam *k = knobs.find("knob"))
+            st.call.guardKnob = k->text;
+        list.push_back(std::move(st));
+    }
+}
 
 } // namespace
 
 Benchmark
 parseProgram(const std::string &text)
 {
-    std::vector<Line> lines = tokenize(text);
-    if (lines.empty() || lines[0].section != "program")
+    ParseState st;
+    std::istringstream in(text);
+    std::string raw;
+    int no = 0, last = 0;
+    try {
+        while (std::getline(in, raw)) {
+            ++no;
+            std::string s = specForm(raw);
+            if (s.empty() || s[0] == '#')
+                continue;
+            last = no;
+            st.line(s);
+        }
+        no = last;
+        st.closeFunction();
+    } catch (const SpecError &e) {
+        throw SpecError(strprintf("workload program text line %d: %s",
+                                  no, e.what()));
+    }
+
+    Program &prog = st.bm.program;
+    if (!st.sawProgram)
         throw SpecError(
             "workload program text must start with a 'program: "
             "name=...' line");
-
-    ParseState st;
-    std::string entryName;
-    std::uint64_t layoutSeed = 12345;
-    Benchmark bm;
-    bool sawTrain = false, sawRef = false;
-
-    {
-        const Line &l = lines[0];
-        Keys k(l, {"name", "entry", "seed"});
-        st.prog.name = k.requiredText("name");
-        entryName = k.text("entry", "main");
-        layoutSeed = k.integer("seed", 12345, 0, ~0ULL);
-    }
-
-    auto inFunction = [&] { return !st.listStack.empty(); };
-    auto closeFunction = [&](int line_no) {
-        if (st.listStack.size() > 1)
-            err(line_no, "missing 'end' for an open loop");
-        st.listStack.clear();
-        st.sawArgs = false;
-        st.sawStmt = false;
-    };
-
-    for (std::size_t i = 1; i < lines.size(); ++i) {
-        const Line &l = lines[i];
-        if (l.isEnd) {
-            if (st.listStack.size() < 2)
-                err(l.no, "'end' without an open loop");
-            if (st.listStack.back()->empty())
-                err(l.no, "loop with an empty body");
-            st.listStack.pop_back();
-            continue;
-        }
-        if (l.section == "input") {
-            closeFunction(l.no);
-            Keys k(l, {"set", "seed", "scale"}, true);
-            std::string role = k.requiredText("set");
-            if (role != "train" && role != "ref")
-                err(l.no, "input set must be 'train' or 'ref', got '" +
-                              role + "'");
-            InputSet s;
-            s.name = role;
-            s.seed = k.integer("seed", 1, 0, ~0ULL);
-            s.scale = k.num("scale", 1.0, 0.001, 1e6);
-            s.knobs = k.knobs();
-            if (role == "train") {
-                if (sawTrain)
-                    err(l.no, "duplicate 'input: set=train'");
-                sawTrain = true;
-                bm.train = std::move(s);
-            } else {
-                if (sawRef)
-                    err(l.no, "duplicate 'input: set=ref'");
-                sawRef = true;
-                bm.ref = std::move(s);
-            }
-        } else if (l.section == "mix") {
-            closeFunction(l.no);
-            std::vector<std::string> allowed = {"id",    "ws",
-                                               "stream", "stride",
-                                               "noise",  "short",
-                                               "dep"};
-            for (const char *c : mixClassKeys)
-                allowed.push_back(c);
-            Keys k(l, std::move(allowed));
-            std::string id = k.requiredText("id");
-            if (st.mixIds.count(id))
-                err(l.no, "duplicate mix id '" + id + "'");
-            st.mixIds[id] =
-                static_cast<MixId>(st.prog.mixes.size());
-            st.prog.mixes.push_back(parseMixLine(k));
-        } else if (l.section == "func") {
-            closeFunction(l.no);
-            Keys k(l, {"name"});
-            std::string name = k.requiredText("name");
-            if (st.prog.findFunction(name))
-                err(l.no, "duplicate function name '" + name + "'");
-            Function f;
-            f.id = static_cast<std::uint16_t>(
-                st.prog.functions.size());
-            f.name = name;
-            f.argProfiles.push_back(ArgProfile{});
-            st.prog.functions.push_back(std::move(f));
-            st.listStack.push_back(
-                &st.prog.functions.back().body);
-        } else if (l.section == "args") {
-            if (!inFunction())
-                err(l.no, "'args:' outside a function");
-            if (st.sawStmt)
-                err(l.no, "'args:' must precede the function's "
-                          "statements");
-            Keys k(l, {"ws", "trips", "noise", "stream"});
-            ArgProfile p;
-            p.wsMul = k.num("ws", 1.0, 0.0, 1e6);
-            p.tripMul = k.num("trips", 1.0, 0.0, 1e6);
-            p.noiseAdd = k.num("noise", 0.0, 0.0, 1.0);
-            p.streamMul = k.num("stream", 1.0, 0.0, 1e6);
-            Function &f = st.prog.functions.back();
-            if (!st.sawArgs) {
-                // The first args: line replaces the implicit
-                // default profile, as ProgramBuilder::argProfiles()
-                // replaces the whole list.
-                f.argProfiles.clear();
-                st.sawArgs = true;
-            }
-            f.argProfiles.push_back(p);
-        } else if (l.section == "block") {
-            if (!inFunction())
-                err(l.no, "'block:' outside a function");
-            st.sawStmt = true;
-            Keys k(l, {"mix", "n"});
-            std::string mixId = k.requiredText("mix");
-            auto it = st.mixIds.find(mixId);
-            if (it == st.mixIds.end())
-                err(l.no, "unknown mix id '" + mixId +
-                              "' (mixes must be declared first)");
-            if (!k.findText("n"))
-                err(l.no, "section 'block' requires key 'n'");
-            Stmt s;
-            s.kind = StmtKind::Block;
-            s.block.mix = it->second;
-            s.block.count = static_cast<std::uint32_t>(
-                k.integer("n", 0, 1, 1u << 20));
-            st.listStack.back()->push_back(std::move(s));
-        } else if (l.section == "loop") {
-            if (!inFunction())
-                err(l.no, "'loop:' outside a function");
-            st.sawStmt = true;
-            Keys k(l, {"trips", "scale", "knob"});
-            Stmt s;
-            s.kind = StmtKind::Loop;
-            s.loop.baseTrips = k.num("trips", 1.0, 0.001, 1e9);
-            s.loop.scaleExp = k.num("scale", 1.0, 0.0, 16.0);
-            s.loop.tripKnob = k.text("knob", "");
-            auto *list = st.listStack.back();
-            list->push_back(std::move(s));
-            // Safe, as in ProgramBuilder::loopK(): while the loop
-            // body is being filled only the body vector grows, so
-            // the enclosing list cannot reallocate.
-            st.listStack.push_back(&list->back().loop.body);
-        } else if (l.section == "call") {
-            if (!inFunction())
-                err(l.no, "'call:' outside a function");
-            st.sawStmt = true;
-            Keys k(l, {"f", "arg", "guard", "knob"});
-            std::string callee = k.requiredText("f");
-            const Function *cf = st.prog.findFunction(callee);
-            if (!cf)
-                err(l.no, "call to undefined function '" + callee +
-                              "' (define callees first)");
-            Stmt s;
-            s.kind = StmtKind::Call;
-            s.call.callee = cf->id;
-            s.call.arg = static_cast<std::uint8_t>(
-                k.integer("arg", 0, 0, 255));
-            if (s.call.arg >= cf->argProfiles.size())
-                err(l.no, strprintf(
-                              "arg=%u selects a profile '%s' does "
-                              "not have (it has %zu)",
-                              s.call.arg, callee.c_str(),
-                              cf->argProfiles.size()));
-            s.call.guardProb = k.num("guard", 1.0, 0.0, 1.0);
-            s.call.guardKnob = k.text("knob", "");
-            st.listStack.back()->push_back(std::move(s));
-        } else {
-            err(l.no,
-                "unknown section '" + l.section +
-                    "' (takes: program input mix func args block "
-                    "loop call end)");
-        }
-    }
-    closeFunction(lines.back().no);
-
-    if (st.prog.functions.empty())
+    if (prog.functions.empty())
         throw SpecError("workload program text defines no functions");
-    if (!sawTrain || !sawRef)
+    if (!st.sawTrain || !st.sawRef)
         throw SpecError(
             "workload program text must define both 'input: "
             "set=train' and 'input: set=ref'");
-    const Function *entry = st.prog.findFunction(entryName);
+    const Function *entry = prog.findFunction(st.entry);
     if (!entry)
-        throw SpecError("entry function '" + entryName +
+        throw SpecError("entry function '" + st.entry +
                         "' is not defined");
-    st.prog.entry = entry->id;
-    finalizeLayout(st.prog, layoutSeed);
-    bm.program = std::move(st.prog);
-    return bm;
+    prog.entry = entry->id;
+    finalizeLayout(prog, st.layoutSeed);
+    return std::move(st.bm);
 }
 
 // ---------------------------------------------------------------- //
@@ -496,70 +459,69 @@ parseProgram(const std::string &text)
 namespace
 {
 
+/** One canonical line: @p params (each key set, in any order) in
+ *  schema order, then @p knobs. */
 void
-requireSpecSafe(const std::string &what, const std::string &s)
+printLine(std::ostringstream &os, int depth, const char *section,
+          SpecParams params, SpecParams knobs = {})
 {
-    if (!util::validSpecValue(s))
-        throw SpecError(what + " '" + s +
-                        "' is not authoring-safe ([A-Za-z0-9_.-]+)");
-}
-
-std::string
-fmtNum(double v)
-{
-    return util::fmtFixed(v, 3);
+    canonicalLine(section, params, knobs);
+    os << std::string(static_cast<std::size_t>(2 * depth), ' ')
+       << section << ':';
+    const char *sep = " ";
+    for (const SpecParams *ps : {&params, &knobs})
+        for (const SpecParam &p : ps->items) {
+            os << sep << p.name << '=' << p.text;
+            sep = ", ";
+        }
+    os << '\n';
 }
 
 void
 printInput(std::ostringstream &os, const char *role,
            const InputSet &in)
 {
-    os << "input: set=" << role << ", seed=" << in.seed
-       << ", scale=" << fmtNum(in.scale);
+    SpecParams p, knobs;
+    p.set("set", role);
+    p.set("seed", std::to_string(in.seed));
+    p.set("scale", in.scale);
     std::map<std::string, double> sorted(in.knobs.begin(),
                                          in.knobs.end());
-    for (const auto &kv : sorted) {
-        requireSpecSafe("knob name", kv.first);
-        os << ", knob." << kv.first << "=" << fmtNum(kv.second);
-    }
-    os << '\n';
+    for (const auto &kv : sorted)
+        knobs.set("knob." + kv.first, kv.second);
+    printLine(os, 0, "input", std::move(p), std::move(knobs));
 }
 
 void
 printStmts(std::ostringstream &os, const Program &prog,
            const std::vector<Stmt> &stmts, int depth)
 {
-    std::string ind(static_cast<std::size_t>(2 * depth), ' ');
     for (const Stmt &s : stmts) {
+        SpecParams p, knobs;
         switch (s.kind) {
           case StmtKind::Block:
-            os << ind << "block: mix=m" << s.block.mix
-               << ", n=" << s.block.count << '\n';
+            p.set("mix", "m" + std::to_string(s.block.mix));
+            p.set("n", s.block.count);
+            printLine(os, depth, "block", std::move(p));
             break;
           case StmtKind::Loop:
-            os << ind << "loop: trips=" << fmtNum(s.loop.baseTrips)
-               << ", scale=" << fmtNum(s.loop.scaleExp);
-            if (!s.loop.tripKnob.empty()) {
-                requireSpecSafe("knob name", s.loop.tripKnob);
-                os << ", knob=" << s.loop.tripKnob;
-            }
-            os << '\n';
+            p.set("trips", s.loop.baseTrips);
+            p.set("scale", s.loop.scaleExp);
+            if (!s.loop.tripKnob.empty())
+                knobs.set("knob", s.loop.tripKnob);
+            printLine(os, depth, "loop", std::move(p), std::move(knobs));
             printStmts(os, prog, s.loop.body, depth + 1);
-            os << ind << "end\n";
+            os << std::string(static_cast<std::size_t>(2 * depth), ' ')
+               << "end\n";
             break;
-          case StmtKind::Call: {
-            const Function &callee = prog.function(s.call.callee);
-            requireSpecSafe("function name", callee.name);
-            os << ind << "call: f=" << callee.name
-               << ", arg=" << static_cast<unsigned>(s.call.arg)
-               << ", guard=" << fmtNum(s.call.guardProb);
-            if (!s.call.guardKnob.empty()) {
-                requireSpecSafe("knob name", s.call.guardKnob);
-                os << ", knob=" << s.call.guardKnob;
-            }
-            os << '\n';
+          case StmtKind::Call:
+            p.set("f", prog.function(s.call.callee).name);
+            p.set("arg", s.call.arg);
+            p.set("guard", s.call.guardProb);
+            if (!s.call.guardKnob.empty())
+                knobs.set("knob", s.call.guardKnob);
+            printLine(os, depth, "call", std::move(p), std::move(knobs));
             break;
-          }
         }
     }
 }
@@ -579,41 +541,45 @@ printProgram(const Benchmark &bm)
     const Program &prog = bm.program;
     std::ostringstream os;
     os.imbue(std::locale::classic());
-    requireSpecSafe("program name", prog.name);
     if (prog.entry >= prog.functions.size())
         throw SpecError("program '" + prog.name +
                         "' has no valid entry function");
-    requireSpecSafe("function name",
-                    prog.functions[prog.entry].name);
-    os << "program: name=" << prog.name
-       << ", entry=" << prog.functions[prog.entry].name
-       << ", seed=" << prog.layoutSeed << '\n';
+    SpecParams head;
+    head.set("name", prog.name);
+    head.set("entry", prog.functions[prog.entry].name);
+    head.set("seed", std::to_string(prog.layoutSeed));
+    printLine(os, 0, "program", std::move(head));
     printInput(os, "train", bm.train);
     printInput(os, "ref", bm.ref);
     for (std::size_t i = 0; i < prog.mixes.size(); ++i) {
         const InstructionMix &m = prog.mixes[i];
-        os << "mix: id=m" << i;
+        SpecParams p;
+        p.set("id", "m" + std::to_string(i));
         for (int c = 0; c < numInstrClasses; ++c)
-            os << ", " << mixClassKeys[c] << "="
-               << fmtNum(m.frac[static_cast<std::size_t>(c)]);
-        os << ", ws=" << m.workingSetBytes
-           << ", stream=" << fmtNum(m.streamFrac)
-           << ", stride=" << m.strideBytes
-           << ", noise=" << fmtNum(m.branchNoise)
-           << ", short=" << fmtNum(m.shortDepProb)
-           << ", dep=" << m.maxDepDist << '\n';
+            p.set(mixClassKeys[c], m.frac[static_cast<std::size_t>(c)]);
+        p.set("ws", static_cast<double>(m.workingSetBytes));
+        p.set("stream", m.streamFrac);
+        p.set("stride", m.strideBytes);
+        p.set("noise", m.branchNoise);
+        p.set("short", m.shortDepProb);
+        p.set("dep", m.maxDepDist);
+        printLine(os, 0, "mix", std::move(p));
     }
     for (const Function &f : prog.functions) {
-        requireSpecSafe("function name", f.name);
-        os << "func: name=" << f.name << '\n';
+        SpecParams name;
+        name.set("name", f.name);
+        printLine(os, 0, "func", std::move(name));
         bool trivial = f.argProfiles.size() == 1 &&
                        isDefaultProfile(f.argProfiles[0]);
-        if (!trivial) {
-            for (const ArgProfile &p : f.argProfiles)
-                os << "  args: ws=" << fmtNum(p.wsMul)
-                   << ", trips=" << fmtNum(p.tripMul)
-                   << ", noise=" << fmtNum(p.noiseAdd)
-                   << ", stream=" << fmtNum(p.streamMul) << '\n';
+        for (std::size_t i = 0; !trivial && i < f.argProfiles.size();
+             ++i) {
+            const ArgProfile &a = f.argProfiles[i];
+            SpecParams p;
+            p.set("ws", a.wsMul);
+            p.set("trips", a.tripMul);
+            p.set("noise", a.noiseAdd);
+            p.set("stream", a.streamMul);
+            printLine(os, 1, "args", std::move(p));
         }
         printStmts(os, prog, f.body, 1);
     }

@@ -1,11 +1,13 @@
 /**
  * @file
  * The workload authoring text format: a line-oriented grammar whose
- * sections mirror the `name: key=value, ...` spec idiom and describe
- * a complete `Benchmark` — program structure (functions, loops, call
- * sites), per-block `InstructionMix` knobs, arg profiles, and the
- * training/reference input sets.  See docs/WORKLOADS.md for the full
- * grammar with units and defaults.
+ * `section: key=value, ...` lines describe a complete `Benchmark` —
+ * program structure (functions, loops, call sites), per-block
+ * `InstructionMix` knobs, arg profiles, and the training/reference
+ * input sets.  Each section is a spec-engine kind (util/spec.hh):
+ * a line is split and canonicalized against its section's schema,
+ * which also fixes the order and format the printer writes.  See
+ * docs/WORKLOADS.md for the full grammar with units and defaults.
  *
  * Round-trip contract: `printProgram()` emits *canonical* text —
  * sections in fixed order, every key present, numbers in canonical

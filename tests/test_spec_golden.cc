@@ -1,8 +1,9 @@
 /**
  * @file
  * Golden pins for the spec surface: for a fixed corpus per grammar
- * (policy, workload, sampling) the exact canonical string or the
- * exact error message, plus the full `--list-policies` and
+ * (policy, workload, sampling, workload authoring text) the exact
+ * canonical string or the exact error message, plus the full
+ * `--list-policies` and
  * `--list-workloads` text.  Canonical strings are cache keys and wire
  * labels, and the messages are the CLI's and the server's BAD_SPEC
  * replies, so any drift here is a user-visible change.  Sampling
@@ -15,6 +16,7 @@
 
 #include "control/policy.hh"
 #include "sim/sampling.hh"
+#include "workload/author.hh"
 #include "workload/registry.hh"
 #include "workload/spec.hh"
 
@@ -59,6 +61,28 @@ samplingResult(const std::string &text)
         return sim::canonicalSamplingSpec(sim::parseSamplingSpec(text));
     } catch (const workload::SpecError &) {
         return "error";
+    }
+}
+
+/** Authored program text -> its canonical text, or "error: " and the
+ *  message.  An entry that starts with neither a `program:` line nor
+ *  a comment runs after a fixed four-line header (program, both
+ *  inputs, mix `k`), whose canonical lines are left out of the
+ *  result. */
+std::string
+authoringResult(const std::string &text)
+{
+    const std::string head =
+        "program: name=p\ninput: set=train\ninput: set=ref\nmix: id=k\n";
+    bool own = text.rfind("program:", 0) == 0 || text.rfind('#', 0) == 0;
+    try {
+        std::string canon = workload::printProgram(
+            workload::parseProgram(own ? text : head + text));
+        for (int i = 0; !own && i < 4; ++i)
+            canon.erase(0, canon.find('\n') + 1);
+        return canon;
+    } catch (const workload::SpecError &e) {
+        return std::string("error: ") + e.what();
     }
 }
 
@@ -285,6 +309,145 @@ TEST(SpecGolden, SamplingSpecs)
     };
     for (const Golden &c : cases)
         EXPECT_EQ(samplingResult(c.input), c.expect) << c.input;
+}
+
+TEST(SpecGolden, AuthoringLines)
+{
+    const Golden cases[] = {
+        {"func: name=main\n  block: mix=k, n=1e2\n",
+         "func: name=main\n  block: mix=m0, n=100\n"},
+        {"func: name=main\n  loop:\n    block: mix=k, n=1\n  end\n",
+         "func: name=main\n  loop: trips=1.000, scale=1.000\n"
+         "    block: mix=m0, n=1\n  end\n"},
+        {"func: name=main\n\tloop: scale=0 ,trips=1e1\n"
+         "    block:mix=k,n=16.0\n  end\n",
+         "func: name=main\n  loop: trips=10.000, scale=0.000\n"
+         "    block: mix=m0, n=16\n  end\n"},
+        {"func: name=leaf\n  args: ws=2\n  args:\n  block: mix=k, n=1\n"
+         "func: name=main\n  call: knob=gate, f=leaf, guard=0.25, arg=1\n",
+         "func: name=leaf\n"
+         "  args: ws=2.000, trips=1.000, noise=0.000, stream=1.000\n"
+         "  args: ws=1.000, trips=1.000, noise=0.000, stream=1.000\n"
+         "  block: mix=m0, n=1\nfunc: name=main\n"
+         "  call: f=leaf, arg=1, guard=0.250, knob=gate\n"},
+        {"program: name=p, seed=007\n"
+         "input: set=train, seed=18446744073709551615\ninput: set=ref\n"
+         "func: name=main\n",
+         "program: name=p, entry=main, seed=7\n"
+         "input: set=train, seed=18446744073709551615, scale=1.000\n"
+         "input: set=ref, seed=1, scale=1.000\nfunc: name=main\n"},
+        {"program: name=p\ninput: set=train, knob.b=2, knob.a=1e-1\n"
+         "input: set=ref, knob.z=-0.0004\nfunc: name=main\n",
+         "program: name=p, entry=main, seed=12345\n"
+         "input: set=train, seed=1, scale=1.000, knob.a=0.100, knob.b=2.000\n"
+         "input: set=ref, seed=1, scale=1.000, knob.z=-0.000\n"
+         "func: name=main\n"},
+        {"program: name=p, seed=18446744073709551616\n",
+         "error: workload program text line 1: section 'program' parameter "
+         "'seed': '18446744073709551616' is not an integer in [0, 2^64)"},
+        {"program: name=p, seed=1e2\n",
+         "error: workload program text line 1: section 'program' parameter "
+         "'seed': '1e2' is not an integer in [0, 2^64)"},
+        {"program: name=p, seed=-1\n",
+         "error: workload program text line 1: section 'program' parameter "
+         "'seed': '-1' is not an integer in [0, 2^64)"},
+        {"bogus: a=1\n",
+         "error: workload program text line 5: unknown section 'bogus' "
+         "(known: args block call func input loop mix program)"},
+        {"func: name=main\n  block: mix=k, n=10, warp=9\n",
+         "error: workload program text line 6: section 'block' has no "
+         "parameter 'warp' (takes: mix n)"},
+        {"func: name=main\n  block: mix=k, n=1, n=2\n",
+         "error: workload program text line 6: bad section line "
+         "'block:mix=k,n=1,n=2': parameter 'n' given twice"},
+        {"func: name=main\n  block: mix=k, n\n",
+         "error: workload program text line 6: bad section line "
+         "'block:mix=k,n': parameter 'n' is not of the form key=value"},
+        {"func name=main\n",
+         "error: workload program text line 5: expected 'section: key=value, "
+         "...' or 'end', got 'func name=main'"},
+        {"Func: name=main\n",
+         "error: workload program text line 5: bad section line "
+         "'Func:name=main': expected name[:key=value,...] with a [a-z0-9_-]+ "
+         "name"},
+        {"func: name=a$b\n",
+         "error: workload program text line 5: section 'func' parameter "
+         "'name': 'a$b' is not a [A-Za-z0-9_.-]+ value"},
+        {"func:\n",
+         "error: workload program text line 5: section 'func' parameter "
+         "'name' is required"},
+        {"func: name=main\n  block: mix=k\n",
+         "error: workload program text line 6: section 'block' requires key "
+         "'n'"},
+        {"func: name=main\n  block: mix=k, n=0\n",
+         "error: workload program text line 6: section 'block' parameter 'n': "
+         "0 is out of range [1, 1.04858e+06]"},
+        {"func: name=main\n  block: mix=k, n=2.5\n",
+         "error: workload program text line 6: section 'block' parameter 'n': "
+         "'2.5' must be an integer"},
+        {"func: name=main\n  loop: trips=abc\n",
+         "error: workload program text line 6: section 'loop' parameter "
+         "'trips': 'abc' is not a number"},
+        {"func: name=main\n  loop: knob=a/b\n",
+         "error: workload program text line 6: knob name 'a/b' is not a "
+         "[A-Za-z0-9_.-]+ value"},
+        {"program: name=p\ninput: set=train, knob.x=abc\n",
+         "error: workload program text line 2: 'abc' of 'knob.x' is not a "
+         "number"},
+        {"func: name=main\n  block: mix=k, n=1, knob=x\n",
+         "error: workload program text line 6: section 'block' has no "
+         "parameter 'knob' (takes: mix n)"},
+        {"func: name=main\n  loop: knob.x=1\n",
+         "error: workload program text line 6: section 'loop' has no "
+         "parameter 'knob.x' (takes: trips scale)"},
+        {"end\n",
+         "error: workload program text line 5: 'end' without an open loop"},
+        {"func: name=main\n  loop: trips=2\n  end\n",
+         "error: workload program text line 7: loop with an empty body"},
+        {"func: name=main\n  loop: trips=2\n    block: mix=k, n=1\n",
+         "error: workload program text line 7: missing 'end' for an open "
+         "loop"},
+        {"func: name=main\n  block: mix=k, n=1\n  args: ws=2\n",
+         "error: workload program text line 7: 'args:' must precede the "
+         "function's statements"},
+        {"args: ws=2\n",
+         "error: workload program text line 5: 'args:' outside a function"},
+        {"func: name=main\n  call: f=ghost\n",
+         "error: workload program text line 6: call to undefined function "
+         "'ghost' (define callees first)"},
+        {"func: name=leaf\n  block: mix=k, n=1\nfunc: name=main\n"
+         "  call: f=leaf, arg=1\n",
+         "error: workload program text line 8: arg=1 selects a profile 'leaf' "
+         "does not have (it has 1)"},
+        {"func: name=main\nprogram: name=q\n",
+         "error: workload program text line 6: duplicate 'program:' line"},
+        {"# no header\ninput: set=train\n",
+         "error: workload program text line 2: a program text must start with "
+         "a 'program: name=...' line"},
+        {"input: set=train\n",
+         "error: workload program text line 5: duplicate 'input: set=train'"},
+        {"input: set=dev\n",
+         "error: workload program text line 5: input set must be 'train' or "
+         "'ref', got 'dev'"},
+        {"mix: id=k\n",
+         "error: workload program text line 5: duplicate mix id 'k'"},
+        {"mix: id=j, load=1.5\n",
+         "error: workload program text line 5: section 'mix' parameter "
+         "'load': 1.5 is out of range [0, 1]"},
+        {"func: name=main\n  block: mix=ghost, n=1\n",
+         "error: workload program text line 6: unknown mix id 'ghost' (mixes "
+         "must be declared first)"},
+        {"program: name=p\ninput: set=train\ninput: set=ref\n",
+         "error: workload program text defines no functions"},
+        {"program: name=p, entry=nope\ninput: set=train\ninput: set=ref\n"
+         "func: name=main\n",
+         "error: entry function 'nope' is not defined"},
+        {"#",
+         "error: workload program text must start with a 'program: name=...' "
+         "line"},
+    };
+    for (const Golden &c : cases)
+        EXPECT_EQ(authoringResult(c.input), c.expect) << c.input;
 }
 
 TEST(SpecGolden, PolicyListing)

@@ -217,7 +217,7 @@ TEST(Authoring, HardErrorsCarryLineNumbersAndWhatIsAccepted)
     expectError((std::string(header) +
                  "func: name=main\n  block: mix=k, n=10, warp=9\n")
                     .c_str(),
-                "has no key 'warp'");
+                "has no parameter 'warp'");
     expectError("input: set=train\n", "must start with a 'program:");
     // Structural errors.
     expectError((std::string(header) +
