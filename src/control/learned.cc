@@ -9,9 +9,9 @@
 
 #include <algorithm>
 #include <cmath>
-#include <cstring>
 
 #include "sim/processor.hh"
+#include "util/text.hh"
 #include "workload/program.hh"
 
 namespace mcd::control
@@ -98,22 +98,12 @@ LearnedModel::update(Domain d, const LearnedFeatures &x,
 std::uint64_t
 LearnedModel::digest() const
 {
-    std::uint64_t h = 1469598103934665603ULL;
-    auto mix = [&h](std::uint64_t v) {
-        for (int i = 0; i < 8; ++i) {
-            h = (h ^ (v & 0xffu)) * 1099511628211ULL;
-            v >>= 8;
-        }
-    };
+    util::Fnv1a f;
     for (const LearnedFeatures &wd : w)
-        for (double v : wd) {
-            std::uint64_t bits;
-            static_assert(sizeof(bits) == sizeof(v));
-            std::memcpy(&bits, &v, sizeof(bits));
-            mix(bits);
-        }
-    mix(samples);
-    return h;
+        for (double v : wd)
+            f.f64(v);
+    f.u64(samples);
+    return f.value();
 }
 
 LearnedFeatures

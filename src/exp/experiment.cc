@@ -1,6 +1,5 @@
 #include "exp/experiment.hh"
 
-#include <cstring>
 #include <iterator>
 
 #if defined(__GLIBC__)
@@ -123,41 +122,6 @@ lineToOutcome(const std::string &line, std::string &key, Outcome &o)
 std::uint64_t
 configFingerprint(const ExpConfig &cfg)
 {
-    /** FNV-1a accumulator. */
-    struct Fnv
-    {
-        std::uint64_t h = 1469598103934665603ULL;
-
-        void
-        bytes(const void *p, std::size_t n)
-        {
-            const auto *b = static_cast<const unsigned char *>(p);
-            for (std::size_t i = 0; i < n; ++i)
-                h = (h ^ b[i]) * 1099511628211ULL;
-        }
-
-        void
-        u64(std::uint64_t v)
-        {
-            bytes(&v, sizeof(v));
-        }
-
-        void
-        i64(long long v)
-        {
-            u64(static_cast<std::uint64_t>(v));
-        }
-
-        void
-        f64(double v)
-        {
-            std::uint64_t b;
-            static_assert(sizeof(b) == sizeof(v));
-            std::memcpy(&b, &v, sizeof(b));
-            u64(b);
-        }
-    };
-
     // Every SimConfig/PowerConfig knob, plus the profiling cap; the
     // remaining ExpConfig parameters (windows, intervals) are
     // spelled out in the cache-key text itself via the policies'
@@ -167,7 +131,7 @@ configFingerprint(const ExpConfig &cfg)
     // deliberately left out carry an allow annotation at their
     // declaration), and its digest is pinned to CACHE_VERSION by
     // rule `cache-version-pin`.
-    Fnv f;
+    util::Fnv1a f;
     const sim::SimConfig &s = cfg.sim;
     f.i64(s.fetchWidth);
     f.i64(s.dispatchWidth);
@@ -249,7 +213,7 @@ configFingerprint(const ExpConfig &cfg)
     const control::LearnedConfig &ln = cfg.learned;
     f.u64(ln.trainWindow);
     f.u64(ln.trainPasses);
-    return f.h;
+    return f.value();
 }
 
 SweepCell

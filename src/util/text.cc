@@ -1,6 +1,7 @@
 #include "util/text.hh"
 
 #include <charconv>
+#include <cstring>
 #include <locale>
 #include <sstream>
 
@@ -83,13 +84,22 @@ validSpecValue(const std::string &s)
     return true;
 }
 
+void
+Fnv1a::f64(double v)
+{
+    std::uint64_t bits;
+    static_assert(sizeof(bits) == sizeof(v));
+    std::memcpy(&bits, &v, sizeof(bits));
+    u64(bits);
+}
+
 std::uint64_t
 fnv1a64(const std::string &bytes)
 {
-    std::uint64_t h = 1469598103934665603ULL;
+    Fnv1a f;
     for (char c : bytes)
-        h = (h ^ static_cast<unsigned char>(c)) * 1099511628211ULL;
-    return h;
+        f.byte(static_cast<unsigned char>(c));
+    return f.value();
 }
 
 } // namespace mcd::util

@@ -3,8 +3,7 @@
  * Locale-independent text primitives shared by the spec engine
  * (util/spec.hh), the workload authoring format and the cache/wire
  * paths: canonical fixed-point formatting, strict double parsing, the
- * `[a-z0-9_-]+` name rule, and the FNV-1a hash used for
- * content-addressed cache-key fragments.
+ * `[a-z0-9_-]+` name rule, and the FNV-1a hash.
  */
 
 #ifndef MCD_UTIL_TEXT_HH
@@ -42,6 +41,41 @@ bool validSpecName(const std::string &s);
  *  charset spec string parameters may take: it excludes the
  *  grammar's own separators ':', ',', '=' and whitespace). */
 bool validSpecValue(const std::string &s);
+
+/**
+ * Incremental 64-bit FNV-1a, the one hash behind content-addressed
+ * cache-key fragments (`prog:` handles), the config fingerprint and
+ * learned-model digests.  Words are fed least significant byte
+ * first, so a value hashes the same on every host.
+ */
+class Fnv1a
+{
+  public:
+    void
+    byte(unsigned char b)
+    {
+        h = (h ^ b) * 1099511628211ULL;
+    }
+
+    void
+    u64(std::uint64_t v)
+    {
+        for (int i = 0; i < 8; ++i, v >>= 8)
+            byte(static_cast<unsigned char>(v & 0xffu));
+    }
+
+    void i64(long long v) { u64(static_cast<std::uint64_t>(v)); }
+
+    /** The bit pattern of @p v. */
+    void f64(double v);
+
+    std::uint64_t value() const { return h; }
+
+  private:
+    // Not the reference offset basis (14695981039346656037): every
+    // pinned key and handle was made with this one.
+    std::uint64_t h = 1469598103934665603ULL;
+};
 
 /** 64-bit FNV-1a over a byte string. */
 std::uint64_t fnv1a64(const std::string &bytes);

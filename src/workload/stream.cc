@@ -10,7 +10,9 @@ namespace mcd::workload
 namespace
 {
 
-/** FNV-1a hash for deriving the behaviour seed from the program name. */
+/** FNV-1a hash for deriving the behaviour seed from the program name
+ *  (with the reference offset basis, unlike util::Fnv1a; changing
+ *  either would move every stream or every key). */
 std::uint64_t
 hashName(const std::string &s)
 {
