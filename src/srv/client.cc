@@ -1,6 +1,6 @@
 #include "srv/client.hh"
 
-#include <cstdlib>
+#include <limits>
 
 namespace mcd::srv
 {
@@ -8,10 +8,17 @@ namespace mcd::srv
 namespace
 {
 
+/** The decimal field @p key of @p resp, at most @p max; a malformed
+ *  value is a NetError, never a silent 0. */
 std::uint64_t
-toU64(const std::string &text)
+u64Field(const Response &resp, const char *key,
+         std::uint64_t max = ~0ULL)
 {
-    return std::strtoull(text.c_str(), nullptr, 10);
+    std::uint64_t v = 0;
+    if (!parseU64(resp.field(key), max, v))
+        throw NetError(std::string("malformed '") + key +
+                       "' in reply: '" + resp.field(key) + "'");
+    return v;
 }
 
 } // namespace
@@ -52,11 +59,12 @@ Client::readResponse()
     if (!parseResponse(line, resp, perr))
         throw NetError("unparseable reply: " + perr);
     if (resp.kind == Response::Kind::Err) {
-        const std::string &retry = resp.field("retry_ms");
-        throw ClientError(resp.field("code"), resp.msg,
-                          retry.empty()
-                              ? 0
-                              : static_cast<int>(toU64(retry)));
+        int retry = resp.field("retry_ms").empty()
+                        ? 0
+                        : static_cast<int>(u64Field(
+                              resp, "retry_ms",
+                              std::numeric_limits<int>::max()));
+        throw ClientError(resp.field("code"), resp.msg, retry);
     }
     return resp;
 }
@@ -85,8 +93,9 @@ Client::hello()
         throw NetError("server speaks protocol version '" + proto +
                        "', this client needs " +
                        std::to_string(PROTO_VERSION));
-    fingerprint_ =
-        std::strtoull(resp.field("fingerprint").c_str(), nullptr, 16);
+    if (!parseHex16(resp.field("fingerprint"), fingerprint_))
+        throw NetError("malformed 'fingerprint' in reply: '" +
+                       resp.field("fingerprint") + "'");
 }
 
 void
@@ -148,8 +157,8 @@ Client::sweep(const std::vector<std::string> &workloads,
             continue;
         }
         if (resp.kind == Response::Kind::Done) {
-            reply.hits = toU64(resp.field("hits"));
-            reply.misses = toU64(resp.field("misses"));
+            reply.hits = u64Field(resp, "hits");
+            reply.misses = u64Field(resp, "misses");
             return reply;
         }
         throw NetError("unexpected reply kind mid-sweep");

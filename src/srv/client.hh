@@ -75,7 +75,9 @@ class Client
 
     /**
      * HELLO handshake.  Verifies the protocol version and remembers
-     * the server's config fingerprint for `sweep(pin=true)`.
+     * the server's config fingerprint for `sweep(pin=true)`.  A
+     * fingerprint that is not 16 hex digits is a NetError, as is any
+     * malformed numeric reply field.
      */
     void hello();
 

@@ -20,15 +20,6 @@ namespace
 
 using Clock = std::chrono::steady_clock;
 
-int
-remainingMs(Clock::time_point deadline)
-{
-    auto left = std::chrono::duration_cast<std::chrono::milliseconds>(
-                    deadline - Clock::now())
-                    .count();
-    return left < 0 ? 0 : static_cast<int>(left);
-}
-
 NetError
 errnoError(const char *what)
 {
@@ -37,6 +28,15 @@ errnoError(const char *what)
 }
 
 } // namespace
+
+int
+remainingMs(Clock::time_point deadline)
+{
+    auto left = std::chrono::duration_cast<std::chrono::milliseconds>(
+                    deadline - Clock::now())
+                    .count();
+    return left < 0 ? 0 : static_cast<int>(left);
+}
 
 Conn::~Conn() { close(); }
 

@@ -19,6 +19,7 @@
 #ifndef MCD_SRV_NET_HH
 #define MCD_SRV_NET_HH
 
+#include <chrono>
 #include <cstdint>
 #include <stdexcept>
 #include <string>
@@ -89,6 +90,10 @@ class Conn
     int fd_ = -1;
     std::string buf_;  ///< bytes read past the last returned line
 };
+
+/** Milliseconds left until @p deadline, 0 once it has passed (a
+ *  poll() timeout). */
+int remainingMs(std::chrono::steady_clock::time_point deadline);
 
 /** Connect to a Unix-domain socket; throws NetError on failure. */
 Conn connectUnix(const std::string &path);

@@ -1,6 +1,7 @@
 #include "srv/proto.hh"
 
 #include <cerrno>
+#include <cstdio>
 #include <cstdlib>
 
 #include "util/text.hh"
@@ -21,10 +22,6 @@ errorCodes()
     return codes;
 }
 
-namespace
-{
-
-/** Strict full-string decimal parse into [0, max]. */
 bool
 parseU64(const std::string &text, std::uint64_t max,
          std::uint64_t &out)
@@ -40,7 +37,6 @@ parseU64(const std::string &text, std::uint64_t max,
     return true;
 }
 
-/** Strict 16-hex-digit fingerprint parse. */
 bool
 parseHex16(const std::string &text, std::uint64_t &out)
 {
@@ -66,9 +62,12 @@ hex16(std::uint64_t v)
 {
     char buf[17];
     std::snprintf(buf, sizeof(buf), "%016llx",
-                  (unsigned long long)v);
+                  static_cast<unsigned long long>(v));
     return buf;
 }
+
+namespace
+{
 
 /**
  * Split @p line into space-separated tokens, tracking each token's

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <chrono>
-#include <cstdio>
 #include <future>
 #include <utility>
 #include <vector>
@@ -20,24 +19,6 @@ namespace
 {
 
 using Clock = std::chrono::steady_clock;
-
-int
-remainingMs(Clock::time_point deadline)
-{
-    auto left = std::chrono::duration_cast<std::chrono::milliseconds>(
-                    deadline - Clock::now())
-                    .count();
-    return left < 0 ? 0 : static_cast<int>(left);
-}
-
-std::string
-hex16(std::uint64_t v)
-{
-    char buf[17];
-    std::snprintf(buf, sizeof(buf), "%016llx",
-                  static_cast<unsigned long long>(v));
-    return buf;
-}
 
 } // namespace
 

@@ -904,6 +904,31 @@ TEST(ServerConcurrency, EightClientsByteIdenticalComputedOnce)
     EXPECT_EQ(st.rowsStreamed, 8u * 4u);
 }
 
+TEST(ServerTransport, ClientRejectsMalformedFingerprint)
+{
+    // A fake server answers HELLO with a fingerprint that is not 16
+    // hex digits.  Read leniently it would become 0, and a later
+    // pinned SWEEP would send fingerprint 0; the client must refuse.
+    srv::Listener l = srv::Listener::tcp(0);
+    std::thread fake([&l] {
+        srv::Conn conn = l.accept(kIoMs);
+        std::string line;
+        srv::Request req;
+        std::string err;
+        if (conn.valid() &&
+            conn.readLine(line, kIoMs, 1024) ==
+                srv::Conn::ReadStatus::Line &&
+            srv::parseRequest(line, req, err))
+            conn.writeLine(srv::formatResponse(
+                srv::Response::Kind::Ok, req.id,
+                {{"proto", std::to_string(srv::PROTO_VERSION)},
+                 {"fingerprint", "zz"}}));
+    });
+    srv::Client client = srv::Client::connectTcp(l.port());
+    EXPECT_THROW(client.hello(), srv::NetError);
+    fake.join();
+}
+
 // ---------------------------------------------------------------- //
 // Wire-format units (no server needed)                             //
 // ---------------------------------------------------------------- //
