@@ -1,7 +1,5 @@
 #include "sim/checkpoint.hh"
 
-#include <algorithm>
-
 namespace mcd::sim
 {
 
@@ -79,7 +77,6 @@ FuncState::advance(std::uint64_t n, const MarkerFn &on_marker)
         if (got == 0)
             break;  // end of program
     }
-    index_ += d.instrs;
     streamEnded = stream.done();
     return d;
 }
@@ -94,29 +91,15 @@ CheckpointSet::build(std::shared_ptr<const workload::Program> keepalive,
     set->sampling_ = cfg.sampling;
     set->window_ = window;
 
-    const SamplingConfig &sp = cfg.sampling;
-    const std::uint64_t probe = sp.probeInstrs();
-    const std::uint64_t interval = sp.intervalInstrs;
     FuncState f(cfg, *keepalive, input);
     std::uint64_t v = 0;
     std::uint64_t k = 0;
     for (;;) {
-        // Mirror of Processor::runSampled's probe placement: interval
-        // k's probe sits at a jittered offset inside the interval;
-        // past the last interval the walk degenerates to a tail skip
-        // to the window end (probeLen == 0 marks it).
-        std::uint64_t interval_start = k * interval;
-        std::uint64_t target = window;
-        std::uint64_t probe_want = 0;
-        if (interval_start < window) {
-            std::uint64_t len =
-                std::min(interval, window - interval_start);
-            std::uint64_t off = std::min(
-                sampleProbeOffset(k, interval - probe),
-                len > probe ? len - probe : 0);
-            target = interval_start + off;
-            probe_want = std::min(probe, len - off);
-        }
+        // Past the last interval the walk is a tail skip to the
+        // window end (probeLen == 0 marks it).
+        ProbeSlot slot = probeSlot(cfg.sampling, k, window);
+        std::uint64_t target = slot.start;
+        std::uint64_t probe_want = slot.len;
 
         std::uint64_t span_start = v;
         std::vector<SpanEvent> pre_markers;
@@ -134,8 +117,7 @@ CheckpointSet::build(std::shared_ptr<const workload::Program> keepalive,
 
         // Aggregate-init: FuncState has no default constructor, so
         // the probe-start snapshot doubles as the member initializer.
-        Point p{span_start, 0, sd.instrs, sd,
-                std::move(pre_markers), f};
+        Point p{0, sd.instrs, sd, std::move(pre_markers), f};
         if (!ended && probe_want > 0) {
             FuncDeltas pd =
                 f.advance(probe_want, FuncState::MarkerFn{});

@@ -85,9 +85,6 @@ class FuncState
      */
     FuncDeltas advance(std::uint64_t n, const MarkerFn &on_marker);
 
-    /** Instructions consumed since construction (virtual index). */
-    std::uint64_t index() const { return index_; }
-
     // State bundle, copied into the Processor at probe start.
     workload::Stream stream;
     Cache l1i;
@@ -99,7 +96,6 @@ class FuncState
 
   private:
     std::uint32_t lineSize;
-    std::uint64_t index_ = 0;
     workload::StreamBatch batch;     ///< decode scratch
 };
 
@@ -130,7 +126,6 @@ class CheckpointSet
      */
     struct Point
     {
-        std::uint64_t startIndex = 0;  ///< virtual index at point start
         std::uint64_t probeLen = 0;    ///< detailed instrs (0 = tail)
         std::uint64_t skipLen = 0;     ///< pre-skip instrs before probe
         FuncDeltas skipDeltas;         ///< counters over the pre-skip

@@ -71,11 +71,8 @@ Frontend::applyMarker(const MarkerAction &a, Tick now)
         double r = v / p.power_.config().vMax;
         p.power_.extra(Domain::FrontEnd, a.energyPj * r * r);
     }
-    if (a.reconfig) {
-        for (Domain d : scaledDomains())
-            p.kernel.setTarget(d, a.freqs[domainIndex(d)]);
-        ++p.reconfigCount;
-    }
+    if (a.reconfig)
+        p.reconfigure(a.freqs);
 }
 
 bool

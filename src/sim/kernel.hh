@@ -76,7 +76,10 @@ class DomainComponent
 
 /**
  * Edge scheduler and clock owner.  Construct, attach() one component
- * per scaled domain, then run().
+ * per scaled domain, then drive it step-wise: prologue(), stepOne()
+ * until done, finish().  Processor::beginRun / stepEdge / finishRun
+ * wrap exactly these calls, and the chip layer interleaves several
+ * Processors' steps in global time order through them.
  */
 class Kernel
 {
@@ -141,35 +144,10 @@ class Kernel
             wake(d);
     }
 
-    /**
-     * Run the edge loop until @p stop returns true.  @p stop is
-     * evaluated before each edge is chosen (with the time of the
-     * last processed edge); @p post runs after each processed edge
-     * (the watchdog hook).  On return every parked clock has been
-     * fast-forwarded to the final time, so per-clock statistics
-     * (edge counts, average frequency) match the slow path.
-     */
-    template <typename StopFn, typename PostFn>
-    Tick
-    run(StopFn &&stop, PostFn &&post)
-    {
-        prologue();
-        while (!stop(now_)) {
-            stepOne();
-            post(now_);
-        }
-        finish();
-        return now_;
-    }
-
     // --- step-wise driving surface ---
-    //
-    // run() is implemented on exactly these four calls; an external
-    // scheduler (the chip layer interleaves several cores' kernels
-    // in global time order) that drives prologue / stepOne / finish
-    // in the same order is therefore bit-identical to run().
 
-    /** Prologue of run(): park every idle domain (fast-forward on). */
+    /** Before the first edge: park every idle domain (fast-forward
+     *  on). */
     void
     prologue()
     {
@@ -205,7 +183,11 @@ class Kernel
         return now_;
     }
 
-    /** Epilogue of run(): catch parked clocks up to the final time. */
+    /**
+     * After the last edge: fast-forward every parked clock to the
+     * final time, so per-clock statistics (edge counts, average
+     * frequency) match the slow path.
+     */
     void finish();
 
   private:

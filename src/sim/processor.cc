@@ -58,13 +58,16 @@ void
 Processor::applyScheduleUpTo(std::uint64_t v)
 {
     while (schedulePos < schedule.size() &&
-           schedule[schedulePos].atInstr <= v) {
-        for (Domain d : scaledDomains())
-            kernel.setTarget(
-                d, schedule[schedulePos].freqs[domainIndex(d)]);
-        ++reconfigCount;
-        ++schedulePos;
-    }
+           schedule[schedulePos].atInstr <= v)
+        reconfigure(schedule[schedulePos++].freqs);
+}
+
+void
+Processor::reconfigure(const FreqSet &freqs)
+{
+    for (Domain d : scaledDomains())
+        kernel.setTarget(d, freqs[domainIndex(d)]);
+    ++reconfigCount;
 }
 
 void

@@ -190,6 +190,11 @@ class Processor : public DvfsControl
      *  committed plus functionally skipped instructions). */
     void applyScheduleUpTo(std::uint64_t v);
 
+    /** Ramp every scaled domain toward @p freqs and count one
+     *  reconfiguration: the one path schedule points and marker
+     *  writes of the reconfiguration register take. */
+    void reconfigure(const FreqSet &freqs);
+
     // --- sampled-mode machinery (sim/sampling.cc) ---
 
     /** The sampled counterpart of run(): detailed probes separated

@@ -150,17 +150,13 @@ Processor::deliverSkipMarker(const workload::Marker &m)
     if (!markerHandler)
         return;
     MarkerAction a = markerHandler->onMarker(m);
-    if (a.reconfig) {
-        // Only the persistent state effect of the action is applied
-        // during a skip: frequency targets shape everything that
-        // follows.  Transient stall/energy costs of instrumentation
-        // are already represented, at probe marker density, in the
-        // per-instruction estimates the probes measure.
-        MarkerAction reconfig_only;
-        reconfig_only.reconfig = true;
-        reconfig_only.freqs = a.freqs;
-        frontend.applyMarker(reconfig_only, kernel.now());
-    }
+    // Only the persistent state effect of the action is applied
+    // during a skip: frequency targets shape everything that follows.
+    // Transient stall/energy costs of instrumentation are already
+    // represented, at probe marker density, in the per-instruction
+    // estimates the probes measure.
+    if (a.reconfig)
+        reconfigure(a.freqs);
 }
 
 RunResult
@@ -200,7 +196,6 @@ Processor::runSampled(std::uint64_t max_instrs)
     std::vector<double> cpi;       // ps per instr, per interval
     std::vector<double> epi_chip;  // nJ per instr, per interval
     std::vector<double> epi_dram;
-    const std::uint64_t interval = sp.intervalInstrs;
     std::uint64_t k = 0;  // interval index
 
 
@@ -209,21 +204,9 @@ Processor::runSampled(std::uint64_t max_instrs)
         if (v >= max_instrs)
             break;
 
-        // Probe placement for interval k: jittered offset inside
-        // [k*interval, k*interval + len).  Past the last interval the
-        // target degenerates to the window end (tail skip, no probe).
-        std::uint64_t interval_start = k * interval;
-        std::uint64_t target = max_instrs;
-        std::uint64_t this_probe = 0;
-        if (interval_start < max_instrs) {
-            std::uint64_t len =
-                std::min(interval, max_instrs - interval_start);
-            std::uint64_t off = std::min(
-                sampleProbeOffset(k, interval - probe_len),
-                len > probe_len ? len - probe_len : 0);
-            target = interval_start + off;
-            this_probe = std::min(probe_len, len - off);
-        }
+        ProbeSlot slot = probeSlot(sp, k, max_instrs);
+        std::uint64_t target = slot.start;
+        std::uint64_t this_probe = slot.len;
 
         const FuncState *fs;
         if (cps) {

@@ -25,6 +25,7 @@
 #ifndef MCD_SIM_SAMPLING_HH
 #define MCD_SIM_SAMPLING_HH
 
+#include <algorithm>
 #include <cstdint>
 #include <string>
 
@@ -96,6 +97,36 @@ sampleProbeOffset(std::uint64_t k, std::uint64_t max_off)
     z = (z ^ (z >> 27)) * 0x94D049BB133111EBULL;
     z ^= z >> 31;
     return z % (max_off + 1);
+}
+
+/** Where one interval's probe sits: its first virtual instruction
+ *  and its detailed length (0 = no probe). */
+struct ProbeSlot
+{
+    std::uint64_t start = 0;
+    std::uint64_t len = 0;
+};
+
+/**
+ * The probe of interval @p k in a run of @p window virtual
+ * instructions under @p sp's geometry: at a jittered offset
+ * (sampleProbeOffset) inside [k * interval, k * interval + len).
+ * Past the last interval the slot is {window, 0}, a tail skip to the
+ * window end.  The one placement both the inline functional walk and
+ * CheckpointSet::build use, so their probes coincide.
+ */
+inline ProbeSlot
+probeSlot(const SamplingConfig &sp, std::uint64_t k, std::uint64_t window)
+{
+    const std::uint64_t interval = sp.intervalInstrs;
+    const std::uint64_t probe = sp.probeInstrs();
+    const std::uint64_t start = k * interval;
+    if (start >= window)
+        return {window, 0};
+    std::uint64_t len = std::min(interval, window - start);
+    std::uint64_t off = std::min(sampleProbeOffset(k, interval - probe),
+                                 len > probe ? len - probe : 0);
+    return {start + off, std::min(probe, len - off)};
 }
 
 /**

@@ -31,7 +31,7 @@ std::vector<SpecParamInfo> generatorParams();
 /**
  * Generate the benchmark described by @p spec, which must be
  * canonical against `generatorParams()` (the `gen` factory
- * canonicalizes; call through `makeWorkload()` when starting from
+ * canonicalizes; call through `makeBenchmark()` when starting from
  * text).
  */
 Benchmark generate(const WorkloadSpec &spec);

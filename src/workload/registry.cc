@@ -6,6 +6,7 @@
 #include "util/logging.hh"
 #include "util/text.hh"
 #include "workload/author.hh"
+#include "workload/suite.hh"
 
 namespace mcd::workload
 {
@@ -164,8 +165,11 @@ WorkloadRegistry::addProgram(const std::string &program_text)
 }
 
 Benchmark
-makeWorkload(const std::string &spec_text)
+makeBenchmark(const std::string &spec_text)
 {
+    // A suite name, a generator spec and an authored-program handle
+    // all resolve -- and fail -- the same way: an unknown name is a
+    // catchable SpecError listing every registered workload.
     WorkloadSpec spec;
     return canonical(spec_text, spec).make(spec);
 }

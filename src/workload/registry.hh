@@ -112,14 +112,6 @@ struct WorkloadRegistrar
         mcdWorkloadRegistrar_##cls { std::make_unique<cls>() }
 
 /**
- * Resolve @p spec_text — a suite name, `gen:...` spec, or `prog:...`
- * handle — through the registry and construct the benchmark.
- * Throws SpecError on a malformed spec or unknown name (the message
- * lists every registered workload).
- */
-Benchmark makeWorkload(const std::string &spec_text);
-
-/**
  * Parse and canonicalize @p spec_text, returning the canonical spec
  * string (the memo-cache identity of the workload).  Throws
  * SpecError on failure.

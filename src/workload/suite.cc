@@ -854,16 +854,6 @@ isSuiteBenchmark(const std::string &name)
     return false;
 }
 
-Benchmark
-makeBenchmark(const std::string &name)
-{
-    // Route through the registry so a suite name, a generator spec
-    // and an authored-program handle all resolve — and fail — the
-    // same way: an unknown name is a catchable SpecError listing
-    // every registered workload, not a fatal().
-    return makeWorkload(name);
-}
-
 namespace detail
 {
 

@@ -36,12 +36,11 @@ const std::vector<std::string> &suiteNames();
 /**
  * Construct a benchmark from any workload spec — a suite name, a
  * `gen:...` generator spec, or a `prog:...` authored-program handle
- * (this is a compatibility alias for `workload::makeWorkload()`;
- * see workload/registry.hh).  Unknown names and malformed specs
- * throw a catchable `workload::SpecError` whose message lists every
- * registered workload.
+ * — through the workload registry (workload/registry.hh).  Unknown
+ * names and malformed specs throw a catchable `workload::SpecError`
+ * whose message lists every registered workload.
  */
-Benchmark makeBenchmark(const std::string &name);
+Benchmark makeBenchmark(const std::string &spec);
 
 /** True if @p name is one of the suite benchmarks. */
 bool isSuiteBenchmark(const std::string &name);
@@ -51,7 +50,7 @@ namespace detail
 /** The raw suite constructors, bypassing the registry; @p name must
  *  be a suiteNames() entry (panics otherwise).  Only the suite's
  *  registry factories should call this — everything else goes
- *  through makeBenchmark()/makeWorkload(). */
+ *  through makeBenchmark(). */
 Benchmark buildSuiteBenchmark(const std::string &name);
 
 /** One-line description of a suite benchmark for

@@ -51,8 +51,8 @@ smallConfig()
 TEST(Generator, SameSeedBitIdenticalAcrossCalls)
 {
     const char *spec = "gen:phases=5,mem=0.6,fp=0.4,seed=11";
-    Benchmark a = makeWorkload(spec);
-    Benchmark b = makeWorkload(spec);
+    Benchmark a = makeBenchmark(spec);
+    Benchmark b = makeBenchmark(spec);
     EXPECT_EQ(fingerprintOf(a), fingerprintOf(b));
     // And the dynamic stream is item-for-item identical.
     Stream sa(a.program, a.ref), sb(b.program, b.ref);
@@ -74,17 +74,17 @@ TEST(Generator, SameSeedBitIdenticalAcrossCalls)
 
 TEST(Generator, SeedAndParametersChangeTheProgram)
 {
-    std::string base = fingerprintOf(makeWorkload("gen:seed=1"));
-    EXPECT_NE(fingerprintOf(makeWorkload("gen:seed=2")), base);
-    EXPECT_NE(fingerprintOf(makeWorkload("gen:seed=1,phases=8")),
+    std::string base = fingerprintOf(makeBenchmark("gen:seed=1"));
+    EXPECT_NE(fingerprintOf(makeBenchmark("gen:seed=2")), base);
+    EXPECT_NE(fingerprintOf(makeBenchmark("gen:seed=1,phases=8")),
               base);
-    EXPECT_NE(fingerprintOf(makeWorkload("gen:seed=1,mem=0.9")),
+    EXPECT_NE(fingerprintOf(makeBenchmark("gen:seed=1,mem=0.9")),
               base);
 }
 
 TEST(Generator, PhasesShapeTheProgram)
 {
-    Benchmark bm = makeWorkload("gen:phases=6,seed=3");
+    Benchmark bm = makeBenchmark("gen:phases=6,seed=3");
     // phase0..phase5 + main.
     EXPECT_EQ(bm.program.functions.size(), 7u);
     for (int p = 0; p < 6; ++p)
@@ -106,7 +106,7 @@ TEST(Generator, DivergenceGatesPhasesBetweenInputs)
     // With diverge=1 every phase is gated; the train and ref knob
     // values must disagree so the two call trees diverge (the
     // paper's partial-coverage situation).
-    Benchmark bm = makeWorkload("gen:phases=6,diverge=1,seed=5");
+    Benchmark bm = makeBenchmark("gen:phases=6,diverge=1,seed=5");
     ASSERT_FALSE(bm.train.knobs.empty());
     ASSERT_EQ(bm.train.knobs.size(), bm.ref.knobs.size());
     for (std::size_t i = 0; i < bm.train.knobs.size(); ++i) {
@@ -116,7 +116,7 @@ TEST(Generator, DivergenceGatesPhasesBetweenInputs)
     }
     // diverge=0: no gates at all.
     EXPECT_TRUE(
-        makeWorkload("gen:phases=6,diverge=0,seed=5")
+        makeBenchmark("gen:phases=6,diverge=0,seed=5")
             .train.knobs.empty());
 }
 
@@ -124,7 +124,7 @@ TEST(Generator, AuthoredRoundTripOfGeneratedProgram)
 {
     // Generated programs flow through the same authoring printer
     // as hand-written ones: print -> parse -> print is identity.
-    Benchmark bm = makeWorkload("gen:phases=3,seed=9");
+    Benchmark bm = makeBenchmark("gen:phases=3,seed=9");
     std::string text = printProgram(bm);
     EXPECT_EQ(printProgram(parseProgram(text)), text);
 }

@@ -458,7 +458,7 @@ TEST(AuthoredHandles, ContentAddressedAndResolvable)
     // The handle is a first-class workload spec: canonicalizes to
     // itself and resolves through the same path as suite names.
     EXPECT_EQ(canonicalWorkloadSpec(handle), handle);
-    Benchmark bm = makeWorkload(handle);
+    Benchmark bm = makeBenchmark(handle);
     EXPECT_EQ(bm.program.name, "tiny_two_phase");
     EXPECT_EQ(bm.train.seed, 3u);
     // Semantically identical text with different formatting (extra
@@ -473,7 +473,7 @@ TEST(AuthoredHandles, ContentAddressedAndResolvable)
 TEST(AuthoredHandles, UnloadedHandleIsACatchableError)
 {
     try {
-        makeWorkload("prog:name=never_loaded,hash=0123456789abcdef");
+        makeBenchmark("prog:name=never_loaded,hash=0123456789abcdef");
         FAIL() << "unloaded handle did not throw";
     } catch (const SpecError &e) {
         EXPECT_NE(std::string(e.what()).find("not loaded"),
