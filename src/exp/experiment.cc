@@ -20,36 +20,10 @@ namespace
 {
 
 /** Cache schema version: bump when simulation physics or the key or
- *  line format change.  v3: keys carry the canonical PolicySpec
- *  string (policy:key=value,...) instead of per-policy ad-hoc
- *  fragments.  v4: SimConfig::fastForward joined the fingerprint
- *  (energy totals differ between kernel modes in their last bits,
- *  so outcomes from the two modes must never share a cache line).
- *  v5: the bench field is the canonical WorkloadSpec string from
- *  WorkloadRegistry::canonicalize() — bare suite names are
- *  unchanged, but generated (`gen:...`) and authored (`prog:...`)
- *  workloads now cache under a canonical, parameter-complete
- *  identity.  v6: SimConfig::watchdogPs left the fingerprint — a
- *  tripped watchdog aborts the process and never produces an
- *  outcome, so the knob cannot shape a cached line, and hashing it
- *  split the cache for a pure safety setting.  The fingerprint
- *  field list is now machine-checked: tools/mcd_lint.py rule
- *  `fingerprint-complete` walks the config structs, and rule
- *  `cache-version-pin` pins the hashed-field digest to this
- *  version (tools/mcd_lint_pins.json) so any fingerprint-affecting
- *  diff must bump CACHE_VERSION.  v7: the chip::ChipConfig uncore
- *  knobs joined the fingerprint (chip sweep cells — `tile=` keys —
- *  depend on the shared L2-port/DRAM servers and the coordinator
- *  interval; single-core keys pay a one-time re-shuffle).  v8: the
- *  sim::SamplingConfig knobs joined the fingerprint and the line
- *  payload grew the two CI fields (timeCiPs, energyCiNj) — sampled
- *  and exact cells must never exchange outcomes, and sampled lines
- *  must round-trip their confidence intervals.  v9: the
- *  control::LearnedConfig training knobs joined the fingerprint
- *  (learned outcomes are a function of the frozen weights, which
- *  are a function of the training regime; learned cells trained
- *  under different windows/passes must never share cache lines).
- *  (History table: docs/ARCHITECTURE.md, layer 7.) */
+ *  line format change, and re-pin the fingerprint digest
+ *  (tools/mcd_lint.py rule `cache-version-pin`).  What each version
+ *  changed: the `CACHE_VERSION` history table in
+ *  docs/ARCHITECTURE.md, layer 8. */
 constexpr int CACHE_VERSION = 9;
 
 /** The numeric payload of a cache line (after the key), in line

@@ -3,7 +3,6 @@
 #include <cerrno>
 #include <cstdlib>
 #include <fstream>
-#include <locale>
 #include <map>
 #include <memory>
 #include <sstream>
@@ -121,7 +120,7 @@ sections()
              P::num("stream", arg.streamMul, "streaming multiplier", 0,
                     1e6)});
         // `n` has no default: the engine's numbers always carry one,
-        // so parseProgram() checks that it is given.
+        // so readLine() checks that it is given.
         add("block", {P::text("mix", "", "mix id"),
                       P::count("n", 0, "instructions", 1, 1u << 20)});
         const LoopStmt loop{};
@@ -540,7 +539,6 @@ printProgram(const Benchmark &bm)
 {
     const Program &prog = bm.program;
     std::ostringstream os;
-    os.imbue(std::locale::classic());
     if (prog.entry >= prog.functions.size())
         throw SpecError("program '" + prog.name +
                         "' has no valid entry function");
