@@ -129,8 +129,8 @@ sections()
              P::num("scale", loop.scaleExp, "input-scale exponent", 0, 16)});
         const CallStmt call{};
         add("call", {P::text("f", "", "callee"),
-                     P::count("arg", call.arg, "callee args: profile", 0,
-                              255),
+                     P::count("arg", call.arg, "callee's args: profile",
+                              0, 255),
                      P::num("guard", call.guardProb,
                             "execution probability", 0, 1)});
         return r;
