@@ -2,6 +2,8 @@
 
 #include <limits>
 
+#include "util/text.hh"
+
 namespace mcd::srv
 {
 
@@ -15,7 +17,7 @@ u64Field(const Response &resp, const char *key,
          std::uint64_t max = ~0ULL)
 {
     std::uint64_t v = 0;
-    if (!parseU64(resp.field(key), max, v))
+    if (!util::parseU64(resp.field(key), max, v))
         throw NetError(std::string("malformed '") + key +
                        "' in reply: '" + resp.field(key) + "'");
     return v;

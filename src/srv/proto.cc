@@ -1,8 +1,6 @@
 #include "srv/proto.hh"
 
-#include <cerrno>
 #include <cstdio>
-#include <cstdlib>
 
 #include "util/text.hh"
 
@@ -20,21 +18,6 @@ errorCodes()
         err::SHUTTING_DOWN,   err::INTERNAL,
     };
     return codes;
-}
-
-bool
-parseU64(const std::string &text, std::uint64_t max,
-         std::uint64_t &out)
-{
-    if (text.empty() || text[0] < '0' || text[0] > '9')
-        return false;
-    errno = 0;
-    char *end = nullptr;
-    unsigned long long v = std::strtoull(text.c_str(), &end, 10);
-    if (*end != '\0' || errno == ERANGE || v > max)
-        return false;
-    out = v;
-    return true;
 }
 
 bool
@@ -194,7 +177,7 @@ parseRequest(const std::string &line, Request &req,
         } else if (key == "window" &&
                    r.verb == Request::Verb::Sweep) {
             if (sawWindow ||
-                !parseU64(value, ~0ULL, r.window) ||
+                !util::parseU64(value, ~0ULL, r.window) ||
                 r.window == 0) {
                 err_text = "bad window '" + value + "'";
                 return false;
@@ -203,7 +186,7 @@ parseRequest(const std::string &line, Request &req,
         } else if (key == "timeout_ms" &&
                    r.verb == Request::Verb::Sweep) {
             std::uint64_t v = 0;
-            if (sawTimeout || !parseU64(value, 86'400'000, v) ||
+            if (sawTimeout || !util::parseU64(value, 86'400'000, v) ||
                 v == 0) {
                 err_text = "bad timeout_ms '" + value + "'";
                 return false;
@@ -221,7 +204,7 @@ parseRequest(const std::string &line, Request &req,
             r.hasFingerprint = true;
         } else if (key == "tiles" &&
                    r.verb == Request::Verb::Sweep) {
-            if (r.hasTiles || !parseU64(value, 4096, r.tiles)) {
+            if (r.hasTiles || !util::parseU64(value, 4096, r.tiles)) {
                 err_text = "bad tiles '" + value + "'";
                 return false;
             }
@@ -236,7 +219,7 @@ parseRequest(const std::string &line, Request &req,
         } else if (key == "lines" &&
                    r.verb == Request::Verb::Prog) {
             std::uint64_t v = 0;
-            if (sawLines || !parseU64(value, 1'000'000, v) ||
+            if (sawLines || !util::parseU64(value, 1'000'000, v) ||
                 v == 0) {
                 err_text = "bad lines '" + value + "'";
                 return false;

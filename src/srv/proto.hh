@@ -73,11 +73,6 @@ inline constexpr const char *INTERNAL = "internal";
 /** Every error code, for docs/tests that must enumerate them. */
 const std::vector<std::string> &errorCodes();
 
-/** Strict full-string decimal parse into [0, @p max]; false (and
- *  @p out untouched) on anything else. */
-bool parseU64(const std::string &text, std::uint64_t max,
-              std::uint64_t &out);
-
 /** Strict parse of a config fingerprint: exactly 16 lowercase hex
  *  digits. */
 bool parseHex16(const std::string &text, std::uint64_t &out);

@@ -1,6 +1,8 @@
 #include "util/text.hh"
 
+#include <cerrno>
 #include <charconv>
+#include <cstdlib>
 #include <cstring>
 #include <locale>
 #include <sstream>
@@ -53,6 +55,21 @@ parseDouble(const std::string &text, double &v)
     is >> std::noskipws >> v;
     return !is.fail() && is.eof();
 #endif
+}
+
+bool
+parseU64(const std::string &text, std::uint64_t max,
+         std::uint64_t &out)
+{
+    if (text.empty() || text[0] < '0' || text[0] > '9')
+        return false;
+    errno = 0;
+    char *end = nullptr;
+    unsigned long long v = std::strtoull(text.c_str(), &end, 10);
+    if (*end != '\0' || errno == ERANGE || v > max)
+        return false;
+    out = v;
+    return true;
 }
 
 bool

@@ -2,8 +2,8 @@
  * @file
  * Locale-independent text primitives shared by the spec engine
  * (util/spec.hh), the workload authoring format and the cache/wire
- * paths: canonical fixed-point formatting, strict double parsing, the
- * `[a-z0-9_-]+` name rule, and the FNV-1a hash.
+ * paths: canonical fixed-point formatting, strict double and integer
+ * parsing, the `[a-z0-9_-]+` name rule, and the FNV-1a hash.
  */
 
 #ifndef MCD_UTIL_TEXT_HH
@@ -33,6 +33,12 @@ std::string fmtDouble17(double v);
 
 /** Strict, locale-independent full-string double parse. */
 bool parseDouble(const std::string &text, double &v);
+
+/** Strict full-string decimal parse into [0, @p max]: digits only,
+ *  no sign or blanks, never through a double.  False (and @p out
+ *  untouched) on anything else. */
+bool parseU64(const std::string &text, std::uint64_t max,
+              std::uint64_t &out);
 
 /** True iff @p s is a non-empty [a-z0-9_-]+ spec name. */
 bool validSpecName(const std::string &s);

@@ -1,6 +1,5 @@
 #include "workload/author.hh"
 
-#include <cerrno>
 #include <cstdlib>
 #include <fstream>
 #include <map>
@@ -30,11 +29,8 @@ using util::SpecParams;
 bool
 canonicalSeed(std::string &v)
 {
-    if (v.empty() || v.find_first_not_of("0123456789") != std::string::npos)
-        return false;
-    errno = 0;
-    unsigned long long x = std::strtoull(v.c_str(), nullptr, 10);
-    if (errno == ERANGE)
+    std::uint64_t x = 0;
+    if (!util::parseU64(v, ~0ULL, x))
         return false;
     v = std::to_string(x);
     return true;
