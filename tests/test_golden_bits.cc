@@ -19,6 +19,16 @@
  * schedule that keeps every clock ramping, so synchronization
  * margins shrink and grow while instructions wait on them.
  *
+ * The "profile" lines pin the profile pipeline in all six context
+ * modes, run as `profile:mode=M,d=10` runs them at w20000: train on
+ * the training input, then the instrumented production run on the
+ * reference input.  Each line holds the production RunResult, the
+ * runtime's dynamic counts, the plan's static points and table bytes,
+ * and the trained tree's size and long-running count.  mpeg2_decode's
+ * reference input takes paths training never saw, epic_encode's
+ * behaviour differs per call site, and adpcm_decode has fig08's
+ * widest spread across modes.
+ *
  * tests/data/kernel_bits_golden.txt holds the expected lines.  A
  * change that is meant to be bit-identical must pass it unedited; a
  * change that moves results on purpose re-pins it deliberately and
@@ -34,7 +44,9 @@
 
 #include "chip/chip.hh"
 #include "control/offline.hh"
+#include "core/pipeline.hh"
 #include "core/shaker.hh"
+#include "exp/experiment.hh"
 #include "sim/checkpoint.hh"
 #include "sim/processor.hh"
 #include "util/text.hh"
@@ -253,9 +265,57 @@ renderSpecialRuns()
     return lines;
 }
 
+/** One "profile" line per (workload, context mode): the production
+ *  run of the pipeline trained at d=10, as a runner at w20000 runs
+ *  `profile:mode=M,d=10` (its simulator, power model and profiling
+ *  cap; analysis window = production window). */
+std::vector<std::string>
+renderProfileRuns()
+{
+    exp::ExpConfig ecfg;
+    std::vector<std::string> lines;
+    for (const char *name :
+         {"mpeg2_decode", "epic_encode", "adpcm_decode"}) {
+        workload::Benchmark bm = workload::makeBenchmark(name);
+        for (core::ContextMode mode :
+             {core::ContextMode::LFCP, core::ContextMode::LFP,
+              core::ContextMode::FCP, core::ContextMode::FP,
+              core::ContextMode::LF, core::ContextMode::F}) {
+            core::PipelineConfig pc;
+            pc.mode = mode;
+            pc.slowdownPct = 10.0;
+            pc.profile.maxInstrs = ecfg.profileMaxInstrs;
+            pc.analysisWindow = WINDOW;
+            core::ProfilePipeline pipe(bm.program, pc);
+            pipe.train(bm.train, ecfg.sim, ecfg.power);
+            core::RuntimeStats rt;
+            sim::RunResult r = pipe.runProduction(
+                bm.ref, ecfg.sim, ecfg.power, WINDOW, &rt);
+            const core::InstrumentationPlan &plan = pipe.plan();
+            auto count = [](auto v) {
+                return num(static_cast<double>(v));
+            };
+            lines.push_back(
+                std::string("profile ") + name + ' ' +
+                core::contextModeName(mode) + renderRun(r) +
+                " dynReconfigPoints=" + count(rt.dynReconfigPoints) +
+                " dynInstrPoints=" + count(rt.dynInstrPoints) +
+                " staticReconfigPoints=" +
+                count(plan.staticReconfigPoints) +
+                " staticInstrPoints=" + count(plan.staticInstrPoints) +
+                " nextNodeTableBytes=" + count(plan.nextNodeTableBytes) +
+                " freqTableBytes=" + count(plan.freqTableBytes) +
+                " treeNodes=" + count(pipe.tree().size()) +
+                " longRunning=" +
+                count(pipe.tree().longRunningIds().size()));
+        }
+    }
+    return lines;
+}
+
 /** The golden lines of one section, in file order: lines whose first
- *  word is "shaker" or "special" belong to that section, every other
- *  line to the plain-run section (@p section empty). */
+ *  word is "shaker", "special" or "profile" belong to that section,
+ *  every other line to the plain-run section (@p section empty). */
 std::vector<std::string>
 goldenLines(const std::string &section)
 {
@@ -265,7 +325,8 @@ goldenLines(const std::string &section)
     std::string line;
     while (std::getline(in, line)) {
         std::string first = line.substr(0, line.find(' '));
-        if (first != "shaker" && first != "special")
+        if (first != "shaker" && first != "special" &&
+            first != "profile")
             first.clear();
         if (first == section)
             lines.push_back(line);
@@ -297,4 +358,9 @@ TEST(GoldenBits, ShakerHistogramBins)
 TEST(GoldenBits, SpecialPathRuns)
 {
     expectLines(renderSpecialRuns(), goldenLines("special"));
+}
+
+TEST(GoldenBits, ProfilePipelineInEveryContextMode)
+{
+    expectLines(renderProfileRuns(), goldenLines("profile"));
 }
