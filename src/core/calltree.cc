@@ -8,9 +8,6 @@
 namespace mcd::core
 {
 
-using workload::Marker;
-using workload::MarkerKind;
-
 const char *
 contextModeName(ContextMode m)
 {
@@ -54,7 +51,6 @@ CallTree::CallTree(ContextMode m)
     : mode_(m)
 {
     nodes_.emplace_back();  // synthetic root, id 0
-    stack.push_back(0);
 }
 
 const CallTreeNode &
@@ -63,12 +59,6 @@ CallTree::node(std::uint32_t id) const
     if (id >= nodes_.size())
         panic("call-tree node %u out of range", id);
     return nodes_[id];
-}
-
-std::uint32_t
-CallTree::cursor() const
-{
-    return stack.back();
 }
 
 std::uint32_t
@@ -114,78 +104,6 @@ CallTree::findOrCreateChild(std::uint32_t parent, NodeKind kind,
     nodes_.push_back(n);
     nodes_[parent].children.push_back(n.id);
     return n.id;
-}
-
-void
-CallTree::onMarker(const Marker &m)
-{
-    switch (m.kind) {
-      case MarkerKind::CallSite:
-        // Call-site context arrives on the FuncEnter marker itself;
-        // nothing to do here for tree building.
-        return;
-
-      case MarkerKind::FuncEnter: {
-        if (m.func >= funcDepth.size())
-            funcDepth.resize(m.func + 1, 0);
-        if (funcDepth[m.func] > 0) {
-            // Recursive re-entry: fold into the existing ancestor
-            // node for this function (paper Section 3.1).
-            std::uint32_t ancestor = 0;
-            for (auto it = stack.rbegin(); it != stack.rend(); ++it) {
-                const CallTreeNode &n = nodes_[*it];
-                if (*it != 0 && n.kind == NodeKind::Func &&
-                    n.func == m.func) {
-                    ancestor = *it;
-                    break;
-                }
-            }
-            ++funcDepth[m.func];
-            stack.push_back(ancestor ? ancestor : stack.back());
-            return;
-        }
-        std::uint32_t id = findOrCreateChild(
-            stack.back(), NodeKind::Func, m.func, m.site);
-        ++nodes_[id].instances;
-        ++funcDepth[m.func];
-        stack.push_back(id);
-        return;
-      }
-
-      case MarkerKind::FuncExit:
-        if (stack.size() <= 1)
-            panic("call-tree stack underflow on FuncExit");
-        if (m.func < funcDepth.size() && funcDepth[m.func] > 0)
-            --funcDepth[m.func];
-        stack.pop_back();
-        return;
-
-      case MarkerKind::LoopEnter: {
-        if (!modeHasLoops(mode_)) {
-            // No loop nodes: keep depth bookkeeping by re-pushing the
-            // current node so Loop/Exit stay balanced.
-            stack.push_back(stack.back());
-            return;
-        }
-        std::uint32_t id = findOrCreateChild(
-            stack.back(), NodeKind::Loop, m.loop, 0);
-        ++nodes_[id].instances;
-        stack.push_back(id);
-        return;
-      }
-
-      case MarkerKind::LoopExit:
-        if (stack.size() <= 1)
-            panic("call-tree stack underflow on LoopExit");
-        stack.pop_back();
-        return;
-    }
-}
-
-void
-CallTree::onInstr(std::uint64_t n)
-{
-    nodes_[stack.back()].selfInstrs += n;
 }
 
 void

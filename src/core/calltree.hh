@@ -8,6 +8,10 @@
  * are superimposed, and recursion is folded into the initial call.
  * This extends the calling context tree of Ammons et al. with loop
  * nodes and call-site differentiation, exactly as the paper does.
+ *
+ * The tree is data; the rules that map markers to tree positions
+ * live in TreeWalker (core/walker.hh), which grows the tree during
+ * profiling and follows it afterwards.
  */
 
 #ifndef MCD_CORE_CALLTREE_HH
@@ -82,8 +86,9 @@ struct CallTreeNode
 };
 
 /**
- * Call tree: built online from the marker stream during profiling,
- * then analyzed for long-running nodes.
+ * Call tree: plain data, grown from the marker stream during
+ * profiling by a growing TreeWalker (core/walker.hh), then analyzed
+ * for long-running nodes.
  */
 class CallTree
 {
@@ -92,19 +97,6 @@ class CallTree
      * @param mode context definition (determines loop/site keying)
      */
     explicit CallTree(ContextMode mode = ContextMode::LFCP);
-
-    // --- construction (profiling run) ---
-
-    /** Process a structural marker in program order. */
-    void onMarker(const workload::Marker &m);
-
-    /** Attribute @p n instructions to the current node. */
-    void onInstr(std::uint64_t n = 1);
-
-    /** Current cursor node id (0 when at the synthetic root). */
-    std::uint32_t cursor() const;
-
-    // --- analysis ---
 
     /**
      * Identify long-running nodes: working leaf-up, a node is
@@ -134,29 +126,21 @@ class CallTree
     std::string signature(std::uint32_t id,
                           const workload::Program &prog) const;
 
-    /**
-     * Find the child of @p parent matching a step; 0 when absent.
-     * Used by the production-run tree walker.
-     */
+  private:
+    /** The walker resolves steps to children and, when growing,
+     *  creates them and counts instances and instructions. */
+    friend class TreeWalker;
+
+    /** The child of @p parent matching a step; 0 when absent. */
     std::uint32_t findChild(std::uint32_t parent, NodeKind kind,
                             std::uint16_t entity,
                             std::uint16_t site) const;
-
-  private:
     std::uint32_t findOrCreateChild(std::uint32_t parent, NodeKind kind,
                                     std::uint16_t entity,
                                     std::uint16_t site);
 
     ContextMode mode_;
     std::vector<CallTreeNode> nodes_;  ///< [0] = synthetic root
-    /**
-     * Cursor stack of node ids.  A repeated (recursive) function
-     * entry pushes the existing ancestor id (folding), never a new
-     * node.
-     */
-    std::vector<std::uint32_t> stack;
-    /** Per-function on-stack counts for recursion folding. */
-    std::vector<std::uint32_t> funcDepth;
 };
 
 } // namespace mcd::core

@@ -1,5 +1,6 @@
 #include "core/profiler.hh"
 
+#include "core/walker.hh"
 #include "workload/stream.hh"
 
 namespace mcd::core
@@ -11,6 +12,7 @@ profileProgram(const workload::Program &program,
                const ProfileConfig &cfg)
 {
     CallTree tree(mode);
+    TreeWalker walk = TreeWalker::growing(tree);
     workload::Stream stream(program, input);
     workload::StreamItem item;
     std::uint64_t instrs = 0;
@@ -23,14 +25,14 @@ profileProgram(const workload::Program &program,
                 break;
         } else {
             if (pending) {
-                tree.onInstr(pending);
+                walk.onInstr(pending);
                 pending = 0;
             }
-            tree.onMarker(item.marker);
+            walk.onMarker(item.marker);
         }
     }
     if (pending)
-        tree.onInstr(pending);
+        walk.onInstr(pending);
     tree.identifyLongRunning(cfg.longRunningThreshold);
     return tree;
 }

@@ -2,7 +2,8 @@
  * @file
  * Phase 1: conventional performance profiling (the paper's ATOM
  * instrumentation pass).  A fast functional walk of the execution
- * stream builds the call tree and identifies long-running nodes.
+ * stream grows the call tree through a growing TreeWalker and
+ * identifies long-running nodes.
  */
 
 #ifndef MCD_CORE_PROFILER_HH

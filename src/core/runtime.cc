@@ -21,162 +21,74 @@ ProfileRuntime::currentNode() const
 }
 
 sim::MarkerAction
-ProfileRuntime::makeReconfig(const sim::FreqSet &freqs, int cycles)
+ProfileRuntime::instrPoint(int cycles)
 {
+    ++stats_.dynInstrPoints;
     sim::MarkerAction a;
-    a.reconfig = true;
-    a.freqs = freqs;
     a.stallCycles = cycles;
     a.energyPj = cycles * costs.energyPjPerCycle;
+    return a;
+}
+
+sim::MarkerAction
+ProfileRuntime::reconfigPoint(bool enter, const sim::FreqSet &freqs,
+                              int cycles)
+{
+    if (enter) {
+        saved.push_back(shadow);
+        shadow = freqs;
+    } else {
+        shadow = saved.back();
+        saved.pop_back();
+    }
     ++stats_.dynReconfigPoints;
+    sim::MarkerAction a = instrPoint(cycles);
+    a.reconfig = true;
+    a.freqs = shadow;
     return a;
 }
 
 sim::MarkerAction
 ProfileRuntime::onMarker(const Marker &m)
 {
-    return path ? onMarkerPath(m) : onMarkerStatic(m);
-}
+    if (m.kind == MarkerKind::CallSite)
+        return path && plan.instrumentedSites.count(m.site)
+                   ? instrPoint(costs.siteTrackCycles)
+                   : sim::MarkerAction{};
+    bool enter = m.kind == MarkerKind::FuncEnter ||
+                 m.kind == MarkerKind::LoopEnter;
+    bool func = m.kind == MarkerKind::FuncEnter ||
+                m.kind == MarkerKind::FuncExit;
+    std::uint16_t entity = func ? m.func : m.loop;
+    // An exit restores only what an entry saved.
+    bool restorable = enter || !saved.empty();
 
-sim::MarkerAction
-ProfileRuntime::onMarkerPath(const Marker &m)
-{
-    sim::MarkerAction a;
-    switch (m.kind) {
-      case MarkerKind::CallSite:
-        if (plan.instrumentedSites.count(m.site)) {
-            a.stallCycles = costs.siteTrackCycles;
-            a.energyPj = a.stallCycles * costs.energyPjPerCycle;
-            ++stats_.dynInstrPoints;
-        }
-        return a;
-
-      case MarkerKind::FuncEnter: {
-        walker.onMarker(m);
-        if (!plan.instrumentedFuncs.count(m.func))
-            return a;
-        ++stats_.dynInstrPoints;
-        std::uint32_t node = walker.current();
-        if (node != 0 && plan.nodeReconfigures(node)) {
-            const sim::FreqSet &f = plan.nodeFreqs.at(node);
-            saved.push_back(shadow);
-            shadow = f;
-            return makeReconfig(
-                f, costs.funcTrackCycles + costs.reconfigExtraCycles);
-        }
-        a.stallCycles = costs.funcTrackCycles;
-        a.energyPj = a.stallCycles * costs.energyPjPerCycle;
-        return a;
-      }
-
-      case MarkerKind::FuncExit: {
-        std::uint32_t node = walker.current();
-        walker.onMarker(m);
-        if (!plan.instrumentedFuncs.count(m.func))
-            return a;
-        ++stats_.dynInstrPoints;
-        if (node != 0 && plan.nodeReconfigures(node) &&
-            !saved.empty()) {
-            sim::FreqSet restore = saved.back();
-            saved.pop_back();
-            shadow = restore;
-            return makeReconfig(
-                restore,
-                costs.funcTrackCycles + costs.reconfigExtraCycles);
-        }
-        a.stallCycles = costs.funcTrackCycles;
-        a.energyPj = a.stallCycles * costs.energyPjPerCycle;
-        return a;
-      }
-
-      case MarkerKind::LoopEnter: {
-        walker.onMarker(m);
-        if (!plan.instrumentedLoops.count(m.loop))
-            return a;
-        ++stats_.dynInstrPoints;
-        std::uint32_t node = walker.current();
-        if (node != 0 && plan.nodeReconfigures(node)) {
-            const sim::FreqSet &f = plan.nodeFreqs.at(node);
-            saved.push_back(shadow);
-            shadow = f;
-            return makeReconfig(
-                f, costs.loopTrackCycles + costs.reconfigExtraCycles);
-        }
-        a.stallCycles = costs.loopTrackCycles;
-        a.energyPj = a.stallCycles * costs.energyPjPerCycle;
-        return a;
-      }
-
-      case MarkerKind::LoopExit: {
-        std::uint32_t node = walker.current();
-        walker.onMarker(m);
-        if (!plan.instrumentedLoops.count(m.loop))
-            return a;
-        ++stats_.dynInstrPoints;
-        if (node != 0 && plan.nodeReconfigures(node) &&
-            !saved.empty()) {
-            sim::FreqSet restore = saved.back();
-            saved.pop_back();
-            shadow = restore;
-            return makeReconfig(
-                restore,
-                costs.loopTrackCycles + costs.reconfigExtraCycles);
-        }
-        a.stallCycles = costs.loopTrackCycles;
-        a.energyPj = a.stallCycles * costs.energyPjPerCycle;
-        return a;
-      }
+    if (!path) {
+        // L+F and F: every point reconfigures to frequencies known
+        // statically per subroutine or loop.
+        const auto &freqs =
+            func ? plan.staticFuncFreqs : plan.staticLoopFreqs;
+        auto it = freqs.find(entity);
+        if (it == freqs.end() || !restorable)
+            return {};
+        return reconfigPoint(enter, it->second,
+                             costs.staticReconfigCycles);
     }
-    return a;
-}
 
-sim::MarkerAction
-ProfileRuntime::onMarkerStatic(const Marker &m)
-{
-    sim::MarkerAction a;
-    switch (m.kind) {
-      case MarkerKind::FuncEnter: {
-        auto it = plan.staticFuncFreqs.find(m.func);
-        if (it == plan.staticFuncFreqs.end())
-            return a;
-        ++stats_.dynInstrPoints;
-        saved.push_back(shadow);
-        shadow = it->second;
-        return makeReconfig(it->second, costs.staticReconfigCycles);
-      }
-      case MarkerKind::FuncExit: {
-        auto it = plan.staticFuncFreqs.find(m.func);
-        if (it == plan.staticFuncFreqs.end() || saved.empty())
-            return a;
-        ++stats_.dynInstrPoints;
-        sim::FreqSet restore = saved.back();
-        saved.pop_back();
-        shadow = restore;
-        return makeReconfig(restore, costs.staticReconfigCycles);
-      }
-      case MarkerKind::LoopEnter: {
-        auto it = plan.staticLoopFreqs.find(m.loop);
-        if (it == plan.staticLoopFreqs.end())
-            return a;
-        ++stats_.dynInstrPoints;
-        saved.push_back(shadow);
-        shadow = it->second;
-        return makeReconfig(it->second, costs.staticReconfigCycles);
-      }
-      case MarkerKind::LoopExit: {
-        auto it = plan.staticLoopFreqs.find(m.loop);
-        if (it == plan.staticLoopFreqs.end() || saved.empty())
-            return a;
-        ++stats_.dynInstrPoints;
-        sim::FreqSet restore = saved.back();
-        saved.pop_back();
-        shadow = restore;
-        return makeReconfig(restore, costs.staticReconfigCycles);
-      }
-      case MarkerKind::CallSite:
-        return a;
-    }
-    return a;
+    // The node an entry enters or an exit leaves.
+    std::uint32_t node = walker.current();
+    walker.onMarker(m);
+    if (enter)
+        node = walker.current();
+    const auto &points =
+        func ? plan.instrumentedFuncs : plan.instrumentedLoops;
+    if (!points.count(entity))
+        return {};
+    int cycles = func ? costs.funcTrackCycles : costs.loopTrackCycles;
+    if (node != 0 && plan.nodeReconfigures(node) && restorable)
+        return reconfigPoint(enter, plan.nodeFreqs.at(node),
+                             cycles + costs.reconfigExtraCycles);
+    return instrPoint(cycles);
 }
 
 } // namespace mcd::core

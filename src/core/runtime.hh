@@ -74,10 +74,13 @@ class ProfileRuntime : public sim::MarkerHandler
     const RuntimeStats &stats() const { return stats_; }
 
   private:
-    sim::MarkerAction onMarkerPath(const workload::Marker &m);
-    sim::MarkerAction onMarkerStatic(const workload::Marker &m);
-    sim::MarkerAction makeReconfig(const sim::FreqSet &freqs,
-                                   int cycles);
+    /** An executed instrumentation point costing @p cycles. */
+    sim::MarkerAction instrPoint(int cycles);
+    /** An executed reconfiguration point costing @p cycles: on entry
+     *  it saves the register and writes @p freqs, on exit it restores
+     *  the value the matching entry saved. */
+    sim::MarkerAction reconfigPoint(bool enter, const sim::FreqSet &freqs,
+                                    int cycles);
 
     const InstrumentationPlan &plan;
     RuntimeCosts costs;

@@ -14,6 +14,14 @@ TreeWalker::TreeWalker(const CallTree &t)
     stack.push_back(Entry{0, 0});
 }
 
+TreeWalker
+TreeWalker::growing(CallTree &t)
+{
+    TreeWalker w(t);
+    w.grown = &t;
+    return w;
+}
+
 void
 TreeWalker::push(std::uint32_t node)
 {
@@ -27,68 +35,87 @@ TreeWalker::push(std::uint32_t node)
 }
 
 void
+TreeWalker::pop(const char *marker)
+{
+    if (stack.size() <= 1)
+        panic("tree walker underflow on %s", marker);
+    stack.pop_back();
+}
+
+void
+TreeWalker::step(NodeKind kind, std::uint16_t entity,
+                 std::uint16_t site)
+{
+    std::uint32_t cur = stack.back().node;
+    std::uint32_t child = 0;  // inside an unknown subpath: stay unknown
+    if (cur != 0 || stack.size() == 1) {
+        if (grown) {
+            child = grown->findOrCreateChild(cur, kind, entity, site);
+            ++grown->nodes_[child].instances;
+        } else {
+            child = tree.findChild(cur, kind, entity, site);
+        }
+    }
+    push(child);
+}
+
+void
 TreeWalker::onMarker(const Marker &m)
 {
     switch (m.kind) {
       case MarkerKind::CallSite:
+        // Call-site context arrives on the FuncEnter marker itself.
         return;
 
       case MarkerKind::FuncEnter: {
         if (m.func >= funcDepth.size())
             funcDepth.resize(m.func + 1, 0);
-        if (funcDepth[m.func] > 0) {
-            // Recursion folds to the ancestor, mirroring training.
-            std::uint32_t ancestor = 0;
-            for (auto it = stack.rbegin(); it != stack.rend(); ++it) {
-                if (it->node != 0 &&
-                    tree.node(it->node).kind == NodeKind::Func &&
-                    tree.node(it->node).func == m.func) {
-                    ancestor = it->node;
-                    break;
-                }
-            }
-            ++funcDepth[m.func];
-            push(ancestor);
+        if (funcDepth[m.func]++ == 0) {
+            step(NodeKind::Func, m.func, m.site);
             return;
         }
-        ++funcDepth[m.func];
-        std::uint32_t cur = stack.back().node;
-        std::uint32_t child =
-            cur == 0 && stack.size() > 1
-                ? 0  // inside an unknown subpath: stay unknown
-                : tree.findChild(cur, NodeKind::Func, m.func, m.site);
-        push(child);
+        // Recursive re-entry folds into the node of the initial call
+        // (paper Section 3.1), or stays unknown if that was unknown.
+        std::uint32_t ancestor = 0;
+        for (auto it = stack.rbegin(); it != stack.rend(); ++it) {
+            if (it->node != 0 &&
+                tree.node(it->node).kind == NodeKind::Func &&
+                tree.node(it->node).func == m.func) {
+                ancestor = it->node;
+                break;
+            }
+        }
+        push(ancestor);
         return;
       }
 
       case MarkerKind::FuncExit:
-        if (stack.size() <= 1)
-            panic("tree walker underflow on FuncExit");
+        pop("FuncExit");
         if (m.func < funcDepth.size() && funcDepth[m.func] > 0)
             --funcDepth[m.func];
-        stack.pop_back();
         return;
 
-      case MarkerKind::LoopEnter: {
-        if (!modeHasLoops(tree.mode())) {
+      case MarkerKind::LoopEnter:
+        if (modeHasLoops(tree.mode()))
+            step(NodeKind::Loop, m.loop, 0);
+        else
+            // No loop nodes: re-push the current node so Loop/Exit
+            // stay balanced.
             stack.push_back(stack.back());
-            return;
-        }
-        std::uint32_t cur = stack.back().node;
-        std::uint32_t child =
-            cur == 0 && stack.size() > 1
-                ? 0
-                : tree.findChild(cur, NodeKind::Loop, m.loop, 0);
-        push(child);
         return;
-      }
 
       case MarkerKind::LoopExit:
-        if (stack.size() <= 1)
-            panic("tree walker underflow on LoopExit");
-        stack.pop_back();
+        pop("LoopExit");
         return;
     }
+}
+
+void
+TreeWalker::onInstr(std::uint64_t n)
+{
+    if (!grown)
+        panic("TreeWalker::onInstr on a following walk");
+    grown->nodes_[stack.back().node].selfInstrs += n;
 }
 
 } // namespace mcd::core

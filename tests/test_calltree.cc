@@ -10,6 +10,7 @@
 
 #include "core/calltree.hh"
 #include "core/profiler.hh"
+#include "core/walker.hh"
 #include "workload/program.hh"
 #include "workload/stream.hh"
 
@@ -48,13 +49,14 @@ CallTree
 buildTree(const Program &p, ContextMode mode)
 {
     CallTree tree(mode);
+    TreeWalker walk = TreeWalker::growing(tree);
     Stream s(p, InputSet{});
     StreamItem item;
     while (s.next(item)) {
         if (item.kind == StreamItem::Kind::Marker)
-            tree.onMarker(item.marker);
+            walk.onMarker(item.marker);
         else
-            tree.onInstr();
+            walk.onInstr();
     }
     return tree;
 }

@@ -48,17 +48,19 @@ TEST(TreeWalker, FollowsTrainedPathsExactly)
     CallTree tree =
         profileProgram(p, train, ContextMode::LFP, ProfileConfig());
 
-    // Replay the same input: the walker must mirror the builder.
+    // Replay the same input: the following walk must mirror a
+    // growing walk building the same tree afresh.
     TreeWalker w(tree);
     CallTree ref(ContextMode::LFP);
+    TreeWalker grow = TreeWalker::growing(ref);
     Stream s(p, train);
     StreamItem item;
     while (s.next(item)) {
         if (item.kind != StreamItem::Kind::Marker)
             continue;
-        ref.onMarker(item.marker);
+        grow.onMarker(item.marker);
         w.onMarker(item.marker);
-        EXPECT_EQ(w.current(), ref.cursor());
+        EXPECT_EQ(w.current(), grow.current());
     }
 }
 
