@@ -378,11 +378,14 @@ Runner::OnceMap<V>::get(const std::string &key,
 void
 Runner::store(const std::string &key, const Outcome &o)
 {
-    std::string line = outcomeToLine(key, o);
+    std::string line = outcomeToLine(key, o) + '\n';
     std::lock_guard<std::mutex> l(cacheMutex);
     if (!cacheOut.is_open())
         return;
-    cacheOut << line << '\n';
+    // Flushed whole, so the line reaches the file with its newline in
+    // one append: other runners may append to the same file between
+    // our lines, never inside one.
+    cacheOut << line << std::flush;
     if (cacheOut.fail()) {
         warn("writing to the result cache failed; "
              "disabling further appends");

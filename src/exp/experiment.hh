@@ -350,8 +350,8 @@ class Runner
      */
     OnceMap<std::shared_ptr<const void>> artifacts;
     /** The CSV cache, open for appending until a write fails;
-     *  store() appends one line per computed cell under
-     *  `cacheMutex`. */
+     *  store() appends and flushes one whole line per computed cell
+     *  under `cacheMutex`. */
     std::mutex cacheMutex;
     std::ofstream cacheOut;
     std::size_t nLoaded = 0;

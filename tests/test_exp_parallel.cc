@@ -148,6 +148,44 @@ TEST(ExpParallel, ConcurrentStoresLoseNoLines)
     std::remove(path.c_str());
 }
 
+TEST(ExpParallel, RunnersSharingACacheFileKeepLinesWhole)
+{
+    // The sweep server gives each window its own Runner on one cache
+    // file.  A's lines are far more than a stream buffer holds; if a
+    // line reached the file before its newline, B's line would land
+    // inside it and glue the two into one line under a junk key.
+    std::string path = tempCachePath("shared");
+    std::remove(path.c_str());
+    ExpConfig a_cfg = smallConfig();
+    a_cfg.productionWindow = 500;
+    a_cfg.cacheFile = path;
+    ExpConfig b_cfg = a_cfg;
+    b_cfg.productionWindow = 501;
+    std::vector<SweepCell> cells;
+    for (const std::string &bench : workload::suiteNames()) {
+        cells.push_back(SweepCell::of(bench, "baseline"));
+        for (int aggr = 1; aggr <= 5; ++aggr)
+            cells.push_back(SweepCell::of(
+                bench, "online:aggr=" + std::to_string(aggr)));
+    }
+    {
+        Runner a(a_cfg);
+        a.runSweep(cells, 1);
+        ASSERT_EQ(a.memoMisses(), cells.size());
+        {
+            Runner b(b_cfg);
+            b.run("gsm_decode", control::PolicySpec::of("baseline"));
+        }
+    }
+    EXPECT_EQ(readLines(path).size(), cells.size() + 1);
+    Runner reload(a_cfg);
+    EXPECT_EQ(reload.loadedFromCache(), cells.size() + 1);
+    EXPECT_EQ(reload.rejectedCacheLines(), 0u);
+    reload.runSweep(cells, 1);
+    EXPECT_EQ(reload.memoMisses(), 0u);
+    std::remove(path.c_str());
+}
+
 TEST(ExpParallel, DuplicateCellsComputeOnce)
 {
     std::string path = tempCachePath("dedup");
