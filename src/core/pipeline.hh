@@ -143,12 +143,6 @@ class ProfilePipeline
     {
         return nodeFreqs;
     }
-    /** Shaker outputs per node (for inspection/tests). */
-    const std::map<std::uint32_t, NodeHistograms> &
-    nodeHistograms() const
-    {
-        return trained_->nodeHists;
-    }
 
   private:
     const workload::Program &program;

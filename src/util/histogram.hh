@@ -51,7 +51,6 @@ class FreqSteps
 
     Mhz minMhz() const { return minMhz_; }
     Mhz maxMhz() const { return maxMhz_; }
-    Mhz stepMhz() const { return stepMhz_; }
 
   private:
     Mhz minMhz_;

@@ -3,24 +3,6 @@
 namespace mcd::workload
 {
 
-const char *
-instrClassName(InstrClass c)
-{
-    switch (c) {
-      case InstrClass::IntAlu: return "ialu";
-      case InstrClass::IntMul: return "imul";
-      case InstrClass::IntDiv: return "idiv";
-      case InstrClass::FpAdd: return "fadd";
-      case InstrClass::FpMul: return "fmul";
-      case InstrClass::FpDiv: return "fdiv";
-      case InstrClass::FpSqrt: return "fsqrt";
-      case InstrClass::Load: return "load";
-      case InstrClass::Store: return "store";
-      case InstrClass::Branch: return "branch";
-      default: return "?";
-    }
-}
-
 Domain
 execDomain(InstrClass c)
 {

@@ -37,9 +37,6 @@ enum class InstrClass : std::uint8_t
 
 constexpr int numInstrClasses = static_cast<int>(InstrClass::NumClasses);
 
-/** Name for printing ("ialu", "fadd", ...). */
-const char *instrClassName(InstrClass c);
-
 /** The clock domain whose issue queue / FUs execute this class. */
 Domain execDomain(InstrClass c);
 

@@ -86,7 +86,6 @@ Stream::pushInstr(const DynInstr &di)
     item.kind = StreamItem::Kind::Instr;
     item.instr = di;
     queue.push_back(item);
-    ++instrsEmitted;
 }
 
 void

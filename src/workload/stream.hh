@@ -85,9 +85,6 @@ class Stream
      */
     std::size_t nextBatch(StreamBatch &out, std::uint64_t max_instrs);
 
-    /** Number of instructions (not markers) emitted so far. */
-    std::uint64_t instrCount() const { return instrsEmitted; }
-
     /** True once the program has completed. */
     bool done() const { return queue.empty() && stack.empty(); }
 
@@ -143,7 +140,6 @@ class Stream
     std::vector<Task> stack;
     std::vector<Frame> frames;
     std::vector<BlockState> blockStates;
-    std::uint64_t instrsEmitted = 0;
 };
 
 } // namespace mcd::workload
