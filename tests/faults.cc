@@ -1,4 +1,4 @@
-#include "srv/faults.hh"
+#include "faults.hh"
 
 #include <chrono>
 #include <thread>

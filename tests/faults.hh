@@ -12,10 +12,11 @@
  * the server's contract: structured errors or clean disconnects,
  * never a crash, never a hang past the watchdog.
  * tests/test_spec_fuzz.cc uses the same shim to mutate spec frames.
+ * Only those two tests compile it; it is not part of the library.
  */
 
-#ifndef MCD_SRV_FAULTS_HH
-#define MCD_SRV_FAULTS_HH
+#ifndef MCD_TESTS_FAULTS_HH
+#define MCD_TESTS_FAULTS_HH
 
 #include <cstdint>
 #include <string>
@@ -64,4 +65,4 @@ bool injectSend(Conn &conn, const std::string &line, Fault f,
 
 } // namespace mcd::srv
 
-#endif // MCD_SRV_FAULTS_HH
+#endif // MCD_TESTS_FAULTS_HH

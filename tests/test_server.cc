@@ -26,8 +26,8 @@
 #include <vector>
 
 #include "exp/experiment.hh"
+#include "faults.hh"
 #include "srv/client.hh"
-#include "srv/faults.hh"
 #include "srv/net.hh"
 #include "srv/proto.hh"
 #include "srv/server.hh"

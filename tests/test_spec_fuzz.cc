@@ -26,8 +26,8 @@
 #include "control/policy.hh"
 #include "exp/experiment.hh"
 #include "exp/tournament.hh"
+#include "faults.hh"
 #include "sim/sampling.hh"
-#include "srv/faults.hh"
 #include "workload/author.hh"
 #include "workload/registry.hh"
 #include "workload/spec.hh"
