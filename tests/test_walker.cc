@@ -1,7 +1,7 @@
 /**
  * @file
  * Tree-walker tests: faithful path following, label-0 semantics on
- * unseen paths, covering-node computation.
+ * unseen paths, covering-node computation, recursion folding.
  */
 
 #include <gtest/gtest.h>
@@ -34,6 +34,30 @@ guardedProgram()
     b.loop(3, 0.0, [&] {
         b.call("helper");
         b.call("rare", 0, 1.0, "rare_on");
+    });
+    return b.build("main");
+}
+
+/** f calls itself with probability 0.6; main calls f directly and
+ *  through g. */
+Program
+recursiveProgram()
+{
+    ProgramBuilder b("recursive");
+    InstructionMix m;
+    MixId mx = b.mix(m);
+
+    b.func("f");
+    b.block(mx, 20);
+    b.call("f", 0, 0.6);
+
+    b.func("g");
+    b.call("f");
+
+    b.func("main");
+    b.loop(20, 0.0, [&] {
+        b.call("f");
+        b.call("g");
     });
     return b.build("main");
 }
@@ -148,5 +172,41 @@ TEST(TreeWalker, BalancedAtProgramEnd)
     while (s.next(item))
         if (item.kind == StreamItem::Kind::Marker)
             w.onMarker(item.marker);
+    EXPECT_EQ(w.depth(), 1u);
+}
+
+TEST(TreeWalker, RecursionFoldsIntoTheInitialCall)
+{
+    Program p = recursiveProgram();
+    CallTree tree =
+        profileProgram(p, InputSet{}, ContextMode::FP, ProfileConfig());
+    // main, main>f, main>g and main>g>f: recursive entries add no
+    // node and count no instance.
+    ASSERT_EQ(tree.size(), 4u);
+    const Function *f = p.findFunction("f");
+    for (auto id : tree.nodeIds()) {
+        if (tree.node(id).func == f->id) {
+            EXPECT_EQ(tree.node(id).instances, 20u);
+        }
+    }
+
+    // Following the same stream, every entry of f, recursive or not,
+    // lands on one of f's two nodes.
+    TreeWalker w(tree);
+    Stream s(p, InputSet{});
+    StreamItem item;
+    int f_entries = 0;
+    while (s.next(item)) {
+        if (item.kind != StreamItem::Kind::Marker)
+            continue;
+        w.onMarker(item.marker);
+        if (item.marker.kind == MarkerKind::FuncEnter &&
+            item.marker.func == f->id) {
+            ++f_entries;
+            ASSERT_NE(w.current(), 0u);
+            EXPECT_EQ(tree.node(w.current()).func, f->id);
+        }
+    }
+    EXPECT_GT(f_entries, 40) << "the program must recurse";
     EXPECT_EQ(w.depth(), 1u);
 }
