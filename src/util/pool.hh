@@ -6,7 +6,7 @@
  * deque (FIFO for submission order locality) and steals from the back
  * of a sibling's deque when it runs dry.  submit() distributes jobs
  * round-robin so a burst of submissions spreads across workers even
- * before stealing kicks in.
+ * before stealing kicks in.  A single shared FIFO idled workers (ROADMAP.md).
  *
  * A pool constructed with one thread (or on a single-core host via
  * threads == 0) runs every job inline inside submit(), in submission

@@ -2,8 +2,9 @@
  * @file
  * Tests for the parallel sweep engine and the memo-cache correctness
  * fixes: jobs=1 vs jobs=8 equivalence, concurrent store() safety,
- * strict cache-line validation, config-fingerprint keying, and
- * graceful handling of unwritable cache paths.
+ * whole lines from runners sharing one cache file, strict cache-line
+ * validation, config-fingerprint keying, and graceful handling of
+ * unwritable cache paths.
  *
  * The memo-abuse section at the bottom is the sweep server's
  * foundation: exact `memoHits()`/`memoMisses()` accounting (the
