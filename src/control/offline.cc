@@ -8,8 +8,8 @@ namespace mcd::control
 namespace
 {
 
-/** Slices the trace into fixed instruction intervals and shakes
- *  each one. */
+/** Cuts the commit stream into fixed instruction intervals and
+ *  shakes each one as its records arrive. */
 class IntervalCollector : public sim::TraceSink
 {
   public:
@@ -22,21 +22,21 @@ class IntervalCollector : public sim::TraceSink
     void
     onInstr(const sim::InstrTiming &t) override
     {
-        segment.push_back(t);
-        if (segment.size() >= interval)
+        analyzer.add(t);
+        if (analyzer.pending() >= interval)
             flush();
     }
 
     void
     flush()
     {
-        if (segment.empty())
+        std::size_t n = analyzer.pending();
+        if (n == 0)
             return;
         OfflineAnalysis::Interval &iv = out.intervals.emplace_back();
         iv.startInstr = startInstr;
-        analyzer.analyze(segment, iv.hists);
-        startInstr += segment.size();
-        segment.clear();
+        analyzer.finish(iv.hists);
+        startInstr += n;
     }
 
     /** Flush the trailing interval and return the analysis. */
@@ -52,7 +52,6 @@ class IntervalCollector : public sim::TraceSink
     std::uint64_t interval;
     OfflineAnalysis out;
     std::uint64_t startInstr = 0;
-    std::vector<sim::InstrTiming> segment;
 };
 
 } // namespace
@@ -74,8 +73,10 @@ offlineHistograms(const OfflineConfig &cfg,
     acfg.sampling = sim::SamplingConfig{};
     sim::Processor analysis(acfg, pcfg, program, input);
     analysis.setTraceSink(&collector);
-    analysis.run(window);
-    return collector.finish();
+    sim::RunResult run = analysis.run(window);
+    OfflineAnalysis out = collector.finish();
+    out.run = run;
+    return out;
 }
 
 std::vector<sim::SchedulePoint>

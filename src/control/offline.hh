@@ -75,12 +75,20 @@ struct OfflineAnalysis
         core::NodeHistograms hists;
     };
     std::vector<Interval> intervals;
+    /**
+     * The analysis run itself: full speed, exact, over the production
+     * window.  Its trace sink only reads commit records, so in exact
+     * mode this is the MCD baseline run, field for field (the
+     * `baseline` policy serves it; tests/test_policy.cc pins it).
+     */
+    sim::RunResult run;
 };
 
 /**
  * Analyze a production run with future knowledge: simulate it at
- * full speed and shake every `intervalInstrs` interval.  Reads
- * @p cfg's `intervalInstrs` and `shaker` only.
+ * full speed, shaking every `intervalInstrs` interval as it commits,
+ * and keep the run.  Reads @p cfg's `intervalInstrs` and `shaker`
+ * only.
  *
  * The analysis run always executes in exact mode: the shaker needs
  * the complete per-instruction event trace, which sampled probes

@@ -3,8 +3,17 @@
  * The MCD baseline policy: all domains at maximum frequency.  Every
  * other policy's metrics are computed relative to this run
  * (Section 4.1).
+ *
+ * It is also the off-line oracle's analysis run: the same
+ * `Processor`, configuration, input and window, with a trace sink
+ * that only reads commit records.  In exact mode a finished
+ * `offline|<bench>` analysis therefore serves this cell without a
+ * simulation (tests/test_policy.cc pins the identity).  The baseline
+ * only looks: it never builds an analysis or waits on one in flight,
+ * so a sweep with no off-line cell never pays for the shaker.
  */
 
+#include "control/offline.hh"
 #include "control/policy.hh"
 #include "sim/processor.hh"
 #include "workload/suite.hh"
@@ -39,6 +48,13 @@ class BaselinePolicy final : public Policy
     run(const std::string &bench, const PolicySpec &,
         const PolicyContext &ctx) const override
     {
+        // A sampled baseline runs on checkpoints; the analysis run is
+        // always exact.
+        if (!ctx.sim.sampling.sampled()) {
+            if (auto analysis = finishedArtifact<OfflineAnalysis>(
+                    ctx, "offline|" + bench))
+                return runOutcome(analysis->run);
+        }
         workload::Benchmark bm = workload::makeBenchmark(bench);
         sim::Processor proc(ctx.sim, ctx.power, bm.program, bm.ref);
         proc.setCheckpoints(checkpointsFor(ctx, bench));

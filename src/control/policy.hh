@@ -219,10 +219,13 @@ struct PolicyContext
     /**
      * Compute-once store for derived artifacts: returns the value
      * stored under @p key, calling @p build only if no request did
-     * or does.  The harness keeps the values in memory while it keeps
-     * its outcomes; a key names one context's artifact, so it never
-     * spells out the context's knobs.  Unset: every request builds.
-     * Policies reach it through `sharedArtifact()`.
+     * or does.  An empty @p build only looks: it returns the value if
+     * a build of @p key has finished, else nullptr, and never builds
+     * or waits.  The harness keeps the values in memory while it
+     * keeps its outcomes; a key names one context's artifact, so it
+     * never spells out the context's knobs.  Unset: every request
+     * builds.  Policies reach it through `sharedArtifact()` and
+     * `finishedArtifact()`.
      */
     std::function<std::shared_ptr<const void>(
         const std::string &key,
@@ -247,6 +250,21 @@ sharedArtifact(const PolicyContext &ctx, const std::string &key,
         return build();
     return std::static_pointer_cast<const T>(ctx.artifacts(
         key, [&]() -> std::shared_ptr<const void> { return build(); }));
+}
+
+/**
+ * The artifact stored under @p key in @p ctx's store if its build has
+ * finished, else nullptr (also when the context has no store).  It
+ * never builds and never waits on a build in flight, so a cell that
+ * can do without the artifact never pays for it.
+ */
+template <class T>
+std::shared_ptr<const T>
+finishedArtifact(const PolicyContext &ctx, const std::string &key)
+{
+    if (!ctx.artifacts)
+        return nullptr;
+    return std::static_pointer_cast<const T>(ctx.artifacts(key, {}));
 }
 
 /**

@@ -43,48 +43,44 @@ constexpr std::uint32_t NONE = UINT32_MAX;
 } // namespace
 
 SegmentAnalyzer::SegmentAnalyzer(const ShakerConfig &c)
-    : cfg(c)
+    : cfg(c), cyclePs(1e6 / c.nominalMhz)
 {
+    // External keeps pf 0: its events carry the fixed DRAM latency
+    // and are never stretched.
+    std::copy(cfg.domainPowerWeight.begin(), cfg.domainPowerWeight.end(),
+              pf0.begin());
+}
+
+std::uint32_t
+SegmentAnalyzer::addEvent(Domain d, double start, double nominal_dur)
+{
+    Event e;
+    e.domain = d;
+    e.start = start;
+    e.nominalDur = nominal_dur;
+    ev.push_back(e);
+    return static_cast<std::uint32_t>(ev.size() - 1);
 }
 
 void
-SegmentAnalyzer::buildDag(const std::vector<InstrTiming> &segment)
+SegmentAnalyzer::addEdge(std::uint32_t from, std::uint32_t to)
 {
-    const double cycle_ps = 1e6 / cfg.nominalMhz;
+    edgeFrom.push_back(from);
+    edgeTo.push_back(to);
+}
 
-    ev.clear();
-    edgeFrom.clear();
-    edgeTo.clear();
-    valueEvent.clear();
-    fetchEvents.clear();
-    commitEvents.clear();
-    for (auto &chain : domainExec)
-        chain.clear();
-    ev.reserve(segment.size() * 5);
-
-    auto weight = [&](Domain d) {
-        return cfg.domainPowerWeight[static_cast<int>(d)];
-    };
-    auto add_event = [&](Domain d, double start, double nominal_dur,
-                         double pf) {
-        Event e;
-        e.domain = d;
-        e.start = start;
-        e.nominalDur = nominal_dur;
-        e.pf0 = e.pf = pf;
-        ev.push_back(e);
-        return static_cast<std::uint32_t>(ev.size() - 1);
-    };
-    auto add_edge = [&](std::uint32_t from, std::uint32_t to) {
-        edgeFrom.push_back(from);
-        edgeTo.push_back(to);
-    };
-
-    // A segment is a contiguous slice of one run's commit stream, so
-    // seqs are consecutive and a producer inside it sits at its seq's
-    // offset from the first.
-    const std::uint64_t first_seq = segment.front().seq;
-    assert(segment.back().seq - first_seq == segment.size() - 1);
+void
+SegmentAnalyzer::add(const InstrTiming &t)
+{
+    // Seqs are consecutive, so a producer inside the segment sits at
+    // its seq's offset from the first.
+    const std::size_t i = valueEvent.size();
+    if (i == 0) {
+        firstSeq = t.seq;
+        segStart = t.fetch;
+    }
+    assert(t.seq - firstSeq == i);
+    lastCommit = t.commit;
 
     // Resource tracking for structural edges: bandwidth chains are
     // width-aware (instruction i's fetch follows instruction
@@ -94,147 +90,129 @@ SegmentAnalyzer::buildDag(const std::vector<InstrTiming> &segment)
     // Redirect modeling: fetch after a mispredicted branch depends on
     // the branch's execution plus a front-end refill event whose
     // length scales with the front-end clock.
-    std::uint32_t pending_redirect_from = NONE;
-    double pending_redirect_start = 0.0;
 
-    for (std::size_t i = 0; i < segment.size(); ++i) {
-        const InstrTiming &t = segment[i];
-        // fetch, dispatch/rename (front end)
-        std::uint32_t e_fetch =
-            add_event(Domain::FrontEnd, static_cast<double>(t.fetch),
-                      cycle_ps, weight(Domain::FrontEnd));
-        std::uint32_t e_disp = add_event(
-            Domain::FrontEnd, static_cast<double>(t.dispatch),
-            cycle_ps, weight(Domain::FrontEnd));
-        // execute (owning domain)
-        double exec_dur = static_cast<double>(t.execDone) -
-                          static_cast<double>(t.issue);
-        std::uint32_t e_exec = add_event(
-            t.domain, static_cast<double>(t.issue),
-            std::max(exec_dur, cycle_ps * 0.5), weight(t.domain));
-        // memory access (loads only); the fixed external-memory
-        // latency of misses is carved out into an unscalable
-        // External event so the shaker never treats DRAM time as
-        // scalable memory-domain work.
-        std::uint32_t e_mem = NONE;
-        std::uint32_t e_ext = NONE;
-        if (t.cls == InstrClass::Load && t.memDone > t.memStart) {
-            double total = static_cast<double>(t.memDone) -
-                           static_cast<double>(t.memStart);
-            double scalable = total;
-            if (t.l2Miss) {
-                scalable = cycle_ps * (cfg.l1LatencyCycles +
-                                       cfg.l2LatencyCycles);
-                scalable = std::min(scalable, total);
-            }
-            e_mem = add_event(Domain::Memory,
-                              static_cast<double>(t.memStart),
-                              std::max(scalable, cycle_ps * 0.5),
-                              weight(Domain::Memory));
-            if (t.l2Miss && total > scalable) {
-                // pf 0: never stretched
-                e_ext = add_event(
-                    Domain::External,
-                    static_cast<double>(t.memStart) + scalable,
-                    total - scalable, 0.0);
-            }
+    // fetch, dispatch/rename (front end)
+    std::uint32_t e_fetch = addEvent(
+        Domain::FrontEnd, static_cast<double>(t.fetch), cyclePs);
+    std::uint32_t e_disp = addEvent(
+        Domain::FrontEnd, static_cast<double>(t.dispatch), cyclePs);
+    // execute (owning domain)
+    double exec_dur = static_cast<double>(t.execDone) -
+                      static_cast<double>(t.issue);
+    std::uint32_t e_exec =
+        addEvent(t.domain, static_cast<double>(t.issue),
+                 std::max(exec_dur, cyclePs * 0.5));
+    // memory access (loads only); the fixed external-memory latency
+    // of misses is carved out into an unscalable External event so
+    // the shaker never treats DRAM time as scalable memory-domain
+    // work.
+    std::uint32_t e_mem = NONE;
+    std::uint32_t e_ext = NONE;
+    if (t.cls == InstrClass::Load && t.memDone > t.memStart) {
+        double total = static_cast<double>(t.memDone) -
+                       static_cast<double>(t.memStart);
+        double scalable = total;
+        if (t.l2Miss) {
+            scalable = cyclePs *
+                       (cfg.l1LatencyCycles + cfg.l2LatencyCycles);
+            scalable = std::min(scalable, total);
         }
-        // commit (front end)
-        std::uint32_t e_commit =
-            add_event(Domain::FrontEnd, static_cast<double>(t.commit),
-                      cycle_ps, weight(Domain::FrontEnd));
+        e_mem = addEvent(Domain::Memory, static_cast<double>(t.memStart),
+                         std::max(scalable, cyclePs * 0.5));
+        if (t.l2Miss && total > scalable)
+            e_ext = addEvent(Domain::External,
+                             static_cast<double>(t.memStart) + scalable,
+                             total - scalable);
+    }
+    // commit (front end)
+    std::uint32_t e_commit = addEvent(
+        Domain::FrontEnd, static_cast<double>(t.commit), cyclePs);
 
-        // intra-instruction chain
-        add_edge(e_fetch, e_disp);
-        add_edge(e_disp, e_exec);
-        if (e_mem != NONE) {
-            add_edge(e_exec, e_mem);
-            if (e_ext != NONE) {
-                add_edge(e_mem, e_ext);
-                add_edge(e_ext, e_commit);
-            } else {
-                add_edge(e_mem, e_commit);
-            }
+    // intra-instruction chain
+    addEdge(e_fetch, e_disp);
+    addEdge(e_disp, e_exec);
+    if (e_mem != NONE) {
+        addEdge(e_exec, e_mem);
+        if (e_ext != NONE) {
+            addEdge(e_mem, e_ext);
+            addEdge(e_ext, e_commit);
         } else {
-            add_edge(e_exec, e_commit);
+            addEdge(e_mem, e_commit);
         }
+    } else {
+        addEdge(e_exec, e_commit);
+    }
 
-        // mispredict redirect: branch exec -> refill -> this fetch
-        if (pending_redirect_from != NONE) {
-            std::uint32_t e_redir = add_event(
-                Domain::FrontEnd, pending_redirect_start,
-                cycle_ps * cfg.mispredictPenalty,
-                weight(Domain::FrontEnd));
-            add_edge(pending_redirect_from, e_redir);
-            add_edge(e_redir, e_fetch);
-            pending_redirect_from = NONE;
-        }
+    // mispredict redirect: branch exec -> refill -> this fetch
+    if (pendingRedirectFrom != NONE) {
+        std::uint32_t e_redir =
+            addEvent(Domain::FrontEnd, pendingRedirectStart,
+                     cyclePs * cfg.mispredictPenalty);
+        addEdge(pendingRedirectFrom, e_redir);
+        addEdge(e_redir, e_fetch);
+        pendingRedirectFrom = NONE;
+    }
 
-        // width-aware structural bandwidth chains
-        fetchEvents.push_back(e_fetch);
-        const std::size_t fetch_w =
-            static_cast<std::size_t>(cfg.fetchWidth);
-        if (fetchEvents.size() > fetch_w)
-            add_edge(fetchEvents[fetchEvents.size() - 1 - fetch_w],
-                     e_fetch);
-        // NOTE: no chain over full mem-access events — cache ports
-        // are pipelined (occupied only at initiation), which the
-        // memory-domain exec (agen) chain below already models.
+    // width-aware structural bandwidth chains
+    fetchEvents.push_back(e_fetch);
+    const std::size_t fetch_w = static_cast<std::size_t>(cfg.fetchWidth);
+    if (fetchEvents.size() > fetch_w)
+        addEdge(fetchEvents[fetchEvents.size() - 1 - fetch_w], e_fetch);
+    // NOTE: no chain over full mem-access events — cache ports are
+    // pipelined (occupied only at initiation), which the memory-domain
+    // exec (agen) chain below already models.
 
-        // data dependences (producers outside the segment are simply
-        // "ready"; no edge).  Unsigned wrap folds dep < first_seq into
-        // the bound.
-        for (std::uint64_t dep : {t.dep1, t.dep2}) {
-            std::uint64_t j = dep - first_seq;
-            if (dep && j < i)
-                add_edge(valueEvent[j], e_exec);
-        }
-        valueEvent.push_back(
-            e_ext != NONE ? e_ext : (e_mem != NONE ? e_mem : e_exec));
+    // data dependences (producers outside the segment are simply
+    // "ready"; no edge).  Unsigned wrap folds dep < firstSeq into the
+    // bound.
+    for (std::uint64_t dep : {t.dep1, t.dep2}) {
+        std::uint64_t j = dep - firstSeq;
+        if (dep && j < i)
+            addEdge(valueEvent[j], e_exec);
+    }
+    valueEvent.push_back(
+        e_ext != NONE ? e_ext : (e_mem != NONE ? e_mem : e_exec));
 
-        // Retire bandwidth chain and ROB occupancy edge.
-        commitEvents.push_back(e_commit);
-        std::size_t idx = commitEvents.size() - 1;
-        const std::size_t retire_w =
-            static_cast<std::size_t>(cfg.retireWidth);
-        const std::size_t rob_sz =
-            static_cast<std::size_t>(cfg.robSize);
-        if (idx >= retire_w)
-            add_edge(commitEvents[idx - retire_w], e_commit);
-        if (idx >= rob_sz)
-            add_edge(commitEvents[idx - rob_sz], e_disp);
+    // Retire bandwidth chain and ROB occupancy edge.
+    commitEvents.push_back(e_commit);
+    std::size_t idx = commitEvents.size() - 1;
+    const std::size_t retire_w = static_cast<std::size_t>(cfg.retireWidth);
+    const std::size_t rob_sz = static_cast<std::size_t>(cfg.robSize);
+    if (idx >= retire_w)
+        addEdge(commitEvents[idx - retire_w], e_commit);
+    if (idx >= rob_sz)
+        addEdge(commitEvents[idx - rob_sz], e_disp);
 
-        // Per-domain issue bandwidth and queue occupancy.
-        auto &dex = domainExec[static_cast<std::size_t>(t.domain)];
-        int qcap = 0, width = 1;
-        switch (t.domain) {
-          case Domain::Integer:
-            qcap = cfg.intIqSize;
-            width = cfg.intIssueWidth;
-            break;
-          case Domain::FloatingPoint:
-            qcap = cfg.fpIqSize;
-            width = cfg.fpIssueWidth;
-            break;
-          case Domain::Memory:
-            qcap = cfg.lsqSize;
-            width = cfg.memIssueWidth;
-            break;
-          default:
-            break;
-        }
-        dex.push_back(e_exec);
-        const std::size_t issue_w = static_cast<std::size_t>(width);
-        const std::size_t queue_cap = static_cast<std::size_t>(qcap);
-        if (dex.size() > issue_w)
-            add_edge(dex[dex.size() - 1 - issue_w], e_exec);
-        if (qcap > 0 && dex.size() > queue_cap)
-            add_edge(dex[dex.size() - 1 - queue_cap], e_disp);
+    // Per-domain issue bandwidth and queue occupancy.
+    auto &dex = domainExec[static_cast<std::size_t>(t.domain)];
+    int qcap = 0, width = 1;
+    switch (t.domain) {
+      case Domain::Integer:
+        qcap = cfg.intIqSize;
+        width = cfg.intIssueWidth;
+        break;
+      case Domain::FloatingPoint:
+        qcap = cfg.fpIqSize;
+        width = cfg.fpIssueWidth;
+        break;
+      case Domain::Memory:
+        qcap = cfg.lsqSize;
+        width = cfg.memIssueWidth;
+        break;
+      default:
+        break;
+    }
+    dex.push_back(e_exec);
+    const std::size_t issue_w = static_cast<std::size_t>(width);
+    const std::size_t queue_cap = static_cast<std::size_t>(qcap);
+    if (dex.size() > issue_w)
+        addEdge(dex[dex.size() - 1 - issue_w], e_exec);
+    if (qcap > 0 && dex.size() > queue_cap)
+        addEdge(dex[dex.size() - 1 - queue_cap], e_disp);
 
-        if (t.mispredict) {
-            pending_redirect_from = e_exec;
-            pending_redirect_start = static_cast<double>(t.execDone);
-        }
+    if (t.mispredict) {
+        pendingRedirectFrom = e_exec;
+        pendingRedirectStart = static_cast<double>(t.execDone);
     }
 }
 
@@ -267,22 +245,29 @@ void
 SegmentAnalyzer::analyze(const std::vector<InstrTiming> &segment,
                          NodeHistograms &out)
 {
-    if (segment.empty())
+    for (const InstrTiming &t : segment)
+        add(t);
+    finish(out);
+}
+
+void
+SegmentAnalyzer::finish(NodeHistograms &out)
+{
+    if (valueEvent.empty())
         return;
 
-    const double cycle_ps = 1e6 / cfg.nominalMhz;
-    buildDag(segment);
     buildCsr();
 
-    const double seg_start =
-        static_cast<double>(segment.front().fetch);
-    const double seg_end =
-        static_cast<double>(segment.back().commit) + cycle_ps;
+    const double seg_start = static_cast<double>(segStart);
+    const double seg_end = static_cast<double>(lastCommit) + cyclePs;
 
     // ---- the shaker ----
+    auto pf0_of = [&](const Event &e) {
+        return pf0[static_cast<std::size_t>(e.domain)];
+    };
     double max_pf = 0.0;
     for (const Event &e : ev)
-        max_pf = std::max(max_pf, e.pf0);
+        max_pf = std::max(max_pf, pf0_of(e));
     double threshold = max_pf * 0.95;
 
     auto slack_out = [&](std::size_t i) {
@@ -303,20 +288,21 @@ SegmentAnalyzer::analyze(const std::vector<InstrTiming> &segment,
     auto stretch_event = [&](Event &e, double avail) {
         if (avail <= 0.0 || e.stretch >= cfg.maxStretch)
             return 0.0;
-        if (e.pf < threshold)
+        // Power factor scales as 1/stretch^2 (exactly pf0 while
+        // unstretched); do not drop (far) below the current threshold
+        // ("scales the event until ... its power factor drops below
+        // the current threshold").
+        const double e_pf0 = pf0_of(e);
+        if (e_pf0 / (e.stretch * e.stretch) < threshold)
             return 0.0;
         double want = (e.dur() + avail) / e.nominalDur;
-        // Power factor scales as 1/stretch^2; do not drop (far) below
-        // the current threshold ("scales the event until ... its
-        // power factor drops below the current threshold").
-        double pf_limit = std::sqrt(e.pf0 / threshold);
+        double pf_limit = std::sqrt(e_pf0 / threshold);
         double s_new = std::min({want, cfg.maxStretch,
                                  std::max(pf_limit, e.stretch)});
         if (s_new <= e.stretch)
             return 0.0;
         double before = e.dur();
         e.stretch = s_new;
-        e.pf = e.pf0 / (e.stretch * e.stretch);
         return e.dur() - before;
     };
 
@@ -373,12 +359,23 @@ SegmentAnalyzer::analyze(const std::vector<InstrTiming> &segment,
         if (e.domain == Domain::External)
             continue;
         Mhz f = cfg.steps.quantize(cfg.nominalMhz / e.stretch);
-        double cycles = e.nominalDur / cycle_ps;
+        double cycles = e.nominalDur / cyclePs;
         out.hist[static_cast<int>(e.domain)].add(f, cycles);
     }
     out.spanPs += static_cast<Tick>(seg_end - seg_start);
-    out.instrs += segment.size();
+    out.instrs += valueEvent.size();
     out.segments += 1;
+
+    // Start the next segment empty; the vectors keep their capacity.
+    ev.clear();
+    edgeFrom.clear();
+    edgeTo.clear();
+    valueEvent.clear();
+    fetchEvents.clear();
+    commitEvents.clear();
+    for (auto &chain : domainExec)
+        chain.clear();
+    pendingRedirectFrom = NONE;
 }
 
 AnalysisCollector::AnalysisCollector(const ShakerConfig &cfg,
@@ -403,17 +400,17 @@ AnalysisCollector::onInstr(const InstrTiming &t)
             h.segments >= limits.maxSegmentsPerNode)
             return;  // node already analyzed enough
     }
-    segment.push_back(t);
-    if (segment.size() >= limits.maxSegmentInstrs)
+    analyzer.add(t);
+    if (analyzer.pending() >= limits.maxSegmentInstrs)
         flush();
 }
 
 void
 AnalysisCollector::flush()
 {
-    if (curNode != 0 && !segment.empty())
-        analyzer.analyze(segment, results[curNode]);
-    segment.clear();
+    // Only records of a tracked node (curNode != 0) are ever added.
+    if (analyzer.pending() != 0)
+        analyzer.finish(results[curNode]);
 }
 
 std::map<std::uint32_t, NodeHistograms>

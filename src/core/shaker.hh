@@ -107,12 +107,15 @@ struct NodeHistograms
  * Builds the event DAG for one contiguous trace segment and runs the
  * shaker over it, accumulating histograms.
  *
- * The DAG is built as an edge list and turned into CSR (compressed
- * sparse row) successor and predecessor arrays.  Those arrays, the
- * events and the structural-chain indices are scratch owned by the
- * analyzer and reused across segments, so an analysis allocates only
- * when its segment outgrows every earlier one; the scratch is freed
- * with the analyzer.
+ * The DAG grows one committed-instruction record at a time (add()),
+ * so a trace sink can feed the analyzer as the run commits and keep
+ * no copy of the segment; finish() shakes what was added.  The DAG
+ * is built as an edge list and turned into CSR (compressed sparse
+ * row) successor and predecessor arrays.  Those arrays, the events
+ * and the structural-chain indices are scratch owned by the analyzer
+ * and reused across segments, so an analysis allocates only when its
+ * segment outgrows every earlier one; the scratch is freed with the
+ * analyzer.
  */
 class SegmentAnalyzer
 {
@@ -120,37 +123,65 @@ class SegmentAnalyzer
     explicit SegmentAnalyzer(const ShakerConfig &cfg = ShakerConfig());
 
     /**
-     * Analyze one segment of committed-instruction timing records
-     * and add the result into @p out.  The segment is a contiguous
-     * slice of one run's commit stream, so its sequence numbers are
-     * consecutive.
+     * Add the next record of the segment being built.  A segment is
+     * a contiguous slice of one run's commit stream, so its sequence
+     * numbers are consecutive.
      */
+    void add(const sim::InstrTiming &t);
+
+    /** Records added since the last finish(). */
+    std::size_t pending() const { return valueEvent.size(); }
+
+    /**
+     * Shake the segment added since the last finish(), add the
+     * result into @p out and start an empty segment.  Does nothing
+     * when no record was added.
+     */
+    void finish(NodeHistograms &out);
+
+    /** add() every record of @p segment, then finish(@p out). */
     void analyze(const std::vector<sim::InstrTiming> &segment,
                  NodeHistograms &out);
 
     const ShakerConfig &config() const { return cfg; }
 
   private:
-    /** One primitive event in the dependence DAG. */
+    /**
+     * One primitive event in the dependence DAG.  Its power factor
+     * is not stored: it starts at its domain's weight (0 for
+     * External, never stretched) and falls as 1/stretch^2.
+     */
     struct Event
     {
         Domain domain = Domain::FrontEnd;
         double start = 0.0;     ///< current position (ps)
         double nominalDur = 0;  ///< duration at nominal frequency (ps)
         double stretch = 1.0;   ///< current stretch factor (>= 1)
-        double pf = 0.0;        ///< current power factor
-        double pf0 = 0.0;       ///< initial power factor
 
         double dur() const { return nominalDur * stretch; }
         double end() const { return start + dur(); }
     };
 
-    void buildDag(const std::vector<sim::InstrTiming> &segment);
+    std::uint32_t addEvent(Domain d, double start, double nominal_dur);
+    void addEdge(std::uint32_t from, std::uint32_t to);
     void buildCsr();
 
     ShakerConfig cfg;
+    /** One nominal-frequency cycle (ps). */
+    double cyclePs;
+    /** Initial power factor per domain, indexed by Domain. */
+    std::array<double, NUM_DOMAINS> pf0{};
 
-    // --- per-segment scratch, reused across analyze() calls ---
+    // --- the segment being added ---
+    std::uint64_t firstSeq = 0;
+    Tick segStart = 0;    ///< first record's fetch
+    Tick lastCommit = 0;  ///< latest record's commit
+    /** A mispredicted branch's exec event, whose refill the next
+     *  fetch waits on (UINT32_MAX: none), and the refill's start. */
+    std::uint32_t pendingRedirectFrom = UINT32_MAX;
+    double pendingRedirectStart = 0.0;
+
+    // --- per-segment scratch, reused across segments ---
     std::vector<Event> ev;
     /** Edges in insertion order; buildCsr() groups them per event
      *  without reordering an event's own edges. */
@@ -198,10 +229,10 @@ class AnalysisCollector : public sim::TraceSink
   private:
     void flush();
 
+    /** Holds the current node's open segment as it is added. */
     SegmentAnalyzer analyzer;
     Limits limits;
     std::uint32_t curNode = 0;
-    std::vector<sim::InstrTiming> segment;
     std::map<std::uint32_t, NodeHistograms> results;
 };
 

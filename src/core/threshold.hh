@@ -29,7 +29,7 @@ struct ThresholdConfig
      * Fraction of the d% budget granted to each domain.  The paper's
      * delay calculation is "by necessity approximate": slowdowns from
      * different domains compose, so granting each domain the full
-     * budget overshoots.  0.4 keeps measured degradation roughly in
+     * budget overshoots.  0.7 keeps measured degradation roughly in
      * keeping with d across the suite.
      */
     double perDomainShare = 0.7;

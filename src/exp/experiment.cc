@@ -1,5 +1,6 @@
 #include "exp/experiment.hh"
 
+#include <chrono>
 #include <iterator>
 
 #if defined(__GLIBC__)
@@ -236,6 +237,8 @@ Runner::Runner(const ExpConfig &c)
         [this](const std::string &key,
                const std::function<std::shared_ptr<const void>()>
                    &build) {
+            if (!build)
+                return artifacts.find(key);
             bool built = false;
             std::shared_ptr<const void> a =
                 artifacts.get(key, build, &built);
@@ -375,6 +378,30 @@ Runner::OnceMap<V>::get(const std::string &key,
     }
 }
 
+template <class V>
+V
+Runner::OnceMap<V>::find(const std::string &key)
+{
+    std::shared_future<V> fut;
+    {
+        std::lock_guard<std::mutex> l(m);
+        auto it = map.find(key);
+        if (it == map.end())
+            return V{};
+        fut = it->second;
+    }
+    if (fut.wait_for(std::chrono::seconds(0)) !=
+        std::future_status::ready)
+        return V{};
+    try {
+        return fut.get();
+    } catch (...) {
+        // A failed computation is not a finished one; its requesters
+        // received the error, and the entry is on its way out.
+        return V{};
+    }
+}
+
 void
 Runner::store(const std::string &key, const Outcome &o)
 {
@@ -426,9 +453,36 @@ Runner::vsBaseline(const std::string &bench, const Outcome &o)
 std::vector<Outcome>
 Runner::runSweep(const std::vector<SweepCell> &cells, unsigned jobs)
 {
+    // Wave 1 runs the cells measured against the baseline, raw, so
+    // every analysis they build has finished before wave 2 runs the
+    // rest and fills wave 1's metrics with one baseline lookup per
+    // cell, as run() does.  A cell of an unknown policy joins wave 1,
+    // where it throws.
+    const unsigned n = jobs ? jobs : cfg.jobs;
+    const control::PolicyRegistry &reg =
+        control::PolicyRegistry::instance();
+    std::vector<std::size_t> first;
+    for (std::size_t i = 0; i < cells.size(); ++i) {
+        const control::Policy *p = reg.find(cells[i].spec.policy);
+        if (!p || p->relativeToBaseline())
+            first.push_back(i);
+    }
     std::vector<Outcome> out(cells.size());
-    util::parallelFor(cells.size(), jobs ? jobs : cfg.jobs,
-                      [&](std::size_t i) { out[i] = run(cells[i]); });
+    // The canonical workload of each first-wave cell; empty for the
+    // second wave's own cells.
+    std::vector<std::string> rawBench(cells.size());
+    util::parallelFor(first.size(), n, [&](std::size_t k) {
+        std::size_t i = first[k];
+        const control::Policy *policy = nullptr;
+        out[i] = runRaw(cells[i].bench, cells[i].spec, rawBench[i],
+                        policy, nullptr);
+    });
+    util::parallelFor(cells.size(), n, [&](std::size_t i) {
+        if (rawBench[i].empty())
+            out[i] = run(cells[i]);
+        else
+            out[i].metrics = vsBaseline(rawBench[i], out[i]);
+    });
     return out;
 }
 
@@ -449,9 +503,23 @@ Outcome
 Runner::run(const std::string &bench,
             const control::PolicySpec &spec, bool *memo_hit)
 {
-    control::PolicySpec canon;
     std::string canonBench;
     const control::Policy *policy = nullptr;
+    Outcome o = runRaw(bench, spec, canonBench, policy, memo_hit);
+    // Metrics are intentionally outside the memo: they derive from
+    // two cached raw outcomes and stay correct however either one
+    // got here.
+    if (policy->relativeToBaseline())
+        o.metrics = vsBaseline(canonBench, o);
+    return o;
+}
+
+Outcome
+Runner::runRaw(const std::string &bench,
+               const control::PolicySpec &spec, std::string &canonBench,
+               const control::Policy *&policy, bool *memo_hit)
+{
+    control::PolicySpec canon;
     std::string key = resolve(bench, spec, canon, canonBench, policy);
     // Policies see the canonical bench spec, so their own
     // makeBenchmark()/evaluate() calls resolve to the same cells.
@@ -461,11 +529,6 @@ Runner::run(const std::string &bench,
         &computed);
     if (memo_hit)
         *memo_hit = !computed;
-    // Metrics are intentionally outside the memo: they derive from
-    // two cached raw outcomes and stay correct however either one
-    // got here.
-    if (policy->relativeToBaseline())
-        o.metrics = vsBaseline(canonBench, o);
     return o;
 }
 

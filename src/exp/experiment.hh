@@ -204,8 +204,14 @@ class Runner
      * @p jobs threads (0 = the config's `jobs`, which itself
      * defaults to hardware_concurrency()).  Results come back in
      * cell order regardless of the thread count, and with one job
-     * the cells run inline, in order, on the calling thread — so
-     * `--jobs 1` output is byte-identical to the old serial loops.
+     * the cells run inline on the calling thread.
+     *
+     * The sweep runs in two waves, each in cell order: first every
+     * cell whose policy is measured against the baseline, raw; then
+     * the other cells (the baselines) and the first wave's metrics.
+     * So every off-line analysis the sweep builds has finished
+     * before a baseline is asked for, and serves it (the baseline
+     * policy reads the analysis run instead of simulating).
      */
     std::vector<Outcome> runSweep(const std::vector<SweepCell> &cells,
                                   unsigned jobs = 0);
@@ -315,6 +321,9 @@ class Runner
          *  to whether this call computed it. */
         V get(const std::string &key, const std::function<V()> &compute,
               bool *computed = nullptr);
+        /** The value of @p key if its computation has finished, else
+         *  V{}; never computes or waits. */
+        V find(const std::string &key);
     };
     /** Canonicalize @p spec and @p bench (throws
      *  workload::SpecError on either), resolve the policy and build
@@ -329,6 +338,12 @@ class Runner
      *  N+1 keys.  Throws workload::SpecError on any bad part. */
     std::vector<std::string> resolveChip(const ChipCell &cell,
                                          ChipPlan &plan) const;
+    /** run(bench, spec, memo_hit) without the metrics; also returns
+     *  the canonical workload and the resolved policy. */
+    Outcome runRaw(const std::string &bench,
+                   const control::PolicySpec &spec,
+                   std::string &canonBench,
+                   const control::Policy *&policy, bool *memo_hit);
     Outcome memoize(const std::string &key,
                     const std::function<Outcome()> &compute,
                     bool *computed = nullptr);

@@ -67,7 +67,7 @@ BranchPredictor::update(std::uint64_t pc, bool taken,
     bi = bump(bi, taken);
     pa = bump(pa, taken);
     hist = static_cast<std::uint16_t>(
-        ((hist << 1) | (taken ? 1 : 0)) &
+        ((static_cast<unsigned>(hist) << 1) | (taken ? 1U : 0U)) &
         ((1U << cfg.historyBits) - 1));
 
     if (taken) {

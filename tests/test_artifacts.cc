@@ -10,7 +10,10 @@
  * policy, registered in this test executable only, pins the store's
  * compute-once protocol: one build per key, separate builds for
  * distinct keys, and a throwing build that reaches every waiter and
- * is rebuilt on the next request.
+ * is rebuilt on the next request.  A finding probe pins the find-only
+ * look-up, which neither builds nor waits, and the baseline policy
+ * must serve a finished off-line analysis run, and only in exact
+ * mode.
  */
 
 #include <gtest/gtest.h>
@@ -19,6 +22,7 @@
 #include <chrono>
 #include <condition_variable>
 #include <exception>
+#include <functional>
 #include <map>
 #include <memory>
 #include <mutex>
@@ -31,6 +35,7 @@
 #include "control/policy.hh"
 #include "core/pipeline.hh"
 #include "exp/experiment.hh"
+#include "sim/sampling.hh"
 #include "util/text.hh"
 #include "workload/suite.hh"
 
@@ -97,7 +102,7 @@ struct ProbeLog
     std::mutex m;
     std::condition_variable cv;
     std::map<std::string, int> builds;
-    /** Requests that reached the probe's run(). */
+    /** Requests that reached a probe's run(). */
     int entered = 0;
     /** A build waits (30 s at most) until this many have entered. */
     int gate = 0;
@@ -127,6 +132,26 @@ ProbeLog probeLog;
 /** The value a probe artifact holds. */
 constexpr double PROBE_VALUE = 1000.0;
 
+/** The probes' schema: the artifact key's mode, and d to tell
+ *  cells apart. */
+std::vector<control::ParamInfo>
+probeParams()
+{
+    return {
+        control::ParamInfo::text("mode", "LF", "artifact key mode",
+                                 control::CONTEXT_MODE),
+        control::ParamInfo::num("d", 5.0, "cell tag", 0.0, 1000.0),
+    };
+}
+
+/** The probe artifact's key, `probe|<mode>|<bench>`. */
+std::string
+probeKey(const PolicySpec &spec, const std::string &bench)
+{
+    return std::string("probe|") +
+           control::compactModeName(spec.mode("mode")) + '|' + bench;
+}
+
 /**
  * `artifact-probe:mode=...,d=...`: shares one artifact per (mode,
  * bench), `probe|<mode>|<bench>`, counting its builds; the outcome's
@@ -150,11 +175,7 @@ class ArtifactProbePolicy final : public control::Policy
     std::vector<control::ParamInfo>
     params() const override
     {
-        return {
-            control::ParamInfo::text("mode", "LF", "artifact key mode",
-                                     control::CONTEXT_MODE),
-            control::ParamInfo::num("d", 5.0, "cell tag", 0.0, 1000.0),
-        };
+        return probeParams();
     }
 
     bool
@@ -167,9 +188,7 @@ class ArtifactProbePolicy final : public control::Policy
     run(const std::string &bench, const PolicySpec &spec,
         const control::PolicyContext &ctx) const override
     {
-        std::string key = std::string("probe|") +
-                          control::compactModeName(spec.mode("mode")) +
-                          '|' + bench;
+        std::string key = probeKey(spec, bench);
         {
             std::lock_guard<std::mutex> l(probeLog.m);
             ++probeLog.entered;
@@ -201,6 +220,61 @@ class ArtifactProbePolicy final : public control::Policy
 };
 
 MCD_REGISTER_POLICY(ArtifactProbePolicy);
+
+/** The time of an `artifact-find` cell that found nothing. */
+constexpr double NOT_FOUND = -1.0;
+
+/**
+ * `artifact-find:mode=...,d=...`: the find-only look-up of the
+ * probe's artifact (control::finishedArtifact).  The outcome's time
+ * is the artifact plus d, or NOT_FOUND; the request enters the probe
+ * log only once its look-up returned.
+ */
+class ArtifactFindPolicy final : public control::Policy
+{
+  public:
+    const char *
+    name() const override
+    {
+        return "artifact-find";
+    }
+
+    const char *
+    description() const override
+    {
+        return "test probe looking up the probe artifact, find-only";
+    }
+
+    std::vector<control::ParamInfo>
+    params() const override
+    {
+        return probeParams();
+    }
+
+    bool
+    relativeToBaseline() const override
+    {
+        return false;
+    }
+
+    Outcome
+    run(const std::string &bench, const PolicySpec &spec,
+        const control::PolicyContext &ctx) const override
+    {
+        std::shared_ptr<const double> v =
+            control::finishedArtifact<double>(ctx, probeKey(spec, bench));
+        {
+            std::lock_guard<std::mutex> l(probeLog.m);
+            ++probeLog.entered;
+        }
+        probeLog.cv.notify_all();
+        Outcome o;
+        o.timePs = v ? *v + spec.num("d") : NOT_FOUND;
+        return o;
+    }
+};
+
+MCD_REGISTER_POLICY(ArtifactFindPolicy);
 
 std::vector<SweepCell>
 probeCells(const char *mode, int first_d, int n)
@@ -411,4 +485,141 @@ TEST(SharedArtifacts, WithoutARunnerEveryRequestBuilds)
     EXPECT_EQ(probe->run("gsm_decode", spec, ctx).timePs,
               PROBE_VALUE + 5);
     EXPECT_EQ(probeLog.buildsOf("probe|LF|gsm_decode"), 2);
+}
+
+TEST(SharedArtifacts, FindOnlyLookupNeverBuildsOrWaits)
+{
+    const std::string key = "probe|LF|gsm_decode";
+    // The build below is held open until three requests entered: its
+    // own, and the two look-ups.
+    probeLog.reset(/*failing=*/false, /*gate_requests=*/3);
+    Runner r(w15000());
+    EXPECT_EQ(r.run(SweepCell::of("gsm_decode", "artifact-find:d=1"))
+                  .timePs,
+              NOT_FOUND);
+    EXPECT_EQ(probeLog.buildsOf(key), 0);
+
+    Outcome built;
+    std::thread builder([&] {
+        built = r.run(SweepCell::of("gsm_decode", "artifact-probe:d=1"));
+    });
+    auto deadline =
+        std::chrono::steady_clock::now() + std::chrono::seconds(30);
+    while (probeLog.buildsOf(key) == 0 &&
+           std::chrono::steady_clock::now() < deadline)
+        std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    EXPECT_EQ(probeLog.buildsOf(key), 1);
+    // The build is in flight and waits for this look-up to enter, so
+    // a look-up that waited would only return when the build timed
+    // out, with the value.
+    EXPECT_EQ(r.run(SweepCell::of("gsm_decode", "artifact-find:d=2"))
+                  .timePs,
+              NOT_FOUND);
+    builder.join();
+    EXPECT_EQ(built.timePs, PROBE_VALUE + 1);
+
+    EXPECT_EQ(r.run(SweepCell::of("gsm_decode", "artifact-find:d=3"))
+                  .timePs,
+              PROBE_VALUE + 3);
+    EXPECT_EQ(probeLog.buildsOf(key), 1);
+}
+
+// ---------------------------------------------------------------- //
+// (d) the baseline serves a finished off-line analysis run         //
+// ---------------------------------------------------------------- //
+
+namespace
+{
+
+/**
+ * A single-threaded store with the Runner's protocol (a build runs
+ * once per key, an empty build only looks) whose map a test can
+ * plant artifacts in and read back.
+ */
+struct PlantedStore
+{
+    std::map<std::string, std::shared_ptr<const void>> values;
+
+    control::PolicyContext
+    context(const ExpConfig &cfg)
+    {
+        control::PolicyContext ctx = exp::policyContext(cfg);
+        ctx.artifacts =
+            [this](const std::string &key,
+                   const std::function<std::shared_ptr<const void>()>
+                       &build) -> std::shared_ptr<const void> {
+            auto it = values.find(key);
+            if (it != values.end())
+                return it->second;
+            if (!build)
+                return nullptr;
+            return values[key] = build();
+        };
+        return ctx;
+    }
+};
+
+/** A finished `offline|` analysis whose run no simulation made. */
+std::shared_ptr<const control::OfflineAnalysis>
+sentinelAnalysis()
+{
+    auto a = std::make_shared<control::OfflineAnalysis>();
+    a->run.timePs = 123'456'789;
+    a->run.chipEnergyNj = 4321.0;
+    return a;
+}
+
+/** The registered baseline policy run on @p bench in @p ctx. */
+Outcome
+runBaseline(const std::string &bench, const control::PolicyContext &ctx)
+{
+    const control::Policy *baseline =
+        control::PolicyRegistry::instance().find("baseline");
+    return baseline->run(bench, control::canonicalPolicySpec("baseline"),
+                         ctx);
+}
+
+} // namespace
+
+TEST(BaselineArtifact, ServesAFinishedAnalysisRun)
+{
+    PlantedStore store;
+    store.values["offline|gsm_decode"] = sentinelAnalysis();
+    Outcome o = runBaseline("gsm_decode", store.context(w15000()));
+    // The sentinel came back: the baseline did not simulate.
+    EXPECT_EQ(o.timePs, 123'456'789.0);
+    EXPECT_EQ(o.energyNj, 4321.0);
+}
+
+TEST(BaselineArtifact, WithoutOneSimulatesAndBuildsNoAnalysis)
+{
+    ExpConfig cfg = w15000();
+    PlantedStore store;
+    Outcome o = runBaseline("gsm_decode", store.context(cfg));
+    workload::Benchmark bm = workload::makeBenchmark("gsm_decode");
+    sim::Processor plain(cfg.sim, cfg.power, bm.program, bm.ref);
+    sim::RunResult want = plain.run(cfg.productionWindow);
+    EXPECT_EQ(o.timePs, static_cast<double>(want.timePs));
+    EXPECT_EQ(o.energyNj, want.chipEnergyNj);
+    EXPECT_EQ(store.values.count("offline|gsm_decode"), 0u);
+    EXPECT_TRUE(store.values.empty());
+}
+
+TEST(BaselineArtifact, SampledModeIgnoresIt)
+{
+    // A sampled baseline runs on checkpoints; the analysis run is
+    // exact, so it must not stand in.
+    ExpConfig cfg = w15000();
+    cfg.sim.sampling = sim::parseSamplingSpec(
+        "sampled:interval=4000,sample=600,warmup=400");
+    PlantedStore store;
+    store.values["offline|gsm_decode"] = sentinelAnalysis();
+    Outcome o = runBaseline("gsm_decode", store.context(cfg));
+    Runner r(cfg);
+    Outcome want = r.run("gsm_decode", PolicySpec::of("baseline"));
+    EXPECT_NE(o.timePs, 123'456'789.0);
+    EXPECT_EQ(o.timePs, want.timePs);
+    EXPECT_EQ(o.energyNj, want.energyNj);
+    EXPECT_EQ(o.timeCiPs, want.timeCiPs);
+    EXPECT_EQ(o.energyCiNj, want.energyCiNj);
 }

@@ -14,9 +14,11 @@
 #include <vector>
 
 #include "control/globaldvs.hh"
+#include "control/offline.hh"
 #include "control/policy.hh"
 #include "exp/experiment.hh"
 #include "sim/sampling.hh"
+#include "util/text.hh"
 #include "workload/spec.hh"
 #include "workload/split.hh"
 #include "workload/suite.hh"
@@ -494,5 +496,77 @@ TEST(GlobalPolicy, FreshRunnerComputesTheBaselineOnce)
         // full-speed probe and for global's metrics.
         EXPECT_EQ(r.memoMisses(), 3u) << pin.spec;
         EXPECT_EQ(r.memoHits(), 2u) << pin.spec;
+    }
+}
+
+// ---------------------------------------------------------------- //
+// The off-line oracle's analysis run                               //
+// ---------------------------------------------------------------- //
+
+namespace
+{
+
+/** Every RunResult field, to 17 digits. */
+std::string
+runFields(const sim::RunResult &r)
+{
+    std::string s;
+    auto put = [&](const char *name, double v) {
+        s += ' ';
+        s += name;
+        s += '=';
+        s += util::fmtDouble17(v);
+    };
+    put("timePs", static_cast<double>(r.timePs));
+    put("chipEnergyNj", r.chipEnergyNj);
+    put("dramEnergyNj", r.dramEnergyNj);
+    put("instrs", static_cast<double>(r.instrs));
+    put("feCycles", static_cast<double>(r.feCycles));
+    put("ipc", r.ipc);
+    put("branches", static_cast<double>(r.branches));
+    put("mispredicts", static_cast<double>(r.mispredicts));
+    put("l1dAccesses", static_cast<double>(r.l1dAccesses));
+    put("l1dMisses", static_cast<double>(r.l1dMisses));
+    put("l2Misses", static_cast<double>(r.l2Misses));
+    put("icacheMisses", static_cast<double>(r.icacheMisses));
+    put("dramAccesses", static_cast<double>(r.dramAccesses));
+    put("reconfigs", static_cast<double>(r.reconfigs));
+    put("overheadCycles", static_cast<double>(r.overheadCycles));
+    put("ffEdges", static_cast<double>(r.ffEdges));
+    put("sampled", r.sampled ? 1.0 : 0.0);
+    put("sampleIntervals", static_cast<double>(r.sampleIntervals));
+    put("skippedInstrs", static_cast<double>(r.skippedInstrs));
+    put("timeCiPs", static_cast<double>(r.timeCiPs));
+    put("energyCiNj", r.energyCiNj);
+    for (double f : r.avgFreq)
+        put("avgFreq", f);
+    for (double e : r.domainEnergyNj)
+        put("domainEnergyNj", e);
+    return s;
+}
+
+} // namespace
+
+TEST(OfflinePolicy, AnalysisRunIsTheBaselineRunExact)
+{
+    // The baseline policy serves its cell from a finished off-line
+    // analysis, so the analysis run must be the plain full-speed run
+    // in every field: its trace sink only reads commit records.  Pin
+    // it on every suite and holdout workload.
+    ExpConfig cfg;
+    cfg.productionWindow = 15'000;
+    control::OfflineConfig oc;
+    oc.intervalInstrs = cfg.offlineInterval;
+    std::vector<std::string> names = workload::suiteNames();
+    for (const std::string &h : workload::holdoutSplit())
+        names.push_back(h);
+    for (const std::string &name : names) {
+        workload::Benchmark bm = workload::makeBenchmark(name);
+        sim::Processor plain(cfg.sim, cfg.power, bm.program, bm.ref);
+        std::string want = runFields(plain.run(cfg.productionWindow));
+        control::OfflineAnalysis a = control::offlineHistograms(
+            oc, bm.program, bm.ref, cfg.sim, cfg.power,
+            cfg.productionWindow);
+        EXPECT_EQ(runFields(a.run), want) << name;
     }
 }

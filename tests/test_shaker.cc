@@ -2,10 +2,14 @@
  * @file
  * Shaker tests: histogram invariants over real trace segments, the
  * quarter-frequency floor, external-memory exclusion, resource-edge
- * behaviour.
+ * behaviour, and one analyzer streaming segment after segment.
  */
 
 #include <gtest/gtest.h>
+
+#include <cstddef>
+#include <iterator>
+#include <string>
 
 #include "core/shaker.hh"
 #include "sim/processor.hh"
@@ -134,6 +138,45 @@ TEST(Shaker, SlackedWorkloadShakesDeeper)
     double mem_mean =
         mem_out.hist[static_cast<int>(Domain::Integer)].meanFreq();
     EXPECT_LT(mem_mean, int_mean);
+}
+
+TEST(Shaker, ReusedAnalyzerMatchesAFreshOnePerSegment)
+{
+    // A collector streams every segment through one analyzer, so
+    // finish() must leave nothing of a segment behind: not its
+    // events, edges or chains, and not a mispredict whose refill the
+    // next fetch would wait on.  Cut mcf's trace right after a
+    // mispredicted branch, then into shorter and longer segments.
+    auto trace = traceOf("mcf", 8000);
+    std::size_t cut = 100;
+    while (cut < trace.size() && !trace[cut].mispredict)
+        ++cut;
+    ASSERT_LT(cut + 4000, trace.size());
+    const std::size_t bounds[] = {0, cut + 1, cut + 2001, cut + 2301,
+                                  trace.size()};
+    SegmentAnalyzer reused;
+    for (std::size_t s = 0; s + 1 < std::size(bounds); ++s) {
+        SCOPED_TRACE("segment " + std::to_string(s));
+        std::vector<InstrTiming> seg(
+            trace.begin() + static_cast<std::ptrdiff_t>(bounds[s]),
+            trace.begin() + static_cast<std::ptrdiff_t>(bounds[s + 1]));
+        NodeHistograms got, want;
+        for (const InstrTiming &t : seg)
+            reused.add(t);
+        EXPECT_EQ(reused.pending(), seg.size());
+        reused.finish(got);
+        EXPECT_EQ(reused.pending(), 0u);
+        SegmentAnalyzer fresh;
+        fresh.analyze(seg, want);
+        EXPECT_EQ(got.spanPs, want.spanPs);
+        EXPECT_EQ(got.instrs, want.instrs);
+        EXPECT_EQ(got.segments, want.segments);
+        for (std::size_t d = 0; d < got.hist.size(); ++d)
+            for (int b = 0; b < got.hist[d].steps().numSteps(); ++b)
+                EXPECT_EQ(got.hist[d].binCycles(b),
+                          want.hist[d].binCycles(b))
+                    << "domain " << d << " bin " << b;
+    }
 }
 
 TEST(AnalysisCollector, SegmentsByNodeAndHonorsCaps)
