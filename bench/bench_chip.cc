@@ -31,13 +31,8 @@
 #include <string>
 #include <vector>
 
-#include "args.hh"
 #include "chip/multi.hh"
-#include "control/policy.hh"
-#include "exp/experiment.hh"
-#include "util/table.hh"
-#include "workload/registry.hh"
-#include "workload/spec.hh"
+#include "common.hh"
 
 using namespace mcd;
 
@@ -64,8 +59,16 @@ printUsage(const char *argv0, std::FILE *to)
         "  --window N       instructions per tile (default 20000)\n"
         "  --jobs N         runner parallelism (default 1; chip "
         "rows are deterministic at any value)\n"
+        "  --sample SPEC    sampling mode; only `exact` is accepted "
+        "(chip cells\n"
+        "                   do not support sampling, see "
+        "docs/SAMPLING.md)\n"
+        "  --no-fast-forward  disable the kernel's idle-edge "
+        "fast-forward (identical results, slower)\n"
         "  --cache FILE     result cache path (default "
         "$MCD_BENCH_CACHE or none)\n"
+        "  --no-cache       ignore and do not write the result "
+        "cache\n"
         "  --json FILE      write both tables as JSON\n"
         "  --canon SPEC     print the canonical multi: form of SPEC "
         "and exit\n"
@@ -176,50 +179,37 @@ main(int argc, char **argv)
     std::string jsonPath;
 
     cli::Args args(argc, argv, printUsage);
-    while (args.next()) {
-        if (args.is("--multi")) {
-            multi = args.value();
-        } else if (args.is("--scale")) {
-            scale = args.value();
-        } else if (args.is("--tiles-max")) {
-            tilesMax = static_cast<int>(args.number(64));
-        } else if (args.is("--policy")) {
-            policyText = args.value();
-        } else if (args.is("--coord")) {
-            coordText = args.value();
-        } else if (args.is("--window")) {
-            cfg.productionWindow = args.number(100'000'000ull);
-            cfg.analysisWindow = cfg.productionWindow;
-        } else if (args.is("--jobs")) {
-            cfg.jobs = static_cast<unsigned>(args.number(256));
-            if (cfg.jobs == 0)
-                cfg.jobs = 1;
-        } else if (args.is("--cache")) {
-            cfg.cacheFile = args.value();
-        } else if (args.is("--json")) {
-            jsonPath = args.value();
-        } else if (args.is("--canon")) {
-            const char *text = args.value();
-            try {
-                std::printf("%s\n",
-                            chip::canonicalMultiSpec(text).c_str());
-            } catch (const workload::SpecError &e) {
-                std::fprintf(stderr, "%s: %s\n", argv[0], e.what());
-                return 1;
-            }
-            return 0;
-        } else {
-            args.other();
-        }
-    }
-    if (tilesMax < 1) {
-        std::fprintf(stderr, "%s: --tiles-max must be >= 1\n",
-                     argv[0]);
-        return 1;
-    }
-
     control::PolicySpec policy;
     try {
+        while (args.next()) {
+            if (bench::harnessFlag(args, cfg))
+                continue;
+            if (args.is("--multi")) {
+                multi = args.value();
+            } else if (args.is("--scale")) {
+                scale = args.value();
+            } else if (args.is("--tiles-max")) {
+                tilesMax = static_cast<int>(args.number(64));
+            } else if (args.is("--policy")) {
+                policyText = args.value();
+            } else if (args.is("--coord")) {
+                coordText = args.value();
+            } else if (args.is("--json")) {
+                jsonPath = args.value();
+            } else if (args.is("--canon")) {
+                std::printf(
+                    "%s\n",
+                    chip::canonicalMultiSpec(args.value()).c_str());
+                return 0;
+            } else {
+                args.other();
+            }
+        }
+        if (tilesMax < 1) {
+            std::fprintf(stderr, "%s: --tiles-max must be >= 1\n",
+                         argv[0]);
+            return 1;
+        }
         policy = control::canonicalPolicySpec(policyText);
     } catch (const workload::SpecError &e) {
         std::fprintf(stderr, "%s: %s\n", argv[0], e.what());

@@ -23,10 +23,8 @@
 #include <string>
 #include <vector>
 
-#include "args.hh"
+#include "common.hh"
 #include "exp/tournament.hh"
-#include "sim/sampling.hh"
-#include "workload/spec.hh"
 
 using namespace mcd;
 
@@ -46,7 +44,10 @@ printUsage(const char *argv0, std::FILE *to)
         "  --workload SPEC  add a workload (repeatable; default: the "
         "tournament\n"
         "                   roster, training split + held-out gen: "
-        "workloads)\n"
+        "workloads);\n"
+        "                   a suite name, a generator spec or @FILE "
+        "with an\n"
+        "                   authored program (see docs/WORKLOADS.md)\n"
         "  --window N       production window, instructions "
         "(default 20000)\n"
         "  --jobs N         runner parallelism (default 1; the "
@@ -56,8 +57,12 @@ printUsage(const char *argv0, std::FILE *to)
         "(the roster\n"
         "                   holds feedback controllers, see "
         "docs/SAMPLING.md)\n"
+        "  --no-fast-forward  disable the kernel's idle-edge "
+        "fast-forward (identical results, slower)\n"
         "  --cache FILE     result cache path (default "
         "$MCD_BENCH_CACHE or none)\n"
+        "  --no-cache       ignore and do not write the result "
+        "cache\n"
         "  --json FILE      write the ranking as JSON\n"
         "  --help           print this message and exit\n",
         argv0);
@@ -115,40 +120,26 @@ main(int argc, char **argv)
     std::string jsonPath;
 
     cli::Args args(argc, argv, printUsage);
-    while (args.next()) {
-        if (args.is("--oracle")) {
-            tc.oracle = args.value();
-        } else if (args.is("--policy")) {
-            tc.policies.push_back(args.value());
-        } else if (args.is("--workload")) {
-            tc.workloads.push_back(args.value());
-        } else if (args.is("--window")) {
-            cfg.productionWindow = args.number(100'000'000ull);
-            cfg.analysisWindow = cfg.productionWindow;
-        } else if (args.is("--jobs")) {
-            cfg.jobs = static_cast<unsigned>(args.number(256));
-            if (cfg.jobs == 0)
-                cfg.jobs = 1;
-        } else if (args.is("--sample")) {
-            // Parsed like the figure benches; anything but exact is
-            // then refused by the Tournament constructor below with
-            // the docs/SAMPLING.md rationale.
-            try {
-                cfg.sim.sampling = sim::parseSamplingSpec(args.value());
-            } catch (const workload::SpecError &e) {
-                std::fprintf(stderr, "%s: %s\n", argv[0], e.what());
-                return 1;
-            }
-        } else if (args.is("--cache")) {
-            cfg.cacheFile = args.value();
-        } else if (args.is("--json")) {
-            jsonPath = args.value();
-        } else {
-            args.other();
-        }
-    }
-
     try {
+        // --sample is parsed like the figure benches; anything but
+        // exact is then refused by the Tournament constructor below
+        // with the docs/SAMPLING.md rationale.
+        while (args.next()) {
+            if (bench::harnessFlag(args, cfg))
+                continue;
+            if (args.is("--oracle"))
+                tc.oracle = args.value();
+            else if (args.is("--policy"))
+                tc.policies.push_back(args.value());
+            else if (args.is("--workload"))
+                tc.workloads.push_back(
+                    bench::resolveWorkloadArg(args.value()));
+            else if (args.is("--json"))
+                jsonPath = args.value();
+            else
+                args.other();
+        }
+
         exp::Runner runner(cfg);
         exp::Tournament tournament(runner, tc);
         exp::TournamentResult r = tournament.run();

@@ -3,7 +3,10 @@
  * Shared scaffolding for the benchmark binaries that regenerate the
  * paper's tables and figures.
  *
- * Every binary accepts:
+ * Every binary accepts the flags below.  The harness flags among
+ * them (--window, --no-cache, --cache, --jobs, --no-fast-forward,
+ * --sample) are walked by harnessFlag(), which bench_tournament and
+ * bench_chip call too.
  *   --window N       production window in instructions
  *                    (default 150000)
  *   --no-cache       ignore and do not write the shared result cache
@@ -162,8 +165,8 @@ listWorkloads()
 /** Resolve one --workload argument to its canonical spec string:
  *  `@FILE` loads and registers the authored program, anything else
  *  registry-validates.  Throws workload::SpecError — shared by
- *  parseArgs() and bench_throughput's flag peeler so the two CLIs
- *  cannot drift. */
+ *  parseArgs(), bench_tournament and bench_throughput's flag peeler
+ *  so the CLIs cannot drift. */
 inline std::string
 resolveWorkloadArg(const char *text)
 {
@@ -171,6 +174,39 @@ resolveWorkloadArg(const char *text)
         return workload::WorkloadRegistry::instance().addProgram(
             workload::readProgramFile(text + 1));
     return workload::canonicalWorkloadSpec(text);
+}
+
+/**
+ * Take the current argument if it is a harness flag, one that every
+ * bench binary shares: --window, --jobs, --cache, --no-cache,
+ * --sample or --no-fast-forward, applied to @p cfg.  Returns false,
+ * consuming nothing, for any other argument.  Each binary keeps its
+ * own defaults.  Throws workload::SpecError on a bad --sample spec.
+ */
+inline bool
+harnessFlag(cli::Args &args, exp::ExpConfig &cfg)
+{
+    if (args.is("--no-cache")) {
+        cfg.cacheFile.clear();
+    } else if (args.is("--cache")) {
+        cfg.cacheFile = args.value();
+    } else if (args.is("--window")) {
+        cfg.productionWindow =
+            args.number(std::numeric_limits<std::uint64_t>::max());
+        cfg.analysisWindow = cfg.productionWindow;
+    } else if (args.is("--jobs")) {
+        cfg.jobs = static_cast<unsigned>(
+            args.number(std::numeric_limits<unsigned>::max()));
+        if (cfg.jobs == 0)
+            cfg.jobs = 1;
+    } else if (args.is("--no-fast-forward")) {
+        cfg.sim.fastForward = false;
+    } else if (args.is("--sample")) {
+        cfg.sim.sampling = sim::parseSamplingSpec(args.value());
+    } else {
+        return false;
+    }
+    return true;
 }
 
 inline Options
@@ -187,29 +223,14 @@ parseArgs(int argc, char **argv)
     // mid-sweep.
     try {
         while (args.next()) {
-            if (args.is("--no-cache")) {
-                cfg.cacheFile.clear();
-            } else if (args.is("--cache")) {
-                cfg.cacheFile = args.value();
-            } else if (args.is("--window")) {
-                cfg.productionWindow = args.number(
-                    std::numeric_limits<std::uint64_t>::max());
-                cfg.analysisWindow = cfg.productionWindow;
-            } else if (args.is("--jobs")) {
-                cfg.jobs = static_cast<unsigned>(
-                    args.number(std::numeric_limits<unsigned>::max()));
-                if (cfg.jobs == 0)
-                    cfg.jobs = 1;
-            } else if (args.is("--policy")) {
+            if (harnessFlag(args, cfg))
+                continue;
+            if (args.is("--policy")) {
                 opt.policies.push_back(
                     control::canonicalPolicySpec(args.value()));
             } else if (args.is("--workload")) {
                 opt.workloads.push_back(
                     resolveWorkloadArg(args.value()));
-            } else if (args.is("--no-fast-forward")) {
-                cfg.sim.fastForward = false;
-            } else if (args.is("--sample")) {
-                cfg.sim.sampling = sim::parseSamplingSpec(args.value());
             } else if (args.is("--list-policies")) {
                 listPolicies();
                 std::exit(0);

@@ -97,7 +97,8 @@ Chip::Chip(const ChipConfig &ccfg, const sim::SimConfig &scfg,
     : cfg(ccfg), simCfg(scfg), powerCfg(pcfg), uncorePower(pcfg)
 {
     if (tile_workloads.empty())
-        fatal("chip::Chip needs at least one tile workload");
+        throw util::SpecError(
+            "chip::Chip needs at least one tile workload");
 
     int n = static_cast<int>(tile_workloads.size());
     for (int k = 0; k < n; ++k) {

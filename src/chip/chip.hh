@@ -91,7 +91,8 @@ class Chip
      *              up to the derived jitter seed)
      * @param pcfg  power model configuration (per tile + uncore)
      * @param tile_workloads one canonical workload spec per tile
-     *              (see chip/multi.hh); the tile count is its size
+     *              (see chip/multi.hh); the tile count is its size,
+     *              and util::SpecError is thrown if it is empty
      */
     Chip(const ChipConfig &ccfg, const sim::SimConfig &scfg,
          const power::PowerConfig &pcfg,

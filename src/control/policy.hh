@@ -340,7 +340,7 @@ class PolicyRegistry
   public:
     static PolicyRegistry &instance();
 
-    /** Register @p p; fatal on a duplicate name. */
+    /** Register @p p; panics on a duplicate name. */
     void add(std::unique_ptr<const Policy> p);
 
     /** The policy named @p name, or nullptr. */

@@ -1,6 +1,7 @@
 #include "core/pipeline.hh"
 
 #include "util/logging.hh"
+#include "util/spec.hh"
 
 namespace mcd::core
 {
@@ -74,11 +75,12 @@ ProfilePipeline::runProduction(
     std::shared_ptr<const sim::CheckpointSet> checkpoints)
 {
     if (!trained_)
-        fatal("ProfilePipeline::runProduction() before train()");
+        panic("ProfilePipeline::runProduction() before train() or "
+              "adopt()");
     if (hook && hook_interval == 0)
-        fatal("ProfilePipeline::runProduction(): an interval hook "
-              "needs a positive hook_interval (0 would silently "
-              "disable it)");
+        throw util::SpecError(
+            "ProfilePipeline::runProduction(): an interval hook needs "
+            "a positive hook_interval (0 would silently disable it)");
     ProfileRuntime runtime(trained_->tree, plan_, cfg.costs);
     sim::Processor proc(scfg, pcfg, program, input);
     proc.setMarkerHandler(&runtime);

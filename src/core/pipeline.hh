@@ -122,6 +122,9 @@ class ProfilePipeline
      * @param checkpoints optional prebuilt sampled-mode checkpoint
      *               set for this run (sim/checkpoint.hh); ignored in
      *               exact mode
+     *
+     * Throws util::SpecError if @p hook is given with a zero
+     * @p hook_interval.  @pre train() or adopt() has run.
      */
     sim::RunResult
     runProduction(const workload::InputSet &input,

@@ -626,7 +626,7 @@ Runner::runChip(const ChipCell &cell, std::vector<bool> *row_hits)
                 std::uint64_t instrs = 0;
                 if (!plan.policy->makeTileController(
                         plan.tilePolicy, ctx, &hooks[k], &instrs))
-                    fatal("policy '%s' lost its tile capability "
+                    panic("policy '%s' lost its tile capability "
                           "between resolve and run",
                           plan.tilePolicy.policy.c_str());
                 if (hooks[k])

@@ -1,6 +1,7 @@
 #include "sim/cache.hh"
 
 #include "util/logging.hh"
+#include "util/spec.hh"
 
 namespace mcd::sim
 {
@@ -23,12 +24,14 @@ Cache::Cache(std::uint32_t size_kb, int ways, std::uint32_t line_size)
     : ways_(ways), lineShift(log2u(line_size))
 {
     if (ways < 1 || size_kb == 0 || line_size == 0)
-        fatal("bad cache geometry (%u KB, %d ways, %u B lines)",
-              size_kb, ways, line_size);
+        throw util::SpecError(
+            strprintf("bad cache geometry (%u KB, %d ways, %u B lines)",
+                      size_kb, ways, line_size));
     std::uint64_t capacity = static_cast<std::uint64_t>(size_kb) * 1024;
     std::uint64_t n_lines = capacity / line_size;
     if (n_lines % static_cast<std::uint64_t>(ways) != 0)
-        fatal("cache capacity not divisible by associativity");
+        throw util::SpecError(
+            "cache capacity not divisible by associativity");
     sets = static_cast<std::uint32_t>(
         n_lines / static_cast<std::uint64_t>(ways));
     lines.resize(n_lines);

@@ -36,6 +36,9 @@ class Cache
      * @param size_kb   capacity in KB
      * @param ways      associativity (1 = direct mapped)
      * @param line_size line size in bytes (power of two)
+     *
+     * Throws util::SpecError on a zero size, way count or line size,
+     * or a line count the ways do not divide.
      */
     Cache(std::uint32_t size_kb, int ways, std::uint32_t line_size);
 

@@ -3,6 +3,7 @@
 #include <cmath>
 
 #include "util/logging.hh"
+#include "util/spec.hh"
 
 namespace mcd
 {
@@ -11,8 +12,9 @@ FreqSteps::FreqSteps(Mhz min_mhz, Mhz max_mhz, Mhz step_mhz)
     : minMhz_(min_mhz), maxMhz_(max_mhz), stepMhz_(step_mhz)
 {
     if (min_mhz <= 0 || max_mhz < min_mhz || step_mhz <= 0)
-        fatal("invalid frequency steps [%f, %f] step %f",
-              min_mhz, max_mhz, step_mhz);
+        throw util::SpecError(
+            strprintf("invalid frequency steps [%f, %f] step %f",
+                      min_mhz, max_mhz, step_mhz));
     numSteps_ = static_cast<int>(
         std::floor((max_mhz - min_mhz) / step_mhz + 0.5)) + 1;
 }

@@ -33,6 +33,9 @@ class FreqSteps
      * @param min_mhz  lowest legal frequency
      * @param max_mhz  highest legal frequency
      * @param step_mhz bin width
+     *
+     * Throws util::SpecError unless 0 < min_mhz <= max_mhz and
+     * step_mhz > 0.
      */
     FreqSteps(Mhz min_mhz = 250.0, Mhz max_mhz = 1000.0,
               Mhz step_mhz = 25.0);

@@ -37,17 +37,6 @@ strprintf(const char *fmt, ...)
 }
 
 void
-fatal(const char *fmt, ...)
-{
-    va_list args;
-    va_start(args, fmt);
-    std::string s = vstrprintf(fmt, args);
-    va_end(args);
-    std::fprintf(stderr, "fatal: %s\n", s.c_str());
-    std::exit(1);
-}
-
-void
 panic(const char *fmt, ...)
 {
     va_list args;
@@ -55,6 +44,8 @@ panic(const char *fmt, ...)
     std::string s = vstrprintf(fmt, args);
     va_end(args);
     std::fprintf(stderr, "panic: %s\n", s.c_str());
+    // mcd-lint: allow(library-exit): a broken invariant is a bug, not
+    // bad input; nothing can recover, so the process stops here.
     std::abort();
 }
 
@@ -66,16 +57,6 @@ warn(const char *fmt, ...)
     std::string s = vstrprintf(fmt, args);
     va_end(args);
     std::fprintf(stderr, "warn: %s\n", s.c_str());
-}
-
-void
-inform(const char *fmt, ...)
-{
-    va_list args;
-    va_start(args, fmt);
-    std::string s = vstrprintf(fmt, args);
-    va_end(args);
-    std::fprintf(stdout, "info: %s\n", s.c_str());
 }
 
 } // namespace mcd

@@ -2,9 +2,11 @@
  * @file
  * Minimal gem5-style status/error reporting helpers.
  *
- * fatal() is for user errors (bad configuration); panic() is for
- * internal invariant violations.  Both terminate.  warn()/inform() are
- * purely informational.
+ * panic() is for internal invariant violations: a bug no input can
+ * cause, so it aborts.  warn() reports a recoverable anomaly and
+ * carries on.  Bad input from a caller is neither: library code
+ * throws util::SpecError (util/spec.hh) for it and never ends the
+ * process; only the CLIs' flag walker (tools/args.hh) exits.
  */
 
 #ifndef MCD_UTIL_LOGGING_HH
@@ -20,19 +22,12 @@ namespace mcd
 std::string strprintf(const char *fmt, ...)
     __attribute__((format(printf, 1, 2)));
 
-/** Report a user-level error and exit(1). */
-[[noreturn]] void fatal(const char *fmt, ...)
-    __attribute__((format(printf, 1, 2)));
-
 /** Report an internal invariant violation and abort(). */
 [[noreturn]] void panic(const char *fmt, ...)
     __attribute__((format(printf, 1, 2)));
 
 /** Report a recoverable anomaly. */
 void warn(const char *fmt, ...) __attribute__((format(printf, 1, 2)));
-
-/** Report normal operating status. */
-void inform(const char *fmt, ...) __attribute__((format(printf, 1, 2)));
 
 } // namespace mcd
 

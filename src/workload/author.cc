@@ -4,6 +4,7 @@
 #include <fstream>
 #include <map>
 #include <memory>
+#include <optional>
 #include <sstream>
 
 #include "util/logging.hh"
@@ -223,73 +224,62 @@ readLine(const std::string &s, SpecParams &params, SpecParams &knobs)
     return section;
 }
 
-/** What the lines read so far have built. */
+/** What the lines read so far have built.  The program goes through
+ *  one ProgramBuilder, which checks its structure; the state kept
+ *  here is for the rules only the text has: the `program:` line, the
+ *  two inputs, named mix ids and where `args:` lines may stand. */
 struct ParseState
 {
+    /** Created at the `program:` line. */
+    std::optional<ProgramBuilder> prog;
     Benchmark bm;
     std::string entry;
     std::uint64_t layoutSeed = 0;
-    bool sawProgram = false;
     bool sawTrain = false;
     bool sawRef = false;
+    bool sawFunc = false;
     std::map<std::string, MixId> mixIds;
-    /** Statement-list stack: function body at the bottom, one entry
-     *  per open loop above it. */
-    std::vector<std::vector<Stmt> *> listStack;
-    bool sawArgs = false;
+    /** Whether a function is open, whether it has a statement yet,
+     *  and its `args:` profiles so far. */
+    bool inFunc = false;
     bool sawStmt = false;
+    std::vector<ArgProfile> args;
 
     void line(const std::string &s);
 
     void
     closeFunction()
     {
-        if (listStack.size() > 1)
-            throw SpecError("missing 'end' for an open loop");
-        listStack.clear();
-        sawArgs = false;
-        sawStmt = false;
-    }
-
-    std::vector<Stmt> &
-    statements(const std::string &section)
-    {
-        if (listStack.empty())
-            throw SpecError("'" + section + ":' outside a function");
-        sawStmt = true;
-        return *listStack.back();
+        prog->endFunc();
+        inFunc = false;
     }
 };
 
 void
 ParseState::line(const std::string &s)
 {
-    Program &prog = bm.program;
-    if (s == "end") {
-        if (listStack.size() < 2)
-            throw SpecError("'end' without an open loop");
-        if (listStack.back()->empty())
-            throw SpecError("loop with an empty body");
-        listStack.pop_back();
-        return;
-    }
     SpecParams p, knobs;
-    std::string section = readLine(s, p, knobs);
+    std::string section = s == "end" ? s : readLine(s, p, knobs);
     auto num = [&](const char *key) { return p.at(key).num; };
     auto text = [&](const char *key) { return p.at(key).text; };
+    auto knob = [&] {
+        const SpecParam *k = knobs.find("knob");
+        return k ? k->text : std::string();
+    };
     if (section == "program") {
-        if (sawProgram)
+        if (prog)
             throw SpecError("duplicate 'program:' line");
-        sawProgram = true;
-        prog.name = text("name");
+        prog.emplace(text("name"));
         entry = text("entry");
         layoutSeed = seedOf(p.at("seed"));
         return;
     }
-    if (!sawProgram)
+    if (!prog)
         throw SpecError("a program text must start with a 'program: "
                         "name=...' line");
-    if (section == "input") {
+    if (section == "end") {
+        prog->endLoop();
+    } else if (section == "input") {
         closeFunction();
         std::string role = text("set");
         if (role != "train" && role != "ref")
@@ -313,7 +303,6 @@ ParseState::line(const std::string &s)
         std::string id = text("id");
         if (mixIds.count(id))
             throw SpecError("duplicate mix id '" + id + "'");
-        mixIds[id] = static_cast<MixId>(prog.mixes.size());
         InstructionMix m;
         for (int c = 0; c < numInstrClasses; ++c)
             m.frac[static_cast<std::size_t>(c)] = num(mixClassKeys[c]);
@@ -323,20 +312,14 @@ ParseState::line(const std::string &s)
         m.branchNoise = num("noise");
         m.shortDepProb = num("short");
         m.maxDepDist = static_cast<int>(num("dep"));
-        prog.mixes.push_back(m);
+        mixIds[id] = prog->mix(m);
     } else if (section == "func") {
-        closeFunction();
-        std::string name = text("name");
-        if (prog.findFunction(name))
-            throw SpecError("duplicate function name '" + name + "'");
-        Function f;
-        f.id = static_cast<std::uint16_t>(prog.functions.size());
-        f.name = name;
-        f.argProfiles.push_back(ArgProfile{});
-        prog.functions.push_back(std::move(f));
-        listStack.push_back(&prog.functions.back().body);
+        prog->func(text("name"));
+        sawFunc = inFunc = true;
+        sawStmt = false;
+        args.clear();
     } else if (section == "args") {
-        if (listStack.empty())
+        if (!inFunc)
             throw SpecError("'args:' outside a function");
         if (sawStmt)
             throw SpecError("'args:' must precede the function's "
@@ -346,59 +329,22 @@ ParseState::line(const std::string &s)
         a.tripMul = num("trips");
         a.noiseAdd = num("noise");
         a.streamMul = num("stream");
-        Function &f = prog.functions.back();
-        if (!sawArgs) {
-            // The first args: line replaces the implicit default
-            // profile, as ProgramBuilder::argProfiles() replaces the
-            // whole list.
-            f.argProfiles.clear();
-            sawArgs = true;
-        }
-        f.argProfiles.push_back(a);
+        args.push_back(a);
+        prog->argProfiles(args);
     } else if (section == "block") {
-        std::vector<Stmt> &list = statements(section);
+        sawStmt = true;
         auto it = mixIds.find(text("mix"));
         if (it == mixIds.end())
             throw SpecError("unknown mix id '" + text("mix") +
                             "' (mixes must be declared first)");
-        Stmt st;
-        st.kind = StmtKind::Block;
-        st.block.mix = it->second;
-        st.block.count = static_cast<std::uint32_t>(num("n"));
-        list.push_back(std::move(st));
+        prog->block(it->second, static_cast<std::uint32_t>(num("n")));
     } else if (section == "loop") {
-        std::vector<Stmt> &list = statements(section);
-        Stmt st;
-        st.kind = StmtKind::Loop;
-        st.loop.baseTrips = num("trips");
-        st.loop.scaleExp = num("scale");
-        if (const SpecParam *k = knobs.find("knob"))
-            st.loop.tripKnob = k->text;
-        list.push_back(std::move(st));
-        // Safe, as in ProgramBuilder::loopK(): while the loop body is
-        // being filled only the body vector grows, so the enclosing
-        // list cannot reallocate.
-        listStack.push_back(&list.back().loop.body);
+        sawStmt = true;
+        prog->beginLoop(num("trips"), num("scale"), knob());
     } else if (section == "call") {
-        std::vector<Stmt> &list = statements(section);
-        std::string callee = text("f");
-        const Function *cf = prog.findFunction(callee);
-        if (!cf)
-            throw SpecError("call to undefined function '" + callee +
-                            "' (define callees first)");
-        Stmt st;
-        st.kind = StmtKind::Call;
-        st.call.callee = cf->id;
-        st.call.arg = static_cast<std::uint8_t>(num("arg"));
-        if (st.call.arg >= cf->argProfiles.size())
-            throw SpecError(strprintf(
-                "arg=%u selects a profile '%s' does not have (it has "
-                "%zu)",
-                st.call.arg, callee.c_str(), cf->argProfiles.size()));
-        st.call.guardProb = num("guard");
-        if (const SpecParam *k = knobs.find("knob"))
-            st.call.guardKnob = k->text;
-        list.push_back(std::move(st));
+        sawStmt = true;
+        prog->call(text("f"), static_cast<std::uint8_t>(num("arg")),
+                   num("guard"), knob());
     }
 }
 
@@ -421,29 +367,24 @@ parseProgram(const std::string &text)
             st.line(s);
         }
         no = last;
-        st.closeFunction();
+        if (st.prog)
+            st.prog->endFunc();
     } catch (const SpecError &e) {
         throw SpecError(strprintf("workload program text line %d: %s",
                                   no, e.what()));
     }
 
-    Program &prog = st.bm.program;
-    if (!st.sawProgram)
+    if (!st.prog)
         throw SpecError(
             "workload program text must start with a 'program: "
             "name=...' line");
-    if (prog.functions.empty())
+    if (!st.sawFunc)
         throw SpecError("workload program text defines no functions");
     if (!st.sawTrain || !st.sawRef)
         throw SpecError(
             "workload program text must define both 'input: "
             "set=train' and 'input: set=ref'");
-    const Function *entry = prog.findFunction(st.entry);
-    if (!entry)
-        throw SpecError("entry function '" + st.entry +
-                        "' is not defined");
-    prog.entry = entry->id;
-    finalizeLayout(prog, st.layoutSeed);
+    st.bm.program = st.prog->build(st.entry, st.layoutSeed);
     return std::move(st.bm);
 }
 

@@ -4,6 +4,7 @@
 
 #include "util/logging.hh"
 #include "util/rng.hh"
+#include "workload/spec.hh"
 
 namespace mcd::workload
 {
@@ -89,50 +90,83 @@ ProgramBuilder::mix(const InstructionMix &m)
 std::uint16_t
 ProgramBuilder::func(const std::string &name)
 {
+    endFunc();
     if (prog.findFunction(name))
-        fatal("duplicate function name '%s'", name.c_str());
+        throw SpecError("duplicate function name '" + name + "'");
     Function f;
     f.id = static_cast<std::uint16_t>(prog.functions.size());
     f.name = name;
     f.argProfiles.push_back(ArgProfile{});
     prog.functions.push_back(std::move(f));
-    currentFunc = prog.functions.back().id;
-    listStack.clear();
     listStack.push_back(&prog.functions.back().body);
     return prog.functions.back().id;
 }
 
 void
-ProgramBuilder::argProfiles(std::vector<ArgProfile> profiles)
+ProgramBuilder::endFunc()
 {
-    if (currentFunc < 0)
-        fatal("argProfiles() outside a function");
-    if (profiles.empty())
-        profiles.push_back(ArgProfile{});
-    prog.functions[static_cast<size_t>(currentFunc)].argProfiles =
-        std::move(profiles);
+    if (listStack.size() > 1)
+        throw SpecError("missing 'end' for an open loop");
+    listStack.clear();
 }
 
-std::vector<Stmt> *
-ProgramBuilder::currentList()
+void
+ProgramBuilder::argProfiles(std::vector<ArgProfile> profiles)
 {
     if (listStack.empty())
-        fatal("statement outside a function body");
-    return listStack.back();
+        throw SpecError("argProfiles() outside a function");
+    if (profiles.empty())
+        profiles.push_back(ArgProfile{});
+    prog.functions.back().argProfiles = std::move(profiles);
+}
+
+std::vector<Stmt> &
+ProgramBuilder::statements()
+{
+    if (listStack.empty())
+        throw SpecError("statement outside a function body");
+    return *listStack.back();
 }
 
 void
 ProgramBuilder::block(MixId m, std::uint32_t count)
 {
+    std::vector<Stmt> &list = statements();
     if (m >= prog.mixes.size())
-        fatal("unregistered mix id %u", m);
+        throw SpecError(strprintf("unregistered mix id %u", m));
     if (count == 0)
-        fatal("empty block");
+        throw SpecError("empty block");
     Stmt s;
     s.kind = StmtKind::Block;
     s.block.mix = m;
     s.block.count = count;
-    currentList()->push_back(std::move(s));
+    list.push_back(std::move(s));
+}
+
+void
+ProgramBuilder::beginLoop(double base_trips, double scale_exp,
+                          const std::string &trip_knob)
+{
+    std::vector<Stmt> &list = statements();
+    Stmt s;
+    s.kind = StmtKind::Loop;
+    s.loop.baseTrips = base_trips;
+    s.loop.scaleExp = scale_exp;
+    s.loop.tripKnob = trip_knob;
+    list.push_back(std::move(s));
+    // Safe: statements only go to the innermost open list, so while
+    // this body is open the enclosing list cannot reallocate.
+    listStack.push_back(&list.back().loop.body);
+}
+
+void
+ProgramBuilder::endLoop()
+{
+    if (listStack.size() < 2)
+        throw SpecError("'end' without an open loop");
+    if (listStack.back()->empty())
+        throw SpecError("loop with an empty body");
+    listStack.pop_back();
 }
 
 void
@@ -147,38 +181,31 @@ ProgramBuilder::loopK(double base_trips, double scale_exp,
                       const std::string &trip_knob,
                       const std::function<void()> &fill)
 {
-    auto *list = currentList();
-    Stmt s;
-    s.kind = StmtKind::Loop;
-    s.loop.baseTrips = base_trips;
-    s.loop.scaleExp = scale_exp;
-    s.loop.tripKnob = trip_knob;
-    list->push_back(std::move(s));
-    // Safe: while the loop body is being filled, only the loop's own
-    // body vector grows, so the enclosing list cannot reallocate.
-    listStack.push_back(&list->back().loop.body);
+    beginLoop(base_trips, scale_exp, trip_knob);
     fill();
-    listStack.pop_back();
-    if (list->back().loop.body.empty())
-        fatal("loop with empty body in '%s'",
-              prog.functions[static_cast<size_t>(currentFunc)].name.c_str());
+    endLoop();
 }
 
 void
 ProgramBuilder::call(const std::string &callee_name, std::uint8_t arg,
                      double guard_prob, const std::string &guard_knob)
 {
+    std::vector<Stmt> &list = statements();
     const Function *callee = prog.findFunction(callee_name);
     if (!callee)
-        fatal("call to undefined function '%s' (define callees first)",
-              callee_name.c_str());
+        throw SpecError("call to undefined function '" + callee_name +
+                        "' (define callees first)");
+    if (arg >= callee->argProfiles.size())
+        throw SpecError(strprintf(
+            "arg=%u selects a profile '%s' does not have (it has %zu)",
+            arg, callee_name.c_str(), callee->argProfiles.size()));
     Stmt s;
     s.kind = StmtKind::Call;
     s.call.callee = callee->id;
     s.call.arg = arg;
     s.call.guardProb = guard_prob;
     s.call.guardKnob = guard_knob;
-    currentList()->push_back(std::move(s));
+    list.push_back(std::move(s));
 }
 
 namespace
@@ -286,14 +313,13 @@ layoutStmts(Program &prog, std::vector<Stmt> &stmts, std::uint64_t &pc,
     }
 }
 
-} // namespace
-
+/** Assign block/loop/call ids and pcs and materialize the static
+ *  block layouts from @p layout_seed (the same structure and seed
+ *  always yield identical layouts). */
 void
 finalizeLayout(Program &prog, std::uint64_t layout_seed)
 {
     prog.layoutSeed = layout_seed;
-    prog.numLoops = 0;
-    prog.numCallSites = 0;
     std::uint64_t pc = 0x10000;
     for (auto &f : prog.functions) {
         pc = (pc + 63) & ~63ULL;  // align functions to cache lines
@@ -304,13 +330,17 @@ finalizeLayout(Program &prog, std::uint64_t layout_seed)
     }
 }
 
+} // namespace
+
 Program
 ProgramBuilder::build(const std::string &entry_name,
                       std::uint64_t layout_seed)
 {
+    endFunc();
     const Function *entry = prog.findFunction(entry_name);
     if (!entry)
-        fatal("entry function '%s' not defined", entry_name.c_str());
+        throw SpecError("entry function '" + entry_name +
+                        "' is not defined");
     prog.entry = entry->id;
     finalizeLayout(prog, layout_seed);
     return std::move(prog);

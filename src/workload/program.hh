@@ -191,13 +191,17 @@ struct InputSet
 };
 
 /**
- * Fluent builder for Program.
+ * Fluent builder for Program: the one code that assembles a program
+ * and checks its structure, for the suite, the `gen:` generator and
+ * the authoring-text parser alike.
  *
- * Function bodies are built with an implicit cursor; loop() takes a
- * callback that fills the loop body.  Entity ids (functions, loops,
- * call sites, blocks) are assigned automatically; pcs are laid out at
- * build() so that instruction fetch sees a stable, realistic code
- * footprint.
+ * Function bodies are built with an implicit cursor: statements go
+ * to the innermost open loop, else to the current function.  Entity
+ * ids (functions, loops, call sites, blocks) are assigned
+ * automatically; pcs are laid out at build() so that instruction
+ * fetch sees a stable, realistic code footprint.  Every structural
+ * error (an undefined callee, an unbalanced loop, ...) throws
+ * SpecError.
  */
 class ProgramBuilder
 {
@@ -208,16 +212,33 @@ class ProgramBuilder
     MixId mix(const InstructionMix &m);
 
     /**
-     * Start a new function; subsequent block/loop/call statements are
-     * appended to it.  Returns the function id.
+     * Close the current function (endFunc()) and start a new one;
+     * subsequent block/loop/call statements are appended to it.
+     * Returns the function id.
      */
     std::uint16_t func(const std::string &name);
+
+    /** Close the current function: a statement needs a new func()
+     *  after it.  Throws SpecError if a loop is still open. */
+    void endFunc();
 
     /** Set per-arg behaviour profiles of the current function. */
     void argProfiles(std::vector<ArgProfile> profiles);
 
     /** Append a straight-line block of @p count instructions. */
     void block(MixId m, std::uint32_t count);
+
+    /**
+     * Open a loop: the statements up to the matching endLoop() form
+     * its body.  @p trip_knob, when set, names the input knob that
+     * additionally scales the trip count.
+     */
+    void beginLoop(double base_trips, double scale_exp,
+                   const std::string &trip_knob = "");
+
+    /** Close the innermost open loop.  Throws SpecError if no loop
+     *  is open or its body is empty. */
+    void endLoop();
 
     /**
      * Append a loop. @p fill is invoked immediately to populate the
@@ -231,35 +252,29 @@ class ProgramBuilder
                const std::string &trip_knob,
                const std::function<void()> &fill);
 
-    /** Append a call to @p callee_name (must already exist). */
+    /** Append a call to @p callee_name (must already exist), taking
+     *  its argument profile @p arg. */
     void call(const std::string &callee_name, std::uint8_t arg = 0,
               double guard_prob = 1.0, const std::string &guard_knob = "");
 
     /**
-     * Finalize: resolve entry function, assign ids and pcs, and
-     * materialize static block layouts (deterministic in the layout
-     * seed so the same program always has identical code).
+     * Finalize: close the current function, resolve the entry
+     * function, assign ids and pcs, and materialize static block
+     * layouts (deterministic in the layout seed so the same program
+     * always has identical code).
      */
     Program build(const std::string &entry_name,
                   std::uint64_t layout_seed = 12345);
 
   private:
-    std::vector<Stmt> *currentList();
+    std::vector<Stmt> &statements();
 
     Program prog;
+    /** Statement-list stack: the current function's body at the
+     *  bottom, one entry per open loop above it; empty between
+     *  functions. */
     std::vector<std::vector<Stmt> *> listStack;
-    int currentFunc = -1;
 };
-
-/**
- * Finalize a hand-assembled program in place: assign block/loop/call
- * ids and pcs and materialize the static block layouts from
- * @p layout_seed (deterministic: the same structure and seed always
- * yield identical layouts).  `ProgramBuilder::build()` and the
- * authoring-format parser share this single definition.
- * @pre entry and mix indices are valid; blockLayouts is empty.
- */
-void finalizeLayout(Program &prog, std::uint64_t layout_seed);
 
 } // namespace mcd::workload
 

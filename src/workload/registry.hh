@@ -71,7 +71,7 @@ class WorkloadRegistry
   public:
     static WorkloadRegistry &instance();
 
-    /** Register @p f; fatal on a duplicate name. */
+    /** Register @p f; panics on a duplicate name. */
     void add(std::unique_ptr<const WorkloadFactory> f);
 
     /** Every registered factory, sorted by name. */

@@ -9,8 +9,8 @@
  * Workload specs flow through code that must be able to *recover*
  * from a bad spec (a sweep cell naming an unloaded authored program,
  * a stale cache key), so errors here are a catchable `SpecError`,
- * not `fatal()` — the engine's one error type, which `exp::Runner`
- * also throws for a bad policy spec.
+ * the engine's one error type, which `exp::Runner` also throws for
+ * a bad policy spec and `ProgramBuilder` for a malformed program.
  */
 
 #ifndef MCD_WORKLOAD_SPEC_HH

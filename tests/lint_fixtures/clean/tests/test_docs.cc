@@ -2,4 +2,4 @@
 // rule ids, as the real tests/test_docs.cc does.
 //
 // fingerprint-complete, cache-version-pin, determinism,
-// locale-safety, registration, lint-docs
+// locale-safety, registration, library-exit, lint-docs

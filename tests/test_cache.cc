@@ -6,6 +6,7 @@
 #include <gtest/gtest.h>
 
 #include "sim/cache.hh"
+#include "util/spec.hh"
 
 using namespace mcd;
 using namespace mcd::sim;
@@ -76,6 +77,15 @@ TEST(Cache, SmallWorkingSetFitsAfterWarmup)
             c.access(a);
     // Second pass should be all hits.
     EXPECT_EQ(c.misses(), 16 * 1024 / 64);
+}
+
+TEST(Cache, BadGeometryThrowsSpecError)
+{
+    EXPECT_THROW(Cache(0, 2, 64), util::SpecError);
+    EXPECT_THROW(Cache(64, 0, 64), util::SpecError);
+    EXPECT_THROW(Cache(64, 2, 0), util::SpecError);
+    // 64 KB of 64 B lines is 1024 lines, which 3 ways do not divide.
+    EXPECT_THROW(Cache(64, 3, 64), util::SpecError);
 }
 
 TEST(MainMemory, FixedLatency)

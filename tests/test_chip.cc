@@ -318,6 +318,13 @@ TEST(Chip, CoordinatorMovesTheUncoreFrequency)
     EXPECT_EQ(r2.uncoreAvgMhz, ccfg.uncoreMaxMhz);
 }
 
+TEST(Chip, NoTilesThrowsSpecError)
+{
+    EXPECT_THROW(chip::Chip(chip::ChipConfig{}, SimConfig{},
+                            power::PowerConfig{}, {}),
+                 util::SpecError);
+}
+
 TEST(Chip, CoordSpecValidation)
 {
     // Input text -> canonical text, or "error: " and the message.

@@ -6,6 +6,7 @@
 #include <gtest/gtest.h>
 
 #include "util/histogram.hh"
+#include "util/spec.hh"
 
 using mcd::FreqHistogram;
 using mcd::FreqSteps;
@@ -33,6 +34,13 @@ TEST(FreqSteps, ClampsOutOfRange)
     EXPECT_DOUBLE_EQ(s.quantize(5000.0), 1000.0);
     EXPECT_EQ(s.indexOf(0.0), 0);
     EXPECT_EQ(s.indexOf(1e9), 30);
+}
+
+TEST(FreqSteps, InvalidStepsThrowSpecError)
+{
+    EXPECT_THROW(FreqSteps(0.0, 1000.0, 25.0), mcd::util::SpecError);
+    EXPECT_THROW(FreqSteps(500.0, 250.0, 25.0), mcd::util::SpecError);
+    EXPECT_THROW(FreqSteps(250.0, 1000.0, 0.0), mcd::util::SpecError);
 }
 
 TEST(FreqHistogram, AccumulatesAndTotals)

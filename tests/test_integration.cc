@@ -12,6 +12,7 @@
 #include "core/pipeline.hh"
 #include "exp/experiment.hh"
 #include "sim/processor.hh"
+#include "util/spec.hh"
 #include "util/stats.hh"
 #include "workload/suite.hh"
 
@@ -149,6 +150,27 @@ TEST(Integration, Mpeg2PathDivergence)
     RuntimeStats lf = run_mode(ContextMode::LF);
     RuntimeStats lfp = run_mode(ContextMode::LFP);
     EXPECT_GE(lf.dynReconfigPoints, lfp.dynReconfigPoints);
+}
+
+TEST(Integration, HookWithZeroIntervalThrows)
+{
+    // A hook that would never fire is bad input, not a silent no-op.
+    struct NoHook final : IntervalHook
+    {
+        void onInterval(const IntervalStats &, DvfsControl &) override {}
+    };
+    Benchmark bm = makeBenchmark("adpcm_decode");
+    SimConfig scfg = expSim();
+    power::PowerConfig pcfg;
+    PipelineConfig pc;
+    pc.profile.maxInstrs = 20'000;
+    pc.analysisWindow = 5'000;
+    ProfilePipeline pipe(bm.program, pc);
+    pipe.train(bm.train, scfg, pcfg);
+    NoHook hook;
+    EXPECT_THROW(pipe.runProduction(bm.ref, scfg, pcfg, 5'000, nullptr,
+                                    &hook, 0),
+                 util::SpecError);
 }
 
 TEST(Integration, RunnerCachesConsistently)

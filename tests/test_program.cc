@@ -1,11 +1,14 @@
 /**
  * @file
  * Tests for the program IR and builder: id/pc assignment, layouts,
- * input-set knobs.
+ * structural errors, input-set knobs.
  */
 
 #include <gtest/gtest.h>
 
+#include <functional>
+
+#include "workload/author.hh"
 #include "workload/program.hh"
 
 using namespace mcd::workload;
@@ -101,6 +104,136 @@ TEST(ProgramBuilder, MixFractionsRoughlyHonored)
     }
     EXPECT_NEAR(loads / 4000.0, 0.3, 0.03);
     EXPECT_NEAR(fadds / 4000.0, 0.2, 0.03);
+}
+
+TEST(ProgramBuilder, StructuralErrorsThrowSpecError)
+{
+    // Each case drives a builder whose only mix is m; the message is
+    // the one the authoring text reports too (SpecGolden pins it).
+    struct Case
+    {
+        const char *name;
+        std::function<void(ProgramBuilder &, MixId)> drive;
+        const char *message;
+    };
+    const Case cases[] = {
+        {"duplicate function",
+         [](ProgramBuilder &b, MixId) {
+             b.func("f");
+             b.func("f");
+         },
+         "duplicate function name 'f'"},
+        {"argProfiles() outside a function",
+         [](ProgramBuilder &b, MixId) { b.argProfiles({}); },
+         "argProfiles() outside a function"},
+        {"statement outside a function",
+         [](ProgramBuilder &b, MixId m) { b.block(m, 1); },
+         "statement outside a function body"},
+        {"unregistered mix",
+         [](ProgramBuilder &b, MixId) {
+             b.func("f");
+             b.block(1, 1);
+         },
+         "unregistered mix id 1"},
+        {"empty block",
+         [](ProgramBuilder &b, MixId m) {
+             b.func("f");
+             b.block(m, 0);
+         },
+         "empty block"},
+        {"empty loop",
+         [](ProgramBuilder &b, MixId) {
+             b.func("f");
+             b.loop(2, 0.0, [] {});
+         },
+         "loop with an empty body"},
+        {"endLoop() with no loop open",
+         [](ProgramBuilder &b, MixId m) {
+             b.func("f");
+             b.block(m, 1);
+             b.endLoop();
+         },
+         "'end' without an open loop"},
+        {"loop still open at func()",
+         [](ProgramBuilder &b, MixId m) {
+             b.func("f");
+             b.beginLoop(2, 0.0);
+             b.block(m, 1);
+             b.func("g");
+         },
+         "missing 'end' for an open loop"},
+        {"loop still open at build()",
+         [](ProgramBuilder &b, MixId m) {
+             b.func("main");
+             b.beginLoop(2, 0.0);
+             b.block(m, 1);
+             b.build("main");
+         },
+         "missing 'end' for an open loop"},
+        {"undefined callee",
+         [](ProgramBuilder &b, MixId) {
+             b.func("main");
+             b.call("ghost");
+         },
+         "call to undefined function 'ghost' (define callees first)"},
+        {"arg beyond the callee's profiles",
+         [](ProgramBuilder &b, MixId m) {
+             b.func("leaf");
+             b.block(m, 1);
+             b.func("main");
+             b.call("leaf", 1);
+         },
+         "arg=1 selects a profile 'leaf' does not have (it has 1)"},
+        {"undefined entry",
+         [](ProgramBuilder &b, MixId m) {
+             b.func("main");
+             b.block(m, 1);
+             b.build("start");
+         },
+         "entry function 'start' is not defined"},
+    };
+    for (const Case &c : cases) {
+        SCOPED_TRACE(c.name);
+        ProgramBuilder b("bad");
+        MixId m = b.mix(InstructionMix{});
+        try {
+            c.drive(b, m);
+            ADD_FAILURE() << "no SpecError thrown";
+        } catch (const SpecError &e) {
+            EXPECT_STREQ(e.what(), c.message);
+        }
+    }
+}
+
+TEST(ProgramBuilder, BeginEndLoopMatchesLoopCallback)
+{
+    auto canonical = [](bool pair) {
+        ProgramBuilder b("loops");
+        InstructionMix mix;
+        mix.set(InstrClass::Load, 0.3);
+        MixId m = b.mix(mix);
+        b.func("leaf");
+        b.argProfiles({ArgProfile{}, ArgProfile{2.0, 1.0, 0.0, 1.0}});
+        b.block(m, 4);
+        b.func("main");
+        if (pair) {
+            b.beginLoop(8, 1.0);
+            b.block(m, 5);
+            b.beginLoop(3, 0.0, "inner");
+            b.call("leaf", 1);
+            b.endLoop();
+            b.endLoop();
+        } else {
+            b.loop(8, 1.0, [&] {
+                b.block(m, 5);
+                b.loopK(3, 0.0, "inner", [&] { b.call("leaf", 1); });
+            });
+        }
+        Benchmark bm;
+        bm.program = b.build("main");
+        return printProgram(bm);
+    };
+    EXPECT_EQ(canonical(true), canonical(false));
 }
 
 TEST(InputSet, KnobLookupAndDefault)

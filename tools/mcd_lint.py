@@ -25,6 +25,9 @@ CMake lists directly (no compiler needed) and checks:
                         src/workload/workloads/ contains its
                         MCD_REGISTER_* macro and is listed in the
                         OBJECT-library CMakeLists
+  library-exit          no exit()/std::exit()/_Exit()/quick_exit()/
+                        abort() under src/: library code reports bad
+                        input by throwing util::SpecError
   lint-docs             every rule above has a section in
                         docs/LINTING.md and is pinned in
                         tests/test_docs.cc
@@ -76,6 +79,8 @@ STD_HASH_DIRS = ["src/exp", "src/srv", "src/workload", "src/control",
                  "src/chip"]
 # cache/wire formatting paths for the locale-safety rule
 LOCALE_DIRS = ["src/exp", "src/srv"]
+# library code, which must never end the process
+LIBRARY_DIRS = ["src"]
 
 REGISTRATION = [
     ("src/control/policies", "MCD_REGISTER_POLICY",
@@ -99,6 +104,9 @@ RULES = {
     "registration":
         "self-registering .cc files carry their MCD_REGISTER_* "
         "macro and are listed in the OBJECT library",
+    "library-exit":
+        "library code under src/ throws on bad input and never ends "
+        "the process",
     "lint-docs":
         "every lint rule is documented in docs/LINTING.md and "
         "pinned in tests/test_docs.cc",
@@ -502,6 +510,24 @@ def check_locale(root, findings):
 
 
 # ------------------------------------------------------------------ #
+# library-exit                                                       #
+# ------------------------------------------------------------------ #
+
+LIBRARY_EXIT_BANS = [
+    (re.compile(r"(?<![\w.>])(?:std::|::)?"
+                r"(?:exit|_Exit|quick_exit|abort)\s*\("),
+     "library code reports bad input by throwing util::SpecError; "
+     "ending the process is the CLI's call (tools/args.hh)"),
+]
+
+
+def check_library_exit(root, findings):
+    for path in cpp_files(root, LIBRARY_DIRS):
+        src = Source(path, path.read_text(encoding="utf-8"))
+        scan_patterns(src, LIBRARY_EXIT_BANS, "library-exit", findings)
+
+
+# ------------------------------------------------------------------ #
 # registration                                                       #
 # ------------------------------------------------------------------ #
 
@@ -597,6 +623,7 @@ def run_checks(root):
     check_determinism(root, findings)
     check_locale(root, findings)
     check_registration(root, findings)
+    check_library_exit(root, findings)
     check_lint_docs(root, findings)
     return findings
 

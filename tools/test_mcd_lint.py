@@ -100,6 +100,15 @@ CASES = {
          "    int jitter = rand();\n"
          "    (void)jitter;"),
     ],
+    # A bug class fixed twice in src/: library code ends the process
+    # on bad input instead of throwing.
+    "library-exit": [
+        ("src/srv/proto.cc",
+         "    std::string out = \"ROW \" + key;",
+         "    if (key.empty())\n"
+         "        std::exit(1);\n"
+         "    std::string out = \"ROW \" + key;"),
+    ],
     # PR 2/PR 6's bug class: ad-hoc stream precision on a cache path.
     "locale-unsafe-double": [
         ("src/exp/experiment.cc",
