@@ -3,7 +3,7 @@
  * The base of the policies built on the profile pipeline (`profile`,
  * `hybrid`, and any future pipeline-based policy): one schema for the
  * pipeline's parameters, one spec -> pipeline mapping over one shared
- * training per (mode, bench), one cache-key fragment and one Outcome
+ * training per (tree, bench), one cache-key fragment and one Outcome
  * mapping, so the policies cannot silently diverge in what they run
  * or report.
  */
@@ -62,10 +62,11 @@ class PipelinePolicy : public Policy
 
     /**
      * The pipeline a canonical @p spec asks for on @p bm (the
-     * canonical @p bench), thresholded and edited on the context's
-     * shared training for the spec's mode (`train|<mode>|<bench>`):
-     * every d, `profile` and `hybrid` alike, reuses one phase 1-2
-     * run.
+     * canonical @p bench), thresholded and edited in the spec's mode
+     * on the context's shared training of that mode's tree
+     * (`train|<treeMode>|<bench>`, core::treeMode): every d and both
+     * modes of a tree, `profile` and `hybrid` alike, reuse one phase
+     * 1-2 run.
      */
     static core::ProfilePipeline
     trainedPipeline(const workload::Benchmark &bm,
@@ -74,13 +75,15 @@ class PipelinePolicy : public Policy
     {
         core::PipelineConfig pc = pipelineConfig(spec, ctx);
         core::ProfilePipeline pipe(bm.program, pc);
+        core::PipelineConfig tc = pc;
+        tc.mode = core::treeMode(pc.mode);
         pipe.adopt(sharedArtifact<core::TrainedProfile>(
             ctx,
-            std::string("train|") + compactModeName(pc.mode) + '|' +
+            std::string("train|") + compactModeName(tc.mode) + '|' +
                 bench,
             [&] {
                 return std::make_shared<const core::TrainedProfile>(
-                    core::trainProfile(bm.program, bm.train, pc,
+                    core::trainProfile(bm.program, bm.train, tc,
                                        ctx.sim, ctx.power));
             }));
         return pipe;

@@ -237,9 +237,10 @@ struct PolicyContext
  * The artifact stored under @p key in @p ctx's store, built by
  * @p build on the first request (or on every request when the
  * context has no store).  A key's first `|`-separated field names
- * the artifact kind, and every kind has one type: `train|<mode>|
- * <bench>` a core::TrainedProfile, `offline|<bench>` a
- * control::OfflineAnalysis, `ckpt|<bench>` a sim::CheckpointSet.
+ * the artifact kind, and every kind has one type: `train|<tree
+ * mode>|<bench>` a core::TrainedProfile (core::treeMode),
+ * `offline|<bench>` a control::OfflineAnalysis, `ckpt|<bench>` a
+ * sim::CheckpointSet.
  */
 template <class T>
 std::shared_ptr<const T>

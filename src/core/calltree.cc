@@ -35,6 +35,16 @@ modeHasLoops(ContextMode m)
     }
 }
 
+ContextMode
+treeMode(ContextMode m)
+{
+    switch (m) {
+      case ContextMode::LF: return ContextMode::LFP;
+      case ContextMode::F: return ContextMode::FP;
+      default: return m;
+    }
+}
+
 bool
 modeHasSites(ContextMode m)
 {

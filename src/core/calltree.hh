@@ -53,6 +53,10 @@ const char *contextModeName(ContextMode m);
 
 /** Whether the tree for this mode contains loop nodes. */
 bool modeHasLoops(ContextMode m);
+/** The mode whose tree this mode analyzes: LF -> LFP, F -> FP, any
+ *  other mode itself.  Modes with one tree mode build the same tree
+ *  and differ only in the run-time rule (modeTracksPath). */
+ContextMode treeMode(ContextMode m);
 /** Whether the tree distinguishes call sites. */
 bool modeHasSites(ContextMode m);
 /** Whether run-time instrumentation tracks the call path. */

@@ -102,8 +102,9 @@ class ProfilePipeline
     /**
      * Run phases 3-4 on a prebuilt training: threshold its histograms
      * at this pipeline's d and edit.  @p trained must come from
-     * trainProfile() with this pipeline's program and configuration
-     * (d aside); other pipelines may share it.
+     * trainProfile() with this pipeline's program and configuration,
+     * d aside and the mode up to treeMode(); other pipelines may
+     * share it.
      */
     void adopt(std::shared_ptr<const TrainedProfile> trained);
 

@@ -81,7 +81,6 @@ void
 PowerModel::accessTo(Unit u, Domain d, Volt v, int n)
 {
     double nj = cfg.unitPj[static_cast<int>(u)] * scaleV2(v) * n / 1000.0;
-    unitNj[static_cast<int>(u)] += nj;
     if (d == Domain::External)
         dramNj += nj;
     else

@@ -112,19 +112,12 @@ class PowerModel
     /** Energy charged to one scaled domain so far. */
     double domainEnergyNj(Domain d) const;
 
-    /** Per-unit energy totals (nJ), for breakdown reporting. */
-    const std::array<double, numUnits> &unitEnergyNj() const
-    {
-        return unitNj;
-    }
-
     const PowerConfig &config() const { return cfg; }
 
   private:
     double scaleV2(Volt v) const;
 
     PowerConfig cfg;
-    std::array<double, numUnits> unitNj{};
     std::array<double, NUM_SCALED_DOMAINS> domainNj{};
     double dramNj = 0.0;
 };

@@ -4,6 +4,7 @@ namespace mcd::sim
 {
 
 using workload::InstrClass;
+using workload::StreamItem;
 
 FuncState::FuncState(const SimConfig &cfg,
                      const workload::Program &program,
@@ -21,61 +22,46 @@ FuncDeltas
 FuncState::advance(std::uint64_t n, const MarkerFn &on_marker)
 {
     FuncDeltas d;
-    while (d.instrs < n) {
-        std::size_t got = stream.nextBatch(batch, n - d.instrs);
-        std::size_t m = 0;
-        for (std::size_t i = 0; i < got; ++i) {
-            while (m < batch.markers.size() &&
-                   batch.markerPos[m] == i) {
-                if (on_marker)
-                    on_marker(batch.markers[m], d.instrs);
-                ++m;
-            }
-            std::uint64_t pc = batch.pc[i];
-            std::uint64_t line = pc / lineSize;
-            if (line != lastLine) {
-                lastLine = line;
-                if (!l1i.access(pc)) {
-                    ++d.icacheMisses;
-                    // Fetch-path L2 misses count only as DRAM
-                    // accesses (Frontend::fetch does not bump the
-                    // L2-miss counter for instruction lines).
-                    if (!l2.access(pc))
-                        ++d.dramAccesses;
-                }
-            }
-            InstrClass c = batch.cls[i];
-            if (c == InstrClass::Load || c == InstrClass::Store) {
-                ++d.l1dAccesses;
-                if (!l1d.access(batch.addr[i])) {
-                    ++d.l1dMisses;
-                    if (!l2.access(batch.addr[i])) {
-                        ++d.l2Misses;
-                        ++d.dramAccesses;
-                    }
-                }
-            } else if (c == InstrClass::Branch) {
-                ++d.branches;
-                BranchPrediction pr = bpred.predict(pc);
-                bool mis = pr.taken != batch.taken[i] ||
-                           (batch.taken[i] &&
-                            (!pr.btbHit ||
-                             pr.target != batch.target[i]));
-                if (mis)
-                    ++d.mispredicts;
-                bpred.update(pc, batch.taken[i], batch.target[i]);
-            }
-            ++d.instrs;
-        }
-        // Trailing markers (markerPos == n) only occur at end of
-        // program; deliver them so the handler sees the full stream.
-        while (m < batch.markers.size()) {
+    StreamItem item;
+    while (d.instrs < n && stream.next(item)) {
+        if (item.kind == StreamItem::Kind::Marker) {
             if (on_marker)
-                on_marker(batch.markers[m], d.instrs);
-            ++m;
+                on_marker(item.marker, d.instrs);
+            continue;
         }
-        if (got == 0)
-            break;  // end of program
+        const workload::DynInstr &di = item.instr;
+        std::uint64_t line = di.pc / lineSize;
+        if (line != lastLine) {
+            lastLine = line;
+            if (!l1i.access(di.pc)) {
+                ++d.icacheMisses;
+                // Fetch-path L2 misses count only as DRAM accesses
+                // (Frontend::fetch does not bump the L2-miss counter
+                // for instruction lines).
+                if (!l2.access(di.pc))
+                    ++d.dramAccesses;
+            }
+        }
+        if (di.cls == InstrClass::Load || di.cls == InstrClass::Store) {
+            ++d.l1dAccesses;
+            if (!l1d.access(di.addr)) {
+                ++d.l1dMisses;
+                if (!l2.access(di.addr)) {
+                    ++d.l2Misses;
+                    ++d.dramAccesses;
+                }
+            }
+        } else if (di.cls == InstrClass::Branch) {
+            ++d.branches;
+            BranchPrediction pr = bpred.predict(di.pc);
+            bool mis = pr.taken != di.taken ||
+                       (di.taken &&
+                        (!pr.btbHit || pr.target != di.target));
+            if (mis)
+                ++d.mispredicts;
+            bpred.update(di.pc, di.taken, di.target);
+        }
+        ++d.instrs;
     }
     streamEnded = stream.done();
     return d;

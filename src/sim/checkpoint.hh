@@ -3,15 +3,18 @@
  * Functional microarchitectural state and shared checkpoints for
  * sampled simulation (sim/sampling.hh).
  *
- * `FuncState` is the authoritative between-probe trajectory of a
- * sampled run: the stream position plus the long-lived
+ * `FuncState` is the one declaration of the state a run carries
+ * across a probe: the stream position plus the long-lived
  * microarchitectural structures (caches, branch predictor, last
- * fetched line) advanced *functionally* — architectural effects in
- * program order, no per-edge scheduling — over both probe and skip
- * spans.  At each probe start the sampler copies the functional
- * state into the Processor and runs the probe detailed; the probe's
- * own mutations are overwritten at the next copy-in, which makes the
- * trajectory independent of frequencies, policies and schedules.
+ * fetched line).  The Processor's fetch and memory paths use one
+ * (`Processor::warm`); a sampled run also advances a second one
+ * *functionally* — architectural effects in program order, pulled
+ * one `Stream::next()` item at a time, no per-edge scheduling — over
+ * both probe and skip spans.  At each probe start the sampler assigns
+ * the functional state to the Processor's and runs the probe
+ * detailed; the probe's own mutations are overwritten at the next
+ * assignment, which makes the trajectory independent of
+ * frequencies, policies and schedules.
  * That independence is what `CheckpointSet` exploits: one functional
  * walk of a benchmark (probe-start states + recorded skip-span
  * markers and counter deltas) is shared by every policy cell of a
@@ -53,11 +56,12 @@ struct FuncDeltas
 };
 
 /**
- * The functional microarchitectural state of a sampled run, advanced
- * in program order at batch-decode speed (workload::StreamBatch).
+ * The warm microarchitectural state of a run: what the Processor's
+ * fetch and memory paths read and write, and what a sampled run
+ * advances functionally between probes.
  *
  * Copyable: probe-start snapshots are plain copies, and the sampler
- * copy-assigns the members into the Processor.
+ * copy-assigns one into the Processor.
  */
 class FuncState
 {
@@ -78,14 +82,13 @@ class FuncState
      * updating caches/predictor/stream and accumulating deltas.
      * Markers interleaved with the span are reported to @p on_marker
      * (pass an empty function to suppress — probe spans deliver
-     * their markers through the detailed pipeline instead).  Markers
-     * that follow the span's last instruction are left in the stream
-     * unless the program ends, matching the detailed fetch loop's
-     * budget-check-before-pull order.
+     * their markers through the detailed pipeline instead).  The
+     * budget is checked before each pull, as in the detailed fetch
+     * loop: a marker that follows the span's last instruction stays
+     * in the stream, and the next span reports it at index 0.
      */
     FuncDeltas advance(std::uint64_t n, const MarkerFn &on_marker);
 
-    // State bundle, copied into the Processor at probe start.
     workload::Stream stream;
     Cache l1i;
     Cache l1d;
@@ -96,7 +99,6 @@ class FuncState
 
   private:
     std::uint32_t lineSize;
-    workload::StreamBatch batch;     ///< decode scratch
 };
 
 /**

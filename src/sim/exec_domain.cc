@@ -251,12 +251,12 @@ ExecDomain::tryIssue(Tick now, IqEntry &e)
             ++p.l1dAccessCount;
             Tick t = u.memStart +
                      static_cast<Tick>(p.cfg.l1Latency) * period;
-            if (!p.l1d.access(u.di.addr)) {
+            if (!p.warm.l1d.access(u.di.addr)) {
                 ++p.l1dMissCount;
                 p.power_.access(power::Unit::L2, mem_v);
                 t = p.l2PortGrant(t) +
                     static_cast<Tick>(p.cfg.l2Latency) * period;
-                if (!p.l2.access(u.di.addr)) {
+                if (!p.warm.l2.access(u.di.addr)) {
                     u.l2Miss = true;
                     ++p.l2MissCount;
                     p.power_.access(power::Unit::Dram,

@@ -33,7 +33,7 @@ Frontend::idleHorizon() const
         return 0;
     // A drained window with fetch exhausted means the run is about
     // to stop; stay busy and let the stop condition fire.
-    if (p.streamEnded || p.fetchedInstrs >= p.maxInstrs_)
+    if (p.warm.streamEnded || p.fetchedInstrs >= p.maxInstrs_)
         return 0;
     // Fetch is live: every blocking condition is a known time once
     // the window has drained (a retired mispredict always has its
@@ -104,7 +104,7 @@ Frontend::streamFetchBlocked(Tick now)
 void
 Frontend::fetch(Tick now)
 {
-    if (p.streamEnded || p.fetchedInstrs >= p.maxInstrs_)
+    if (p.warm.streamEnded || p.fetchedInstrs >= p.maxInstrs_)
         return;
     if (streamFetchBlocked(now))
         return;
@@ -118,8 +118,8 @@ Frontend::fetch(Tick now)
         if (p.haveHoldover) {
             item = p.holdover;
             p.haveHoldover = false;
-        } else if (!p.stream.next(item)) {
-            p.streamEnded = true;
+        } else if (!p.warm.stream.next(item)) {
+            p.warm.streamEnded = true;
             break;
         }
 
@@ -135,9 +135,9 @@ Frontend::fetch(Tick now)
 
         const workload::DynInstr &di = item.instr;
         std::uint64_t line = di.pc / p.cfg.lineSize;
-        if (line != p.lastFetchLine) {
+        if (line != p.warm.lastLine) {
             p.power_.access(power::Unit::Icache, fe_v);
-            if (!p.l1i.access(di.pc)) {
+            if (!p.warm.l1i.access(di.pc)) {
                 ++p.icacheMissCount;
                 Tick lat =
                     p.syncMargin(Domain::FrontEnd, Domain::Memory);
@@ -146,7 +146,7 @@ Frontend::fetch(Tick now)
                 lat = (p.l2PortGrant(now + lat) - now) +
                       static_cast<Tick>(p.cfg.l2Latency) *
                           p.clock(Domain::Memory).period();
-                if (!p.l2.access(di.pc)) {
+                if (!p.warm.l2.access(di.pc)) {
                     p.power_.access(power::Unit::Dram,
                                     p.power_.config().vMax);
                     Tick t_mem = p.memAccess(now + lat);
@@ -154,12 +154,12 @@ Frontend::fetch(Tick now)
                 }
                 lat += p.syncMargin(Domain::Memory, Domain::FrontEnd);
                 p.icacheBlockedUntil = now + lat;
-                p.lastFetchLine = line;
+                p.warm.lastLine = line;
                 p.holdover = item;
                 p.haveHoldover = true;
                 break;
             }
-            p.lastFetchLine = line;
+            p.warm.lastLine = line;
         }
 
         Processor::Uop u;
@@ -174,7 +174,7 @@ Frontend::fetch(Tick now)
         bool stop_group = false;
         if (di.cls == InstrClass::Branch) {
             p.power_.access(power::Unit::Bpred, fe_v);
-            BranchPrediction pr = p.bpred.predict(di.pc);
+            BranchPrediction pr = p.warm.bpred.predict(di.pc);
             bool mis = (pr.taken != di.taken) ||
                        (di.taken &&
                         (!pr.btbHit || pr.target != di.target));
@@ -317,7 +317,7 @@ Frontend::commit(Tick now)
             ++p.branches;
             if (u.mispredicted)
                 ++p.mispredicts;
-            p.bpred.update(u.di.pc, u.di.taken, u.di.target);
+            p.warm.bpred.update(u.di.pc, u.di.taken, u.di.target);
         }
 
         if (u.isStore) {
@@ -325,11 +325,11 @@ Frontend::commit(Tick now)
             Volt mem_v = p.clock(Domain::Memory).voltage();
             p.power_.access(power::Unit::Dcache, mem_v);
             ++p.l1dAccessCount;
-            if (!p.l1d.access(u.di.addr)) {
+            if (!p.warm.l1d.access(u.di.addr)) {
                 ++p.l1dMissCount;
                 p.power_.access(power::Unit::L2, mem_v);
                 Tick l2_start = p.l2PortGrant(now);
-                if (!p.l2.access(u.di.addr)) {
+                if (!p.warm.l2.access(u.di.addr)) {
                     ++p.l2MissCount;
                     p.power_.access(power::Unit::Dram,
                                     p.power_.config().vMax);

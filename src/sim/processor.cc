@@ -11,12 +11,8 @@ Processor::Processor(const SimConfig &c, const power::PowerConfig &pc,
     : cfg(c), program(prog), input(in),
       externalPeriod(periodPs(c.maxMhz)),
       power_(pc),
-      l1i(c.l1iSizeKb, c.l1iWays, c.lineSize),
-      l1d(c.l1dSizeKb, c.l1dWays, c.lineSize),
-      l2(c.l2SizeKb, c.l2Ways, c.lineSize),
+      warm(c, prog, in),
       memory(c.memLatencyPs, c.memBusPs),
-      bpred(),
-      stream(prog, in),
       kernel(cfg, power_),
       frontend(*this),
       execDomains{{ExecDomain(*this, Domain::Integer, c.intIssueWidth),

@@ -29,8 +29,8 @@
 #include <vector>
 
 #include "power/power.hh"
-#include "sim/branch.hh"
 #include "sim/cache.hh"
+#include "sim/checkpoint.hh"
 #include "sim/clock.hh"
 #include "sim/config.hh"
 #include "sim/exec_domain.hh"
@@ -43,9 +43,6 @@
 
 namespace mcd::sim
 {
-
-class CheckpointSet;
-class FuncState;
 
 /**
  * Chip-level shared memory side.  When installed (by the chip layer,
@@ -144,7 +141,7 @@ class Processor : public DvfsControl
     runDone() const
     {
         bool fetch_exhausted =
-            streamEnded || fetchedInstrs >= maxInstrs_;
+            warm.streamEnded || fetchedInstrs >= maxInstrs_;
         return fetch_exhausted && rob.empty() && fetchQueue.empty();
     }
 
@@ -200,8 +197,7 @@ class Processor : public DvfsControl
     /** The sampled counterpart of run(): detailed probes separated
      *  by functional skips, extrapolated with confidence intervals. */
     RunResult runSampled(std::uint64_t max_instrs);
-    /** Overwrite the warm microarchitectural state from @p f at a
-     *  probe start (stream, caches, predictor, fetch line). */
+    /** Overwrite the warm state with @p f at a probe start. */
     void copyInFuncState(const FuncState &f);
     /** Deliver a skip-span marker: the handler sees it (call-tree
      *  position, reconfig decisions) and only the *state* effect of
@@ -318,12 +314,10 @@ class Processor : public DvfsControl
 
     // --- components ---
     power::PowerModel power_;
-    Cache l1i;
-    Cache l1d;
-    Cache l2;
+    /** Stream position, caches, branch predictor and last fetched
+     *  line: the state a sampled run carries across a probe. */
+    FuncState warm;
     MainMemory memory;
-    BranchPredictor bpred;
-    workload::Stream stream;
     Kernel kernel;
     Frontend frontend;
     std::array<ExecDomain, NUM_SCALED_DOMAINS - 1> execDomains;
@@ -358,14 +352,12 @@ class Processor : public DvfsControl
     std::vector<Tick> memPortBusy;
 
     // fetch state
-    bool streamEnded = false;
     bool haveHoldover = false;
     workload::StreamItem holdover;
     Tick fetchStallUntil = 0;       ///< instrumentation stalls
     Tick icacheBlockedUntil = 0;
     std::uint64_t blockedBranchSeq = 0;  ///< mispredict in flight
     Tick redirectAt = 0;
-    std::uint64_t lastFetchLine = ~0ULL;
     std::uint64_t feTickCount = 0;
     std::uint64_t fetchedInstrs = 0;
     std::uint64_t nextSeq = 1;

@@ -131,13 +131,7 @@ canonicalSamplingSpec(const SamplingConfig &cfg)
 void
 Processor::copyInFuncState(const FuncState &f)
 {
-    stream = f.stream;
-    l1i = f.l1i;
-    l1d = f.l1d;
-    l2 = f.l2;
-    bpred = f.bpred;
-    lastFetchLine = f.lastLine;
-    streamEnded = f.streamEnded;
+    warm = f;
     // A holdover item from the previous probe's final fetch group
     // belongs to the discarded detailed trajectory; the functional
     // stream position is authoritative.

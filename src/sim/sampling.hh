@@ -11,8 +11,8 @@
  * sampleInstrs` of each interval run detailed (the probe: warm-up
  * commits are discarded, sample commits are measured), and the rest
  * of the interval advances only the functional microarchitectural
- * state (stream position, caches, branch predictor, markers) at
- * batch-decode speed.  Total time and energy are then estimated as
+ * state (stream position, caches, branch predictor, markers) in
+ * program order.  Total time and energy are then estimated as
  * measured-detailed plus mean-per-instruction times the skipped
  * count, with a 95% confidence interval over the per-interval
  * samples (see docs/SAMPLING.md for the error model).

@@ -163,11 +163,6 @@ struct RunResult
     double energyCiNj = 0.0;
     FreqSet avgFreq{};
     std::array<double, NUM_DOMAINS> domainEnergyNj{};
-    /** Energy * delay product (nJ * ps), convenience. */
-    double energyDelay() const
-    {
-        return chipEnergyNj * static_cast<double>(timePs);
-    }
 };
 
 } // namespace mcd::sim

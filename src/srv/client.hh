@@ -112,9 +112,6 @@ class Client
     /** Polite QUIT (waits for BYE). */
     void quit();
 
-    /** Deadline for each reply line (covers server compute time). */
-    void setReplyTimeoutMs(int ms) { replyTimeoutMs_ = ms; }
-
     /** Escape hatch for protocol-level tests: send @p line verbatim
      *  and return the next reply line (throws NetError on EOF or
      *  deadline). */
@@ -131,6 +128,7 @@ class Client
 
     Conn conn_;
     std::uint64_t fingerprint_ = 0;
+    /** Deadline for each reply line (covers server compute time). */
     int replyTimeoutMs_ = 150'000;
     std::uint64_t seq_ = 0;  ///< request tag counter (q0, q1, ...)
 };

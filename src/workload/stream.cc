@@ -46,39 +46,6 @@ Stream::next(StreamItem &out)
     return true;
 }
 
-std::size_t
-Stream::nextBatch(StreamBatch &out, std::uint64_t max_instrs)
-{
-    out.n = 0;
-    out.markers.clear();
-    out.markerPos.clear();
-    std::size_t lim = static_cast<std::size_t>(
-        std::min<std::uint64_t>(StreamBatch::CAP, max_instrs));
-    while (out.n < lim) {
-        while (queue.empty() && !stack.empty())
-            step();
-        if (queue.empty())
-            break;
-        const StreamItem &it = queue.front();
-        if (it.kind == StreamItem::Kind::Marker) {
-            out.markers.push_back(it.marker);
-            out.markerPos.push_back(
-                static_cast<std::uint32_t>(out.n));
-            queue.pop_front();
-            continue;
-        }
-        const DynInstr &di = it.instr;
-        out.pc[out.n] = di.pc;
-        out.addr[out.n] = di.addr;
-        out.target[out.n] = di.target;
-        out.cls[out.n] = di.cls;
-        out.taken[out.n] = di.taken;
-        queue.pop_front();
-        ++out.n;
-    }
-    return out.n;
-}
-
 void
 Stream::pushInstr(const DynInstr &di)
 {

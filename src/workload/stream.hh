@@ -23,34 +23,6 @@ namespace mcd::workload
 {
 
 /**
- * A structure-of-arrays batch of decoded dynamic instructions, the
- * fast-path unit of the sampled simulator's functional warm-up
- * (sim/checkpoint.cc): one `Stream::nextBatch()` call amortizes the
- * streamer's per-item queue handling over up to CAP instructions, and
- * the consumer walks plain parallel arrays instead of pulling
- * StreamItems one at a time.
- *
- * Markers are interleaved by position: `markers[m]` occurs in program
- * order immediately before the instruction in slot `markerPos[m]`
- * (markerPos == n means after the last instruction of the batch,
- * which only happens at end of program).
- */
-struct StreamBatch
-{
-    static constexpr std::size_t CAP = 256;
-
-    std::size_t n = 0;                   ///< instructions in batch
-    std::uint64_t pc[CAP];
-    std::uint64_t addr[CAP];             ///< loads/stores only
-    std::uint64_t target[CAP];           ///< branches only
-    InstrClass cls[CAP];
-    bool taken[CAP];                     ///< branches only
-
-    std::vector<Marker> markers;         ///< interleaved markers
-    std::vector<std::uint32_t> markerPos;
-};
-
-/**
  * Pull-based generator of the dynamic execution stream.
  *
  * Streams are copyable; a copy continues from the same position with
@@ -72,18 +44,6 @@ class Stream
      * @return false when the program has run to completion.
      */
     bool next(StreamItem &out);
-
-    /**
-     * Fill @p out with up to min(CAP, @p max_instrs) instructions and
-     * their interleaved markers; returns the instruction count (0 at
-     * end of program).  Consumes exactly the returned instructions
-     * plus the markers recorded before them — a marker that follows
-     * the batch's last instruction is left in the stream, matching
-     * the detailed fetch loop's budget-check-before-pull behaviour —
-     * so interleaving next() and nextBatch() yields the same sequence
-     * as either alone.
-     */
-    std::size_t nextBatch(StreamBatch &out, std::uint64_t max_instrs);
 
     /** True once the program has completed. */
     bool done() const { return queue.empty() && stack.empty(); }

@@ -845,15 +845,6 @@ suiteNames()
     return names;
 }
 
-bool
-isSuiteBenchmark(const std::string &name)
-{
-    for (const auto &n : suiteNames())
-        if (n == name)
-            return true;
-    return false;
-}
-
 namespace detail
 {
 

@@ -42,9 +42,6 @@ const std::vector<std::string> &suiteNames();
  */
 Benchmark makeBenchmark(const std::string &spec);
 
-/** True if @p name is one of the suite benchmarks. */
-bool isSuiteBenchmark(const std::string &name);
-
 namespace detail
 {
 /** The raw suite constructors, bypassing the registry; @p name must

@@ -3,8 +3,8 @@
  * Tests for the runner's shared artifacts: the halves of the profile
  * pipeline (phases 1-2) and of the off-line oracle (its interval
  * histograms) that do not read d are built once per runner and shared
- * by every cell that derives them — a d grid, and `profile` with
- * `hybrid`.  Sharing must be invisible in the outcomes: a shared
+ * by every cell that derives them — a d grid, `profile` with
+ * `hybrid`, and the two context modes of one call tree.  Sharing must be invisible in the outcomes: a shared
  * sweep equals the same cells each run on a fresh runner, and the
  * unshared library paths, at any thread count.  A counting probe
  * policy, registered in this test executable only, pins the store's
@@ -276,6 +276,55 @@ class ArtifactFindPolicy final : public control::Policy
 
 MCD_REGISTER_POLICY(ArtifactFindPolicy);
 
+/**
+ * `training-find:mode=...`: the find-only look-up of the shared
+ * training stored under `train|<mode>|<bench>`.  The outcome's time
+ * is the trained tree's node count, or NOT_FOUND.
+ */
+class TrainingFindPolicy final : public control::Policy
+{
+  public:
+    const char *
+    name() const override
+    {
+        return "training-find";
+    }
+
+    const char *
+    description() const override
+    {
+        return "test probe looking up a shared training, find-only";
+    }
+
+    std::vector<control::ParamInfo>
+    params() const override
+    {
+        return probeParams();
+    }
+
+    bool
+    relativeToBaseline() const override
+    {
+        return false;
+    }
+
+    Outcome
+    run(const std::string &bench, const PolicySpec &spec,
+        const control::PolicyContext &ctx) const override
+    {
+        std::shared_ptr<const core::TrainedProfile> t =
+            control::finishedArtifact<core::TrainedProfile>(
+                ctx, std::string("train|") +
+                         control::compactModeName(spec.mode("mode")) +
+                         '|' + bench);
+        Outcome o;
+        o.timePs = t ? static_cast<double>(t->tree.size()) : NOT_FOUND;
+        return o;
+    }
+};
+
+MCD_REGISTER_POLICY(TrainingFindPolicy);
+
 std::vector<SweepCell>
 probeCells(const char *mode, int first_d, int n)
 {
@@ -316,7 +365,7 @@ TEST(SharedArtifacts, DGridEqualsFreshRunnersAtJobsOneAndFour)
 
 TEST(SharedArtifacts, ContextModesTrainSeparately)
 {
-    // One training per (mode, bench): an F cell after an LF cell on
+    // One training per (tree, bench): an F cell after an LF cell on
     // the same runner must not adopt the LF call tree.
     ExpConfig cfg = w15000();
     Runner shared(cfg);
@@ -325,6 +374,42 @@ TEST(SharedArtifacts, ContextModesTrainSeparately)
     Runner fresh(cfg);
     EXPECT_EQ(fields(f),
               fields(fresh.run(SweepCell::of("gsm_decode", "hybrid:mode=F"))));
+}
+
+TEST(SharedArtifacts, ModesOfOneTreeShareOneTraining)
+{
+    // L+F analyzes the L+F+P tree and F the F+P tree
+    // (core::treeMode): the later cell of each pair adopts the
+    // finished training of the earlier one, builds none of its own,
+    // and equals the same cell on a fresh runner.
+    ExpConfig cfg = w15000();
+    Runner shared(cfg);
+    const struct
+    {
+        const char *first;
+        const char *later;
+        const char *treeMode;
+        const char *laterMode;
+    } pairs[] = {
+        {"profile:mode=LFP", "profile:mode=LF", "LFP", "LF"},
+        {"profile:mode=FP", "hybrid:mode=F", "FP", "F"},
+    };
+    auto find = [&](const char *mode) {
+        return shared
+            .run(SweepCell::of("gsm_decode",
+                               std::string("training-find:mode=") + mode))
+            .timePs;
+    };
+    for (const auto &p : pairs) {
+        SCOPED_TRACE(p.later);
+        shared.run(SweepCell::of("gsm_decode", p.first));
+        Outcome later = shared.run(SweepCell::of("gsm_decode", p.later));
+        EXPECT_NE(find(p.treeMode), NOT_FOUND);
+        EXPECT_EQ(find(p.laterMode), NOT_FOUND);
+        Runner fresh(cfg);
+        EXPECT_EQ(fields(later),
+                  fields(fresh.run(SweepCell::of("gsm_decode", p.later))));
+    }
 }
 
 // ---------------------------------------------------------------- //

@@ -72,19 +72,6 @@ TEST(PowerModel, AccessToChargesRequestedDomain)
     EXPECT_DOUBLE_EQ(p.domainEnergyNj(Domain::Integer), 0.0);
 }
 
-TEST(PowerModel, UnitBreakdownSumsToTotals)
-{
-    PowerConfig cfg;
-    PowerModel p(cfg);
-    p.access(Unit::Icache, 1.1);
-    p.access(Unit::Dcache, 1.0);
-    p.access(Unit::Dram, 1.2);
-    double unit_sum = 0.0;
-    for (double e : p.unitEnergyNj())
-        unit_sum += e;
-    EXPECT_NEAR(unit_sum, p.chipEnergyNj() + p.dramEnergyNj(), 1e-12);
-}
-
 TEST(PowerConfig, DomainWeightsNormalizedish)
 {
     PowerConfig cfg;

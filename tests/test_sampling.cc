@@ -4,7 +4,8 @@
  * sim/checkpoint.hh): spec parse/canonical round-trips and error
  * cases, meanCi95 math, determinism of sampled runs, equivalence of
  * checkpoint-replay and inline functional warm-up (and the fallback
- * on mismatched checkpoints), exact-mode neutrality of the sampled
+ * on mismatched checkpoints), the stream-reading contract of
+ * `FuncState::advance`, exact-mode neutrality of the sampled
  * reporting fields, the pinned
  * cache-key shape for sampled cells (schema tag hoisted into
  * cache_key_util.hh), and the chip-cell rejection of sampled mode.
@@ -12,9 +13,11 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <memory>
 #include <string>
+#include <tuple>
 #include <vector>
 
 #include "exp/experiment.hh"
@@ -77,6 +80,72 @@ expectSameResult(const sim::RunResult &a, const sim::RunResult &b)
     EXPECT_EQ(a.skippedInstrs, b.skippedInstrs);
     EXPECT_EQ(a.timeCiPs, b.timeCiPs);
     EXPECT_EQ(a.energyCiNj, b.energyCiNj);
+}
+
+/** A marker at the global index of the instruction it precedes. */
+using MarkerAt = std::tuple<int, int, int, int, std::uint64_t>;
+
+MarkerAt
+markerAt(const workload::Marker &m, std::uint64_t index)
+{
+    return {static_cast<int>(m.kind), m.func, m.loop, m.site, index};
+}
+
+/** One plain Stream::next() walk of up to @p window instructions,
+ *  pulling only while the budget is not spent. */
+struct PlainWalk
+{
+    std::vector<MarkerAt> markers;
+    std::uint64_t instrs = 0;
+    std::uint64_t branches = 0;
+    std::uint64_t memOps = 0;
+};
+
+PlainWalk
+plainWalk(const workload::Program &prog, const workload::InputSet &in,
+          std::uint64_t window)
+{
+    PlainWalk w;
+    workload::Stream s(prog, in);
+    workload::StreamItem item;
+    while (w.instrs < window && s.next(item)) {
+        if (item.kind == workload::StreamItem::Kind::Marker) {
+            w.markers.push_back(markerAt(item.marker, w.instrs));
+            continue;
+        }
+        workload::InstrClass c = item.instr.cls;
+        if (c == workload::InstrClass::Branch)
+            ++w.branches;
+        if (c == workload::InstrClass::Load ||
+            c == workload::InstrClass::Store)
+            ++w.memOps;
+        ++w.instrs;
+    }
+    return w;
+}
+
+/** Every FuncDeltas field. */
+std::vector<std::uint64_t>
+deltaFields(const sim::FuncDeltas &d)
+{
+    return {d.instrs,       d.branches,    d.mispredicts,
+            d.icacheMisses, d.l1dAccesses, d.l1dMisses,
+            d.l2Misses,     d.dramAccesses};
+}
+
+/** A program that ends after a few hundred instructions. */
+workload::Program
+shortProgram()
+{
+    workload::ProgramBuilder b("short");
+    workload::InstructionMix m;
+    m.set(workload::InstrClass::Load, 0.2).branches(0.1, 0.05);
+    workload::MixId mx = b.mix(m);
+    b.func("leaf");
+    b.block(mx, 5);
+    b.func("main");
+    b.loop(3, 1.0, [&] { b.call("leaf"); });
+    return b.build("main");
 }
 
 } // namespace
@@ -239,6 +308,147 @@ TEST(SampledRun, MismatchedCheckpointsFallBackToInlineWalk)
     EXPECT_FALSE(cps->matches(scfg.sampling, 12'000));
     expectSameResult(runOnce(*bm, scfg, 12'000),
                      runOnce(*bm, scfg, 12'000, cps));
+}
+
+// ---------------------------------------------------------------- //
+// FuncState::advance, the functional walk's stream reader          //
+// ---------------------------------------------------------------- //
+
+TEST(FuncStateAdvance, AnySpanLengthGivesThePlainWalk)
+{
+    workload::Benchmark bm = workload::makeBenchmark("gsm_decode");
+    sim::SimConfig scfg;
+    const std::uint64_t window = 20'000;
+    PlainWalk plain = plainWalk(bm.program, bm.train, window);
+    ASSERT_EQ(plain.instrs, window);
+    ASSERT_FALSE(plain.markers.empty());
+
+    std::vector<std::uint64_t> whole;
+    for (std::uint64_t span : {window, std::uint64_t{256},
+                               std::uint64_t{7}, std::uint64_t{1}}) {
+        SCOPED_TRACE("span " + std::to_string(span));
+        sim::FuncState f(scfg, bm.program, bm.train);
+        std::vector<MarkerAt> markers;
+        sim::FuncDeltas sum;
+        std::uint64_t v = 0;
+        while (v < window) {
+            sim::FuncDeltas d = f.advance(
+                std::min(span, window - v),
+                [&](const workload::Marker &m, std::uint64_t idx) {
+                    markers.push_back(markerAt(m, v + idx));
+                });
+            ASSERT_GT(d.instrs, 0u);
+            v += d.instrs;
+            sum.instrs += d.instrs;
+            sum.branches += d.branches;
+            sum.mispredicts += d.mispredicts;
+            sum.icacheMisses += d.icacheMisses;
+            sum.l1dAccesses += d.l1dAccesses;
+            sum.l1dMisses += d.l1dMisses;
+            sum.l2Misses += d.l2Misses;
+            sum.dramAccesses += d.dramAccesses;
+        }
+        EXPECT_EQ(markers, plain.markers);
+        EXPECT_EQ(sum.instrs, plain.instrs);
+        EXPECT_EQ(sum.branches, plain.branches);
+        EXPECT_EQ(sum.l1dAccesses, plain.memOps);
+        EXPECT_FALSE(f.streamEnded);
+        // The cache and predictor counters do not see the span
+        // boundaries either.
+        if (whole.empty())
+            whole = deltaFields(sum);
+        EXPECT_EQ(deltaFields(sum), whole);
+    }
+}
+
+TEST(FuncStateAdvance, MarkerAfterASpanOpensTheNextSpan)
+{
+    workload::Benchmark bm = workload::makeBenchmark("gsm_decode");
+    sim::SimConfig scfg;
+    PlainWalk plain = plainWalk(bm.program, bm.train, 20'000);
+    // The first marker that follows an instruction: the span that
+    // ends on that instruction must leave it in the stream.
+    auto after = std::find_if(
+        plain.markers.begin(), plain.markers.end(),
+        [](const MarkerAt &m) { return std::get<4>(m) > 0; });
+    ASSERT_NE(after, plain.markers.end());
+    const std::uint64_t k = std::get<4>(*after);
+    std::vector<MarkerAt> before(plain.markers.begin(), after);
+    std::vector<MarkerAt> at;
+    for (auto it = after;
+         it != plain.markers.end() && std::get<4>(*it) == k; ++it)
+        at.push_back(*it);
+
+    sim::FuncState f(scfg, bm.program, bm.train);
+    std::vector<MarkerAt> first;
+    EXPECT_EQ(f.advance(k,
+                        [&](const workload::Marker &m,
+                            std::uint64_t idx) {
+                            first.push_back(markerAt(m, idx));
+                        })
+                  .instrs,
+              k);
+    EXPECT_EQ(first, before);
+    std::vector<MarkerAt> next;
+    EXPECT_EQ(f.advance(1,
+                        [&](const workload::Marker &m,
+                            std::uint64_t idx) {
+                            next.push_back(markerAt(m, k + idx));
+                        })
+                  .instrs,
+              1u);
+    EXPECT_EQ(next, at);
+}
+
+TEST(FuncStateAdvance, WalkPastTheEndDeliversTheExitsAndEndsTheStream)
+{
+    workload::Program prog = shortProgram();
+    workload::InputSet in;
+    sim::SimConfig scfg;
+    PlainWalk plain = plainWalk(prog, in, 1'000'000);
+    const std::uint64_t total = plain.instrs;
+    ASSERT_GT(total, 1u);
+    ASSERT_LT(total, 1'000u);
+    // The program ends with the entry function's exit marker and its
+    // return: the exits are the markers before the last instruction.
+    std::vector<MarkerAt> exits;
+    for (const MarkerAt &m : plain.markers)
+        if (std::get<4>(m) == total - 1)
+            exits.push_back(m);
+    ASSERT_FALSE(exits.empty());
+    EXPECT_EQ(exits.back(),
+              markerAt(workload::Marker{workload::MarkerKind::FuncExit,
+                                        prog.entry, 0, 0},
+                       total - 1));
+    EXPECT_EQ(plain.markers.back(), exits.back());
+
+    auto record = [](std::vector<MarkerAt> &out, std::uint64_t base) {
+        return [&out, base](const workload::Marker &m,
+                            std::uint64_t idx) {
+            out.push_back(markerAt(m, base + idx));
+        };
+    };
+
+    // A span that stops before the last instruction leaves the exits
+    // in the stream; the walk past the end delivers them at index 0
+    // and ends the stream.
+    sim::FuncState f(scfg, prog, in);
+    std::vector<MarkerAt> seen;
+    EXPECT_EQ(f.advance(total - 1, record(seen, 0)).instrs, total - 1);
+    EXPECT_FALSE(f.streamEnded);
+    std::vector<MarkerAt> tail;
+    EXPECT_EQ(f.advance(100, record(tail, total - 1)).instrs, 1u);
+    EXPECT_TRUE(f.streamEnded);
+    EXPECT_EQ(tail, exits);
+    seen.insert(seen.end(), tail.begin(), tail.end());
+    EXPECT_EQ(seen, plain.markers);
+
+    // One walk past the end delivers every marker.
+    sim::FuncState past(scfg, prog, in);
+    std::vector<MarkerAt> all;
+    EXPECT_EQ(past.advance(total + 100, record(all, 0)).instrs, total);
+    EXPECT_TRUE(past.streamEnded);
+    EXPECT_EQ(all, plain.markers);
 }
 
 // ---------------------------------------------------------------- //
