@@ -358,7 +358,7 @@ class Runner
     OnceMap<Outcome> memo;
     /**
      * The context's artifact store (control::sharedArtifact): what
-     * cells derive alike — a profile training per (mode, bench), an
+     * cells derive alike — a profile training per (tree, bench), an
      * off-line analysis per bench, a sampled-mode checkpoint set per
      * bench — built once and kept in memory only.  Artifacts are a
      * function of cache-keyed inputs, so they never reach the CSV.

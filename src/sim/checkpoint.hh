@@ -72,7 +72,8 @@ class FuncState
     /**
      * Marker callback: the marker plus the span-relative index of
      * the instruction it precedes (0 = before the span's first
-     * instruction; == consumed count for end-of-program trailers).
+     * instruction).  A program's last item is its entry function's
+     * return, so its exit markers precede an instruction too.
      */
     using MarkerFn =
         std::function<void(const workload::Marker &, std::uint64_t)>;
